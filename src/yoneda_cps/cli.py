@@ -7,6 +7,7 @@ cap, 2 an internal invariant violation.
 
 import argparse
 import json
+import math
 import sys
 
 from .decide import analyze, finitely_generated, noetherian, report_to_json
@@ -15,8 +16,7 @@ from .graph import build_marked_graph, export_dot, export_json, graph_params
 from .monomial import MonomialIdeal, PreconditionError
 from .oracle import cross_validate, minimal_resolution
 from .presentation import PresentationError, parse_presentation
-from .walks import WalkCapExceeded, parse_display_walk
-from .ext import ExtClass  # noqa: F401  (re-exported for scripting)
+from .walks import WalkCapExceeded, parse_display_walk, walk_cap
 
 
 def _load(path):
@@ -141,6 +141,25 @@ def cmd_validate(args):
     return 0
 
 
+def _argument_error(args):
+    """Why a command-line value or the walk cap is out of range, or None."""
+    for name in ("max_i", "max_j", "max_degree", "truncate"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            return f"--{name.replace('_', '-')} must be >= 0, got {value}"
+    if args.jobs < 1:
+        return f"--jobs must be >= 1, got {args.jobs}"
+    # gfp_rank inverts by Fermat's little theorem, valid only mod a prime
+    p = getattr(args, "field_char", 2)
+    if not (2 <= p < 2 ** 31 and all(p % d for d in range(2, math.isqrt(p) + 1))):
+        return f"--field-char must be a prime below 2^31, got {p}"
+    try:
+        walk_cap()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="yoneda-cps",
@@ -201,6 +220,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _argument_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (PresentationError, PreconditionError) as e:

@@ -16,7 +16,7 @@ every circuit edge must be admissible.
 import math
 from dataclasses import dataclass
 
-from .graph import build_marked_graph, circuits_and_sccs, graph_params
+from .graph import build_marked_graph, graph_params
 from .monomial import MonomialIdeal, left_min_annihilating_suffix
 from .presentation import format_word
 from .walks import (EventuallyPeriodicWalk, WalkCapExceeded,
@@ -67,61 +67,38 @@ class GlobalDimensionResult:
 
 
 def global_dimension(g):
-    summary = circuits_and_sccs(g)
+    summary = g.cycles
     if summary.has_cycle:
         witness = summary.circuits[0] if summary.circuits else None
         return GlobalDimensionResult(INFINITY, witness)
-    depth = {}
-    succ = {}
-
-    def walk_depth(v):
-        if v in depth:
-            return depth[v]
-        best, pick = 0, None
+    # Acyclic, so every SCC is one vertex; sinks come first, so every
+    # successor's depth is known before its source's.
+    depth, succ = {}, {}
+    for (v,) in summary.sccs:
+        depth[v], succ[v] = 0, None
         for t in g.out[v]:
-            d = walk_depth(t) + 1
-            if d > best:
-                best, pick = d, t
-        depth[v] = best
-        succ[v] = pick
-        return best
-
-    start = max(g.g0, key=walk_depth)
+            if depth[t] + 1 > depth[v]:
+                depth[v], succ[v] = depth[t] + 1, t
+    start = max(g.g0, key=depth.get)
     path = [start]
-    while succ.get(path[-1]):
+    while succ[path[-1]]:
         path.append(succ[path[-1]])
     return GlobalDimensionResult(len(path), tuple(path))
 
 
 def gk_dimension(g):
     """Largest number of cycle components any one walk can visit."""
-    summary = circuits_and_sccs(g)
+    summary = g.cycles
     if summary.shared_vertex:
         return INFINITY
-    comp_of = {}
-    is_cycle_comp = {}
-    for idx, comp in enumerate(summary.sccs):
-        members = set(comp)
-        cyclic = len(comp) > 1 or (comp[0], comp[0]) in g.edge_word
-        for v in comp:
-            comp_of[v] = idx
-        is_cycle_comp[idx] = cyclic
+    cyclic = set(summary.cyclic)
+    comp_of = {v: comp for comp in summary.sccs for v in comp}
     best = {}
-
-    def score(idx):
-        if idx in best:
-            return best[idx]
-        base = 1 if is_cycle_comp[idx] else 0
-        members = set(summary.sccs[idx])
-        succ = 0
-        for v in members:
-            for t in g.out[v]:
-                if comp_of[t] != idx:
-                    succ = max(succ, score(comp_of[t]))
-        best[idx] = base + succ
-        return best[idx]
-
-    return max((score(i) for i in range(len(summary.sccs))), default=0)
+    for comp in summary.sccs:  # sinks first
+        after = max((best[comp_of[t]] for v in comp for t in g.out[v]
+                     if comp_of[t] != comp), default=0)
+        best[comp] = (1 if comp in cyclic else 0) + after
+    return max(best.values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -343,8 +320,7 @@ def finitely_generated(g, params=None, cap=None):
         cap = walk_cap()
     if params is None:
         params = graph_params(g)
-    summary = circuits_and_sccs(g)
-    if not summary.has_cycle:
+    if not g.cycles.has_cycle:
         gd = global_dimension(g)
         return FgVerdict(True, "finite_global_dimension",
                          generator_degree_bound=gd.value)
@@ -407,10 +383,8 @@ def noetherian(g, side):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    summary = circuits_and_sccs(g)
-    circuit_vertices = [v for comp in summary.sccs
-                        if len(comp) > 1 or (comp[0], comp[0]) in g.edge_word
-                        for v in comp]
+    summary = g.cycles
+    circuit_vertices = [v for comp in summary.cyclic for v in comp]
     if not circuit_vertices:
         return NoetherianVerdict(side, True, "acyclic_graph")
     adj = g.out if side == "left" else g.inc
@@ -420,10 +394,8 @@ def noetherian(g, side):
                                      witness_vertex=v)
     assert not summary.shared_vertex, \
         "unique continuation forces simple cycle components"
-    for comp in summary.sccs:
+    for comp in summary.cyclic:
         members = set(comp)
-        if len(comp) == 1 and (comp[0], comp[0]) not in g.edge_word:
-            continue
         for s in comp:
             for t in g.out[s]:
                 if t in members and not g.admissible[(s, t)]:
@@ -466,8 +438,7 @@ def analyze(presentation, cap=None):
     if params.l_defaulted:
         notes.append("no anchored simple path ends in an admissible edge with "
                      "non-admissible interior; the path bound defaulted to 1")
-    summary = circuits_and_sccs(g)
-    if summary.circuits_refused:
+    if g.cycles.shared_vertex:
         notes.append("circuit enumeration refused: two circuits share a vertex")
     return AnalysisReport(g, params, gldim, gk, fg, noeth_l, noeth_r, tuple(notes))
 

@@ -11,6 +11,7 @@ of the defining relations; walk-level admissibility lives in `walks`.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .monomial import MonomialIdeal, annihilator_generators
 from .presentation import format_word
@@ -50,6 +51,11 @@ class CpsGraph:
 
     def display(self, v):
         return format_word(v)
+
+    @cached_property
+    def cycles(self):
+        """The graph's CircuitSummary, computed once on first use."""
+        return circuits_and_sccs(self)
 
 
 def build_graph(ideal):
@@ -156,14 +162,18 @@ def graph_params(g):
 
 @dataclass(frozen=True)
 class CircuitSummary:
-    sccs: tuple            # tuple of vertex tuples, each sorted, whole partition
-    circuits: tuple        # one closed vertex cycle per nontrivial SCC, or ()
-    shared_vertex: bool    # some SCC is not a simple cycle
-    circuits_refused: bool # enumeration skipped because it may be exponential
+    sccs: tuple           # vertex tuples, each sorted, whole partition, sinks
+                          # first: an edge between two components always goes
+                          # from a later entry to an earlier one
+    cyclic: tuple         # the SCCs that carry a cycle (size > 1 or a
+                          # self-loop), ordered by (size, least vertex); the
+                          # order picks the circuit and edge a verdict names
+    circuits: tuple       # one closed vertex cycle per cyclic SCC, or ()
+    shared_vertex: bool   # some cyclic SCC is not a simple cycle
 
     @property
     def has_cycle(self):
-        return any(len(c) > 0 for c in self.circuits) or self.shared_vertex
+        return bool(self.cyclic)
 
 
 def _tarjan_sccs(vertices, out):
@@ -219,48 +229,32 @@ def _tarjan_sccs(vertices, out):
 def circuits_and_sccs(g):
     """SCC partition, plus circuit enumeration when it is safe.
 
-    shared_vertex is true when some strongly connected component is not
-    a simple cycle; two distinct circuits then meet at a vertex and the
-    circuit count may be exponential, so enumeration is refused
-    (flagged, not raised).
+    shared_vertex is true when some cyclic component is not a simple
+    cycle; two distinct circuits then meet at a vertex and the circuit
+    count may be exponential, so enumeration is refused (flagged, not
+    raised).  Tarjan's algorithm completes a component only after every
+    component it reaches, which gives `sccs` its sinks-first order.
     """
-    sccs = _tarjan_sccs(g.vertices, g.out)
     key = g.ideal.sort_key
-    nontrivial = []
-    for comp in sccs:
-        if len(comp) > 1 or (g.vertices and (comp[0], comp[0]) in g.edge_word):
-            nontrivial.append(comp)
+    sccs = tuple(tuple(sorted(c, key=key)) for c in _tarjan_sccs(g.vertices, g.out))
+    cyclic = tuple(sorted((c for c in sccs if len(c) > 1 or c[0] in g.out[c[0]]),
+                          key=lambda c: (len(c), key(c[0]))))
 
-    shared = False
-    for comp in nontrivial:
-        members = set(comp)
-        for v in comp:
-            internal_out = sum(1 for t in g.out[v] if t in members)
-            internal_in = sum(1 for s in g.inc[v] if s in members)
-            if internal_out != 1 or internal_in != 1:
-                shared = True
-                break
-        if shared:
-            break
+    shared = any(sum(1 for t in g.out[v] if t in members) != 1
+                 or sum(1 for s in g.inc[v] if s in members) != 1
+                 for members in map(set, cyclic) for v in members)
 
     circuits = []
     if not shared:
-        for comp in nontrivial:
+        for comp in cyclic:
             members = set(comp)
-            start = min(comp, key=key)
-            cyc = [start]
-            v = start
+            cyc = [comp[0]]
             while True:
-                v = next(t for t in g.out[v] if t in members)
-                cyc.append(v)
-                if v == start:
+                cyc.append(next(t for t in g.out[cyc[-1]] if t in members))
+                if cyc[-1] == comp[0]:
                     break
             circuits.append(tuple(cyc))
-        circuits.sort(key=lambda c: (len(c), [key(v) for v in c]))
-
-    sccs_sorted = tuple(sorted((tuple(sorted(c, key=key)) for c in sccs),
-                               key=lambda c: (len(c), [key(v) for v in c])))
-    return CircuitSummary(sccs_sorted, tuple(circuits), shared, shared)
+    return CircuitSummary(sccs, cyclic, tuple(circuits), shared)
 
 
 def export_dot(g):

@@ -20,8 +20,8 @@ is kept as a second, structurally different route for small windows.
 
 from dataclasses import dataclass
 
+from .ext import poincare_table
 from .linalg import gf2_rank, gfp_rank
-from .walks import enumerate_anchored
 
 __all__ = [
     "GradedVectorBasis",
@@ -249,11 +249,8 @@ def cross_validate(g, table, cap=None):
     j <= max_j must match the table exactly; walks outside the window
     are excluded rather than reported.  Returns mismatch records.
     """
-    counts = {(0, 0): 1}
-    for w in enumerate_anchored(g, table.max_i - 1, cap):
-        i, j = w.cohomological_degree, w.internal_degree
-        if j <= table.max_j:
-            counts[(i, j)] = counts.get((i, j), 0) + 1
+    counts = {k: d for k, d in poincare_table(g, table.max_i, cap).entries.items()
+              if k[1] <= table.max_j}
     keys = set(counts) | {k for k in table.entries
                           if k[0] <= table.max_i and k[1] <= table.max_j}
     mismatches = []

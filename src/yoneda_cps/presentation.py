@@ -102,12 +102,6 @@ class Presentation:
     def generator_names(self):
         return tuple(g.name for g in self.alphabet)
 
-    def index_of(self, name):
-        for g in self.alphabet:
-            if g.name == name:
-                return g.index
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class MinimalityViolation:

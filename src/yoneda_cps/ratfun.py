@@ -11,7 +11,6 @@ from math import gcd
 
 __all__ = [
     "RationalFunction",
-    "poly_add",
     "poly_sub",
     "poly_mul",
     "poly_divexact",
@@ -26,12 +25,6 @@ def trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n)])
 
 
 def poly_sub(a, b):

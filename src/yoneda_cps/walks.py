@@ -53,7 +53,16 @@ class WalkCapExceeded(RuntimeError):
 
 def walk_cap():
     raw = os.environ.get("YONEDA_CPS_MAX_WALK_CAP")
-    return int(raw) if raw else DEFAULT_WALK_CAP
+    if not raw:
+        return DEFAULT_WALK_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("YONEDA_CPS_MAX_WALK_CAP must be a positive "
+                         f"integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

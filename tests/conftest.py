@@ -8,6 +8,9 @@ from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import parse_presentation
 
+ALL = ("x_square", "xy_single", "abc_cdab", "abc_cdab_bcda",
+       "x2y_family", "two_chain_overlap", "sklyanin_leading")
+
 _presentations = {}
 _graphs = {}
 

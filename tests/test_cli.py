@@ -136,3 +136,26 @@ def test_analyze_is_deterministic(capsys):
     first = run(capsys, "analyze", fixture_path("two_chain_overlap"))
     second = run(capsys, "analyze", fixture_path("two_chain_overlap"))
     assert first == second
+
+
+@pytest.mark.parametrize("env,argv,message", [
+    (None, ["validate", "--field-char", "1"], "--field-char must be a prime"),
+    (None, ["validate", "--field-char", "4"], "--field-char must be a prime"),
+    (None, ["validate", "--field-char", "9"], "--field-char must be a prime"),
+    (None, ["validate", "--max-i", "-1"], "--max-i must be >= 0"),
+    (None, ["validate", "--max-j", "-1"], "--max-j must be >= 0"),
+    (None, ["ext-basis", "--max-degree", "-1"], "--max-degree must be >= 0"),
+    (None, ["series", "--truncate", "-1"], "--truncate must be >= 0"),
+    (None, ["--jobs", "0", "validate"], "--jobs must be >= 1"),
+    ("abc", ["decide-fg"], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+    ("0", ["decide-fg"], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+    ("-5", ["analyze"], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+])
+def test_out_of_range_arguments(monkeypatch, capsys, env, argv, message):
+    if env is not None:
+        monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", env)
+    code, out, err = run(capsys, *argv, fixture_path("x_square"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import W, graph, load
+from conftest import ALL, W, graph, load
 from propcore import random_presentation
 from yoneda_cps.decide import (INFINITY, _search_indecomposable, analyze,
                                check_tail_conditions, finitely_generated,
@@ -15,14 +15,37 @@ from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkCapExceeded,
                               enumerate_anchored, is_decomposable)
 
-ALL = ("x_square", "xy_single", "abc_cdab", "abc_cdab_bcda",
-       "x2y_family", "two_chain_overlap", "sklyanin_leading")
-
 
 def test_global_dimension_finite_case():
     out = global_dimension(graph("xy_single"))
     assert out.value == 2
     assert out.witness == W("y", "x")
+
+
+def test_long_acyclic_chain_needs_no_recursion():
+    # a0 -> a1 -> ... -> a1099: far deeper than Python's recursion limit
+    n = 1100
+    names = [f"a{i}" for i in range(n)]
+    p = make_presentation(names, [(names[i + 1], names[i]) for i in range(n - 1)])
+    report = analyze(p)
+    assert report.gldim.value == n
+    assert report.gldim.witness == tuple((name,) for name in names)
+    assert report.gk_dim == 0
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_analyze_computes_sccs_once(monkeypatch, name):
+    from yoneda_cps import graph as graph_module
+    calls = []
+    original = graph_module.circuits_and_sccs
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graph_module, "circuits_and_sccs", counting)
+    analyze(load(name))
+    assert len(calls) == 1
 
 
 def test_global_dimension_infinite_cases():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import graph, load
+from conftest import ALL, graph, load
 from yoneda_cps.graph import (build_graph, build_marked_graph,
                               circuits_and_sccs, export_dot, export_json,
                               graph_params, mark_admissible_edges)
@@ -141,7 +141,21 @@ def test_circuit_summary_shapes():
     assert any(set(c) == {("a", "b"), ("c", "d")} for c in
                (set(circ) for circ in s.circuits))
     s61 = circuits_and_sccs(graph("two_chain_overlap"))
-    assert s61.shared_vertex and s61.circuits_refused
+    assert s61.shared_vertex
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_sccs_come_sinks_first(name):
+    g = graph(name)
+    s = g.cycles
+    position = {v: k for k, comp in enumerate(s.sccs) for v in comp}
+    assert sorted(position, key=g.ideal.sort_key) == list(g.vertices)
+    for comp in s.sccs:
+        assert list(comp) == sorted(comp, key=g.ideal.sort_key)
+    for src, dst in g.edges:
+        assert position[src] >= position[dst]
+    assert set(s.cyclic) == {c for c in s.sccs
+                             if len(c) > 1 or c[0] in g.out[c[0]]}
 
 
 def test_loop_is_a_circuit():
