@@ -9,6 +9,7 @@ method, and the two chain conditions.
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -56,4 +57,12 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`... | head`): stop quietly,
+        # with stdout on devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

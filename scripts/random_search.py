@@ -15,43 +15,22 @@ as fixture files.
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
+from propcore import (collect_walks, parity_extension_violations,
+                      random_presentation)
 from yoneda_cps.decide import analyze
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.presentation import make_presentation, serialize_presentation
-from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
-                              enumerate_walks)
-
-ALPHABET = "xyzw"
-
-
-def random_presentation(rng, max_gens, max_relations, max_degree):
-    names = list(ALPHABET[: rng.randint(1, max_gens)])
-    rels = []
-    for _ in range(rng.randint(1, max_relations)):
-        deg = rng.randint(2, max_degree)
-        rels.append(tuple(rng.choice(names) for _ in range(deg)))
-    return make_presentation(names, rels)
-
-
-def parity_specimens(g, max_len=4, cap=20000):
-    """(walk, n) pairs where the naive parity closure fails."""
-    found = []
-    for s in range(2, max_len + 1):
-        for vs in enumerate_walks(g, s, cap=cap):
-            if canonical_anchored(g, vs) is not None:
-                continue
-            for n in range(1, s):
-                if n % 2 == 0 or (s - n) % 2 == 0:
-                    if canonical_anchored(g, vs[: n + 1]) is not None:
-                        found.append((vs, n))
-    return found
+from yoneda_cps.presentation import serialize_presentation
+from yoneda_cps.walks import WalkCapExceeded
 
 
 def main(argv=None):
@@ -76,11 +55,12 @@ def main(argv=None):
                                 args.max_degree)
         if args.hunt == "parity":
             g = build_marked_graph(MonomialIdeal(p))
-            try:
-                specimens = parity_specimens(g)
-            except WalkCapExceeded:
+            # walks of length up to 4, or None past the enumeration cap
+            collected = collect_walks(g)
+            if collected is None:
                 skipped += 1
                 continue
+            specimens = parity_extension_violations(g, collected[0])
             if specimens:
                 hits += 1
                 vs, n = specimens[0]
@@ -110,4 +90,12 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`... | head`): stop quietly,
+        # with stdout on devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -6,20 +6,17 @@ algebra and the one-sided chain conditions.  An independent resolution
 oracle cross-checks the graded dimensions.
 """
 
-from .presentation import (Presentation, PresentationError, Word,
-                           leading_words, make_presentation,
-                           parse_presentation, serialize_presentation,
-                           validate_minimality)
+from .presentation import (Presentation, PresentationError, leading_words,
+                           make_presentation, parse_presentation,
+                           serialize_presentation, validate_minimality)
 from .monomial import (MonomialIdeal, PreconditionError,
-                       annihilator_generators, concat, in_ideal,
-                       is_minimal_generator, left_min_annihilating_suffix)
+                       annihilator_generators, left_min_annihilating_suffix)
 from .graph import (CpsGraph, GraphParams, build_graph, build_marked_graph,
                     circuits_and_sccs, export_dot, export_json,
                     graph_params, mark_admissible_edges)
-from .walks import (AnchoredWalk, EventuallyPeriodicWalk, Walk,
-                    WalkCapExceeded, canonical_anchored, enumerate_anchored,
-                    equivalent, is_admissible, is_decomposable, is_dense,
-                    word_of)
+from .walks import (AnchoredWalk, EventuallyPeriodicWalk, WalkCapExceeded,
+                    canonical_anchored, enumerate_anchored, equivalent,
+                    is_admissible, is_decomposable, is_dense, word_of)
 from .ext import (BigradedTable, ExtClass, ext_class, generators_up_to,
                   hilbert_series, poincare_table, yoneda_mul)
 from .decide import (INFINITY, AnalysisReport, analyze, finitely_generated,
@@ -28,5 +25,22 @@ from .decide import (INFINITY, AnalysisReport, analyze, finitely_generated,
 from .oracle import (BettiTable, algebra_basis, cross_validate,
                      minimal_resolution, minimal_resolution_dense)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Presentation", "PresentationError", "leading_words", "make_presentation",
+    "parse_presentation", "serialize_presentation", "validate_minimality",
+    "MonomialIdeal", "PreconditionError", "annihilator_generators",
+    "left_min_annihilating_suffix",
+    "CpsGraph", "GraphParams", "build_graph", "build_marked_graph",
+    "circuits_and_sccs", "export_dot", "export_json", "graph_params",
+    "mark_admissible_edges",
+    "AnchoredWalk", "EventuallyPeriodicWalk", "WalkCapExceeded",
+    "canonical_anchored", "enumerate_anchored", "equivalent", "is_admissible",
+    "is_decomposable", "is_dense", "word_of",
+    "BigradedTable", "ExtClass", "ext_class", "generators_up_to",
+    "hilbert_series", "poincare_table", "yoneda_mul",
+    "INFINITY", "AnalysisReport", "analyze", "finitely_generated",
+    "gk_dimension", "global_dimension", "noetherian", "report_to_json",
+    "BettiTable", "algebra_basis", "cross_validate", "minimal_resolution",
+    "minimal_resolution_dense",
+]
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """Command line interface.
 
 All results go to stdout as JSON with sorted keys; progress and errors
-go to stderr.  Exit codes: 0 success, 1 bad input or an exceeded walk
-cap, 2 an internal invariant violation.
+go to stderr.  Exit codes: 0 success, 1 bad input, an exceeded walk
+cap or an input too deep for a recursive search, 2 an internal
+invariant violation.
 """
 
 import argparse
@@ -28,6 +29,8 @@ def _load(path):
                 text = fh.read()
         except OSError as e:
             raise PresentationError(f"cannot read {path}: {e.strerror}")
+        except UnicodeDecodeError as e:
+            raise PresentationError(f"cannot read {path}: {e.reason}")
     return parse_presentation(text)
 
 
@@ -226,11 +229,11 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (PresentationError, PreconditionError) as e:
+    except (PresentationError, PreconditionError, WalkCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except WalkCapExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RecursionError as e:
+        print(f"error: input too deep to process ({e})", file=sys.stderr)
         return 1
     except AssertionError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)

@@ -336,7 +336,7 @@ def finitely_generated(g, params=None, cap=None):
     # simple-path statistic L cannot stand in for this premise, since an
     # admissible edge on a circuit can be invisible to simple paths (the
     # single relation xyxy puts an admissible loop on xy while L = 1).
-    if all(g.is_g0(src) for (src, dst) in g.edges
+    if all(len(src) == 1 for (src, dst) in g.edges
            if g.admissible[(src, dst)]):
         witness = _pump(g, circuit)
         assert check_tail_conditions(g, witness), \

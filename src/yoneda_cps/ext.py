@@ -13,7 +13,7 @@ from .monomial import annihilator_generators
 from .ratfun import bareiss_det, make_rational, poly_sub, poly_mul
 from .walks import (AnchoredWalk, canonical_anchored, display_walk,
                     enumerate_anchored, greedy_parse, is_decomposable,
-                    validate_walk, vertices_of, word_of)
+                    validate_walk, word_of)
 
 __all__ = [
     "ExtClass",

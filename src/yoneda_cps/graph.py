@@ -46,12 +46,6 @@ class CpsGraph:
     def marked(self):
         return len(self.admissible) == len(self.edges)
 
-    def is_g0(self, v):
-        return len(v) == 1
-
-    def display(self, v):
-        return format_word(v)
-
     @cached_property
     def cycles(self):
         """The graph's CircuitSummary, computed once on first use."""
@@ -95,7 +89,7 @@ def mark_admissible_edges(g):
     """Flag each edge whose edge word is literally a relation."""
     relations = set(g.ideal.relations)
     admissible = {e: (g.edge_word[e] in relations) for e in g.edges}
-    # Generator-sourced edges always straddle a whole relation.
+    # Edges leaving a generator always straddle a whole relation.
     for (s, t), flag in admissible.items():
         if len(s) == 1:
             assert flag, f"generator edge {format_word(s)}->{format_word(t)} must be admissible"
@@ -261,10 +255,10 @@ def export_dot(g):
     assert g.marked, "mark_admissible_edges first"
     lines = ["digraph annihilator_graph {"]
     for v in g.vertices:
-        lines.append(f'  "{g.display(v)}";')
+        lines.append(f'  "{format_word(v)}";')
     for (s, t) in g.edges:
         style = "solid" if g.admissible[(s, t)] else "dashed"
-        lines.append(f'  "{g.display(s)}" -> "{g.display(t)}" [style={style}];')
+        lines.append(f'  "{format_word(s)}" -> "{format_word(t)}" [style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -273,13 +267,13 @@ def export_json(g):
     assert g.marked, "mark_admissible_edges first"
     return {
         "vertices": [
-            {"word": g.display(v), "degree": len(v), "in_g0": len(v) == 1}
+            {"word": format_word(v), "degree": len(v), "in_g0": len(v) == 1}
             for v in g.vertices
         ],
         "edges": [
             {
-                "source": g.display(s),
-                "target": g.display(t),
+                "source": format_word(s),
+                "target": format_word(t),
                 "word": format_word(g.edge_word[(s, t)]),
                 "admissible": g.admissible[(s, t)],
             }

@@ -1,4 +1,4 @@
-"""Word arithmetic and ideal-theoretic primitives for monomial ideals.
+"""Ideal-theoretic primitives for monomial ideals.
 
 A word lies in the ideal exactly when some relation occurs in it as a
 contiguous factor.  Factor containment is answered by an Aho-Corasick
@@ -7,14 +7,11 @@ automaton over the relation set, built once per ideal; everything else
 edges) reduces to repeated membership queries on short words.
 """
 
-from .presentation import Presentation, Word, format_word, letters_of, make_presentation
+from .presentation import Presentation, format_word
 
 __all__ = [
     "MonomialIdeal",
     "PreconditionError",
-    "concat",
-    "in_ideal",
-    "is_minimal_generator",
     "left_min_annihilating_suffix",
     "annihilator_generators",
 ]
@@ -26,11 +23,6 @@ class PreconditionError(ValueError):
     def __init__(self, clause, message):
         super().__init__(message)
         self.clause = clause
-
-
-def concat(u, v):
-    """u tensor v: degrees add, letters concatenate."""
-    return letters_of(u) + letters_of(v)
 
 
 class _Automaton:
@@ -97,36 +89,31 @@ class _Automaton:
 class MonomialIdeal:
     """The two-sided ideal generated by a presentation's relations.
 
-    Immutable after construction; all queries are read-only.
+    Immutable after construction; all queries are read-only and take
+    any sequence of generator names as it is.
     """
 
     def __init__(self, presentation):
         if not isinstance(presentation, Presentation):
             raise TypeError("MonomialIdeal expects a Presentation")
         self.presentation = presentation
-        self.relations = tuple(r.letters for r in presentation.relations)
+        self.relations = presentation.relations
         self.max_relation_degree = max((len(r) for r in self.relations), default=0)
         self.factor_index = _Automaton(self.relations)
         self._alphabet = presentation.generator_names
         self._gen_index = {name: i for i, name in enumerate(self._alphabet)}
 
-    @classmethod
-    def from_relations(cls, generator_names, relations):
-        return cls(make_presentation(generator_names, relations))
-
     def contains(self, word):
-        return self.factor_index.has_match(letters_of(word))
+        return self.factor_index.has_match(word)
 
     def occurrences(self, word):
         """All relation occurrences in word as (start, rel_index), sorted."""
-        word = letters_of(word)
         occ = [(end - length, ri) for end, length, ri in self.factor_index.scan(word)]
         occ.sort()
         return occ
 
     def sort_key(self, word):
         """Deterministic word order: (degree, generator index sequence)."""
-        word = letters_of(word)
         return (len(word), tuple(self._gen_index[c] for c in word))
 
     def normal_count(self, degree):
@@ -149,27 +136,13 @@ class MonomialIdeal:
         return sum(counts.values())
 
 
-def in_ideal(ideal, w):
-    return ideal.contains(w)
-
-
-def is_minimal_generator(ideal, w):
-    """True iff w is in the ideal and no proper factor of w is.
-
-    Since the presentation's relation set is minimal, this is the same
-    as w being literally one of the relations.
-    """
-    w = letters_of(w)
-    return w in ideal.relations
-
-
 def left_min_annihilating_suffix(ideal, w, m):
     """L(w, m): the shortest suffix w' of w with w' tensor m in the ideal.
 
     Preconditions (each reported by name when violated): m not in the
     ideal, w not in the ideal, and w tensor m in the ideal.
     """
-    w, m = letters_of(w), letters_of(m)
+    w, m = tuple(w), tuple(m)
     if ideal.contains(m):
         raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
     if ideal.contains(w):
@@ -193,7 +166,7 @@ def annihilator_generators(ideal, m):
     candidates are then filtered by the defining conditions: u normal
     and no proper suffix of u already annihilates m.
     """
-    m = letters_of(m)
+    m = tuple(m)
     if ideal.contains(m):
         raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
     found = set()

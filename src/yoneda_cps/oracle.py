@@ -24,7 +24,6 @@ from .ext import poincare_table
 from .linalg import gf2_rank, gfp_rank
 
 __all__ = [
-    "GradedVectorBasis",
     "BettiTable",
     "algebra_basis",
     "chain_words",
@@ -35,17 +34,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradedVectorBasis:
-    degree: int
-    basis: tuple  # normal words, sorted
-
-    def to_json(self):
-        from .presentation import format_word
-        return {"degree": self.degree,
-                "basis": [format_word(w) for w in self.basis]}
-
-
 def algebra_basis(ideal, degree):
     """All normal words of the given degree, in sorted order."""
     names = ideal.presentation.generator_names
@@ -53,7 +41,7 @@ def algebra_basis(ideal, degree):
     for _ in range(degree):
         words = [w + (x,) for w in words for x in names
                  if not ideal.contains(w + (x,))]
-    return GradedVectorBasis(degree, tuple(sorted(words, key=ideal.sort_key)))
+    return tuple(sorted(words, key=ideal.sort_key))
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,23 @@ finite set of monomial relations (words of degree >= 2).  The quotient
 of the free tensor algebra by the two-sided ideal generated by the
 relations is the algebra every other module works with.
 
-Words are represented two ways: the `Word` dataclass at API boundaries,
-and plain tuples of generator names ("letter tuples") inside the hot
-paths.  `letters_of` coerces either form, plus plain strings for
-single-letter alphabets, which keeps tests readable.
+A word is a tuple of generator names, leftmost tensor factor first (a
+"letter tuple").  Relations, graph vertices and chain words all take
+this one form.  A function that builds a word from a caller's argument
+accepts any sequence of names, so a plain string spells a word over a
+one-character alphabet, which keeps tests readable.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import json
 
 __all__ = [
-    "Generator",
-    "Word",
     "Presentation",
     "PresentationError",
     "MinimalityViolation",
     "LeadingWordsResult",
     "LEADING_WORDS_CAVEAT",
-    "letters_of",
     "format_word",
     "parse_presentation",
     "serialize_presentation",
@@ -48,43 +46,8 @@ class PresentationError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
-class Word:
-    """A monomial: a tuple of generator names, leftmost tensor factor first."""
-
-    letters: tuple
-    degree: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        object.__setattr__(self, "degree", len(self.letters))
-
-    def __str__(self):
-        return format_word(self.letters)
-
-
-def letters_of(w):
-    """Coerce a Word, letter tuple/list, or bare string into a letter tuple.
-
-    Strings split into characters, so "abc" means a (x) b (x) c.  Only
-    safe for single-character generator names, which all fixtures use.
-    """
-    if isinstance(w, Word):
-        return w.letters
-    if isinstance(w, str):
-        return tuple(w)
-    return tuple(w)
-
-
 def format_word(letters):
     """Display form of a letter tuple: plain join for one-char alphabets."""
-    letters = letters_of(letters)
     if not letters:
         return "1"
     if all(len(name) == 1 for name in letters):
@@ -94,21 +57,16 @@ def format_word(letters):
 
 @dataclass(frozen=True)
 class Presentation:
-    alphabet: tuple          # of Generator, in index order
-    relations: tuple         # of Word, sorted by (degree, index sequence)
-    relation_degrees: tuple  # degrees aligned with relations
-
-    @property
-    def generator_names(self):
-        return tuple(g.name for g in self.alphabet)
+    generator_names: tuple  # in index order
+    relations: tuple        # letter tuples, sorted by (degree, index sequence)
 
 
 @dataclass(frozen=True)
 class MinimalityViolation:
     """A relation made redundant by another relation occurring inside it."""
 
-    redundant: Word
-    witness: Word
+    redundant: tuple
+    witness: tuple
     position: int
 
 
@@ -165,7 +123,7 @@ def make_presentation(generator_names, relation_letter_tuples):
 
     cleaned = []
     for rel in relation_letter_tuples:
-        rel = letters_of(rel)
+        rel = tuple(rel)
         for tok in rel:
             if tok not in index:
                 raise PresentationError(f"unknown generator {tok!r} in relation {format_word(rel)}")
@@ -174,12 +132,7 @@ def make_presentation(generator_names, relation_letter_tuples):
         cleaned.append(rel)
 
     cleaned = sorted(set(cleaned), key=lambda r: _sort_key(r, index))
-    cleaned = _prune_nonminimal(cleaned)
-
-    alphabet = tuple(Generator(name, i) for i, name in enumerate(names))
-    relations = tuple(Word(r) for r in cleaned)
-    degrees = tuple(len(r) for r in cleaned)
-    return Presentation(alphabet, relations, degrees)
+    return Presentation(tuple(names), tuple(_prune_nonminimal(cleaned)))
 
 
 def parse_presentation(source):
@@ -211,22 +164,24 @@ def parse_presentation(source):
     rels = data.get("relations")
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise PresentationError("generators must be an array of tokens")
-    if not isinstance(rels, list) or not all(isinstance(r, list) for r in rels):
+    if not isinstance(rels, list) or not all(
+            isinstance(r, list) and all(isinstance(t, str) for t in r) for r in rels):
         raise PresentationError("relations must be an array of token arrays")
 
     order = data.get("generator_order")
     if order is not None:
-        if sorted(order) != sorted(gens):
+        if not isinstance(order, list) or not all(isinstance(g, str) for g in order) \
+                or sorted(order) != sorted(gens):
             raise PresentationError("generator_order must be a permutation of generators")
         gens = order
-    return make_presentation(gens, [tuple(r) for r in rels])
+    return make_presentation(gens, rels)
 
 
 def serialize_presentation(p):
     """Inverse of parse_presentation: emit the input schema as a dict."""
     return {
         "generators": list(p.generator_names),
-        "relations": [list(r.letters) for r in p.relations],
+        "relations": [list(r) for r in p.relations],
     }
 
 
@@ -237,18 +192,18 @@ def validate_minimality(p):
     prunes; useful for hand-built Presentation values.
     """
     violations = []
-    rels = [r.letters for r in p.relations]
+    rels = p.relations
     for i, r in enumerate(rels):
         for k, other in enumerate(rels):
             if i == k:
                 continue
             if other == r and k < i:
-                violations.append(MinimalityViolation(Word(r), Word(other), 0))
+                violations.append(MinimalityViolation(r, other, 0))
                 break
             if len(other) < len(r):
                 pos = _contains_factor(r, other)
                 if pos is not None:
-                    violations.append(MinimalityViolation(Word(r), Word(other), pos))
+                    violations.append(MinimalityViolation(r, other, pos))
                     break
     return violations
 
@@ -264,12 +219,6 @@ LEADING_WORDS_CAVEAT = (
 class LeadingWordsResult:
     presentation: Presentation
     caveat: str
-
-
-def _deglex_key(letters, index):
-    # Larger key = larger word.  Degree first, then letter indices left
-    # to right, where a larger generator index means a larger letter.
-    return (len(letters), tuple(index[c] for c in letters))
 
 
 def leading_words(generator_names, polynomials, order=None):
@@ -294,7 +243,7 @@ def leading_words(generator_names, polynomials, order=None):
     for poly_num, poly in enumerate(polynomials):
         merged = {}
         for coeff, word in poly:
-            word = letters_of(word)
+            word = tuple(word)
             for tok in word:
                 if tok not in index:
                     raise PresentationError(f"unknown generator {tok!r} in polynomial {poly_num}")
@@ -305,7 +254,8 @@ def leading_words(generator_names, polynomials, order=None):
         degrees = {len(w) for w, _ in terms}
         if len(degrees) != 1:
             raise PresentationError(f"polynomial {poly_num} is not homogeneous (degrees {sorted(degrees)})")
-        lead = max((w for w, _ in terms), key=lambda w: _deglex_key(w, index))
+        # deg-lex: a larger generator index means a larger letter
+        lead = max((w for w, _ in terms), key=lambda w: _sort_key(w, index))
         leads.append(lead)
 
     presentation = make_presentation(names, leads)

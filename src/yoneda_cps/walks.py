@@ -1,4 +1,4 @@
-"""Walk calculus on the annihilator graph.
+"""The walk calculus on the annihilator graph.
 
 A walk of length n is a vertex sequence p_0 .. p_n along edges.  Its
 word is the reversed concatenation p_n (x) ... (x) p_0; two walks are
@@ -15,11 +15,10 @@ that annihilates the previous vertex.
 import os
 from dataclasses import dataclass
 
-from .monomial import concat, left_min_annihilating_suffix
+from .monomial import left_min_annihilating_suffix
 from .presentation import format_word
 
 __all__ = [
-    "Walk",
     "AnchoredWalk",
     "EventuallyPeriodicWalk",
     "WalkCapExceeded",
@@ -66,19 +65,13 @@ def walk_cap():
 
 
 @dataclass(frozen=True)
-class Walk:
-    vertices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
+class AnchoredWalk:
+    vertices: tuple  # letter tuples, the first one a generator
 
     @property
     def length(self):
         return len(self.vertices) - 1
 
-
-@dataclass(frozen=True)
-class AnchoredWalk(Walk):
     @property
     def internal_degree(self):
         return sum(len(v) for v in self.vertices)
@@ -89,7 +82,7 @@ class AnchoredWalk(Walk):
 
 
 def vertices_of(w):
-    if isinstance(w, Walk):
+    if isinstance(w, AnchoredWalk):
         return w.vertices
     return tuple(tuple(v) for v in w)
 
@@ -354,7 +347,7 @@ def is_dense(g, w, edge_index):
     if not g.admissible[(u, v)]:
         raise ValueError(
             f"edge {format_word(u)} -> {format_word(v)} is not admissible")
-    partner = greedy_parse(ideal, concat(v, u), 1)
+    partner = greedy_parse(ideal, v + u, 1)
     assert partner is not None, "admissible edge must parse"
     if partner[0] == u:
         return True
@@ -377,7 +370,7 @@ def is_dense(g, w, edge_index):
         s = left_min_annihilating_suffix(ideal, nxt, r)
         if s == nxt:
             return True
-        r = concat(w.vertex(pos + 2), nxt[:len(nxt) - len(s)])
+        r = w.vertex(pos + 2) + nxt[:len(nxt) - len(s)]
         if ideal.contains(r):
             return False
         ell += 2

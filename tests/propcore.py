@@ -12,16 +12,18 @@ from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
                               enumerate_anchored, enumerate_walks, word_of)
 
-ALPHABET = "xyz"
+ALPHABET = "xyzw"
 MAX_LEN = 4
 ENUM_CAP = 20000
 
 
-def random_presentation(rng):
-    names = list(ALPHABET[: rng.randint(1, 3)])
+def random_presentation(rng, max_gens=3, max_relations=4, max_degree=4):
+    """Up to max_gens letters of ALPHABET and up to max_relations
+    relations of degree 2 to max_degree."""
+    names = list(ALPHABET[: rng.randint(1, max_gens)])
     rels = []
-    for _ in range(rng.randint(1, 4)):
-        deg = rng.randint(2, 4)
+    for _ in range(rng.randint(1, max_relations)):
+        deg = rng.randint(2, max_degree)
         rels.append(tuple(rng.choice(names) for _ in range(deg)))
     return make_presentation(names, rels)
 
@@ -204,8 +206,7 @@ def run_sample(p, rng, parity_log=None):
     checks += check_canonical_agreement(g, by_len, anchored_by_len)
     checks += check_sound_closures(g, by_len)
     if parity_log is not None:
-        rels = tuple(r.letters for r in p.relations)
         for vs, n in parity_extension_violations(g, by_len):
-            parity_log.append((rels, vs, n))
+            parity_log.append((p.relations, vs, n))
     checks += check_product_invariants(g, by_len, anchored_by_len, rng)
     return checks

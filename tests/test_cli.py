@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fixture_path
+from propcore import random_presentation
 from yoneda_cps.cli import main
+from yoneda_cps.presentation import serialize_presentation
 
 
 def run(capsys, *argv):
@@ -159,3 +166,78 @@ def test_out_of_range_arguments(monkeypatch, capsys, env, argv, message):
     assert out == ""
     assert err.startswith("error: " + message)
     assert err.count("\n") == 1
+
+
+def test_deep_input_exits_cleanly(tmp_path, capsys):
+    # The L search of graph_params recurses once per path edge, and on
+    # this chain its paths run deeper than the interpreter allows.
+    gens = [f"a{i}" for i in range(1100)] + ["x"]
+    rels = [[f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}"] for i in range(1099)]
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"generators": gens,
+                                "relations": rels + [["x", "x", "x"]]}))
+    code, out, err = run(capsys, "analyze", str(deep))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def _fuzz_calls(path, generator):
+    walk = json.dumps([generator])
+    return [["analyze", path], ["graph", path],
+            ["ext-basis", "--max-degree", "3", path],
+            ["multiply", "--left", walk, "--right", walk, path],
+            ["decide-fg", path],
+            ["decide-noetherian", "--side", "left", path],
+            ["decide-noetherian", "--side", "right", path],
+            ["series", "--truncate", "4", path],
+            ["validate", "--max-i", "3", "--max-j", "5", path]]
+
+
+def _run_every_verb(content, generator="x"):
+    """Every verb on one input file: exit 0, 1 or 2, and JSON on exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(content)
+        for argv in _fuzz_calls(str(path), generator):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code, err.getvalue())
+            if code == 0:
+                json.loads(out.getvalue())
+            else:
+                assert out.getvalue() == "", argv
+
+
+FUZZ = dict(max_examples=25, deadline=None, derandomize=True,
+            suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(**FUZZ)
+@given(st.randoms(use_true_random=False))
+def test_cli_fuzz_random_presentations(rng):
+    # at most 3 generators and 4 relations of degree at most 4
+    p = random_presentation(rng)
+    _run_every_verb(json.dumps(serialize_presentation(p)).encode(),
+                    p.generator_names[0])
+
+
+_json_values = st.recursive(
+    st.none() | st.integers(-1, 2) | st.sampled_from(["x", "y", ""]),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+# Documents near the schema, so that most get past the first checks.
+_documents = st.fixed_dictionaries(
+    {"generators": st.lists(st.sampled_from(["x", "y", ""]), min_size=1,
+                            max_size=3),
+     "relations": st.lists(st.lists(_json_values, max_size=3), max_size=3)},
+    optional={"generator_order": _json_values})
+
+
+@settings(**FUZZ)
+@given(st.one_of(st.binary(max_size=24),
+                 _json_values.map(lambda v: json.dumps(v).encode()),
+                 _documents.map(lambda v: json.dumps(v).encode())))
+def test_cli_fuzz_malformed_files(content):
+    _run_every_verb(content)

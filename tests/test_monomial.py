@@ -5,9 +5,9 @@ import pytest
 
 from conftest import load
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
-                                 annihilator_generators, concat, in_ideal,
-                                 is_minimal_generator,
+                                 annihilator_generators,
                                  left_min_annihilating_suffix)
+from yoneda_cps.presentation import make_presentation
 
 
 def brute_contains(relations, word):
@@ -28,29 +28,24 @@ def all_words(names, degree):
     return [tuple(w) for w in itertools.product(names, repeat=degree)]
 
 
-def test_concat():
-    assert concat(("a",), ("b", "c")) == ("a", "b", "c")
-    assert concat((), ()) == ()
-
-
 def test_contains_and_occurrences_match_brute_scan():
     rng = random.Random(5)
     for _ in range(60):
         names = tuple("xyz"[: rng.randint(1, 3)])
         relations = tuple({tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))
                            for _ in range(rng.randint(1, 4))})
-        ideal = MonomialIdeal.from_relations(names, relations)
+        ideal = MonomialIdeal(make_presentation(names, relations))
         # the parser may prune, so scan against the surviving set
         rels = ideal.relations
         for _ in range(40):
             w = tuple(rng.choice(names) for _ in range(rng.randint(0, 9)))
             assert ideal.contains(w) == brute_contains(rels, w), (rels, w)
             assert ideal.occurrences(w) == brute_occurrences(rels, w), (rels, w)
-        assert in_ideal(ideal, rels[0])
+        assert ideal.contains(rels[0])
 
 
 def test_overlapping_occurrences_all_found():
-    ideal = MonomialIdeal.from_relations("a", [("a", "a")])
+    ideal = MonomialIdeal(make_presentation("a", [("a", "a")]))
     assert ideal.occurrences(("a",) * 4) == [(0, 0), (1, 0), (2, 0)]
 
 
@@ -65,19 +60,26 @@ def test_normal_count_matches_enumeration():
 
 def test_normal_count_known_series():
     # one relation xx: normal words avoid double x
-    ideal = MonomialIdeal.from_relations("x", [("x", "x")])
+    ideal = MonomialIdeal(make_presentation("x", [("x", "x")]))
     assert [ideal.normal_count(d) for d in range(5)] == [1, 1, 0, 0, 0]
     ideal = MonomialIdeal(load("abc_cdab"))
     # dim 1, 4, 16, then two relations start cutting
     assert [ideal.normal_count(d) for d in range(5)] == [1, 4, 16, 63, 247]
 
 
-def test_is_minimal_generator():
-    ideal = MonomialIdeal(load("abc_cdab"))
-    assert is_minimal_generator(ideal, "abc")
-    assert is_minimal_generator(ideal, "cdab")
-    assert not is_minimal_generator(ideal, "abcd")
-    assert not is_minimal_generator(ideal, "ab")
+def test_relations_are_the_minimal_generators():
+    # a word is a minimal generator when it lies in the ideal and no
+    # proper factor does; after pruning these are exactly the relations
+    for name in ("abc_cdab", "x2y_family", "sklyanin_leading"):
+        ideal = MonomialIdeal(load(name))
+        names = ideal.presentation.generator_names
+        minimal = set()
+        for d in range(2, ideal.max_relation_degree + 1):
+            for w in all_words(names, d):
+                if ideal.contains(w) and not ideal.contains(w[1:]) \
+                        and not ideal.contains(w[:-1]):
+                    minimal.add(w)
+        assert minimal == set(ideal.relations), name
 
 
 def brute_min_suffix(ideal, w, m):
@@ -142,7 +144,7 @@ def test_annihilators_match_brute_scan():
         names = tuple("xyz"[: rng.randint(1, 3)])
         relations = [tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))
                      for _ in range(rng.randint(1, 4))]
-        ideal = MonomialIdeal.from_relations(names, relations)
+        ideal = MonomialIdeal(make_presentation(names, relations))
         cap = ideal.max_relation_degree - 1
         for d in range(4):
             for m in all_words(names, d):

@@ -16,12 +16,11 @@ def ideal(name):
 def test_algebra_basis_matches_counting():
     a = ideal("abc_cdab")
     for d, expect in enumerate([1, 4, 16, 63, 247]):
-        vb = algebra_basis(a, d)
-        assert len(vb.basis) == expect
-        assert vb.basis == tuple(sorted(vb.basis, key=a.sort_key))
-        assert not any(a.contains(w) for w in vb.basis)
+        basis = algebra_basis(a, d)
+        assert len(basis) == expect
+        assert basis == tuple(sorted(basis, key=a.sort_key))
+        assert not any(a.contains(w) for w in basis)
         assert a.normal_count(d) == expect
-    assert algebra_basis(a, 2).to_json()["degree"] == 2
 
 
 def test_chain_words_single_relation():

@@ -3,15 +3,15 @@ import json
 import pytest
 
 from conftest import load
-from yoneda_cps.presentation import (LEADING_WORDS_CAVEAT, PresentationError,
-                                     Word, leading_words, letters_of,
+from yoneda_cps.presentation import (LEADING_WORDS_CAVEAT, Presentation,
+                                     PresentationError, leading_words,
                                      make_presentation, parse_presentation,
                                      serialize_presentation,
                                      validate_minimality)
 
 
 def rels(p):
-    return [r.letters for r in p.relations]
+    return list(p.relations)
 
 
 def test_parse_basic():
@@ -55,6 +55,10 @@ def test_syntax_error_carries_position():
     ('{"generators": ["a"], "relations": [], "extra": 1}', "unknown keys"),
     ('{"generators": ["a"], "relations": [["a","a"]], "generator_order": ["b"]}',
      "permutation"),
+    ('{"generators": ["a"], "relations": [], "generator_order": 5}', "permutation"),
+    ('{"generators": ["a"], "relations": [], "generator_order": ["a", 1]}',
+     "permutation"),
+    ('{"generators": ["a"], "relations": [[["a"], "a"]]}', "token arrays"),
 ])
 def test_structural_errors(text, fragment):
     with pytest.raises(PresentationError) as e:
@@ -70,21 +74,13 @@ def test_generator_order_overrides_listing_order():
     assert rels(p) == [("b", "b"), ("a", "a")]
 
 
-def test_letters_of_coercions():
-    assert letters_of("abc") == ("a", "b", "c")
-    assert letters_of(["a", "b"]) == ("a", "b")
-    assert letters_of(Word(("a",))) == ("a",)
-
-
 def test_validate_minimality_cases():
     assert validate_minimality(load("abc_cdab")) == []
-    from yoneda_cps.presentation import Generator, Presentation
-    hand = Presentation((Generator("a", 0), Generator("b", 1)),
-                        (Word(("a", "b")), Word(("a", "b", "c"))), (2, 3))
+    hand = Presentation(("a", "b"), (("a", "b"), ("a", "b", "c")))
     out = validate_minimality(hand)
     assert len(out) == 1
-    assert out[0].redundant.letters == ("a", "b", "c")
-    assert out[0].witness.letters == ("a", "b")
+    assert out[0].redundant == ("a", "b", "c")
+    assert out[0].witness == ("a", "b")
     assert out[0].position == 0
 
 

@@ -38,4 +38,4 @@ def test_walk_calculus_invariants(p, rng):
 def test_serialization_round_trip(p):
     again = parse_presentation(serialize_presentation(p))
     assert again.generator_names == p.generator_names
-    assert [r.letters for r in again.relations] == [r.letters for r in p.relations]
+    assert again.relations == p.relations
