@@ -126,29 +126,58 @@ def poincare_table(g, max_i, cap=None):
     return BigradedTable(entries, max_i)
 
 
+def _walk_counts(g, length):
+    """The first `length` coefficients of 1 + sum_k w_k y^(k+1), where
+    w_k counts the walks of k edges that start at a generator."""
+    counts = dict.fromkeys(g.g0, 1)
+    h = [1]
+    while len(h) < length and counts:
+        h.append(sum(counts.values()))
+        step = {}
+        for v, c in counts.items():
+            for t in g.out[v]:
+                step[t] = step.get(t, 0) + c
+        counts = step
+    return h + [0] * (length - len(h))
+
+
+def _cycle_determinant(g):
+    """det(I - yA), one Bareiss determinant per cyclic SCC.
+
+    Ordered sinks first, the SCCs put A in block-triangular form, so the
+    determinant is the product of the diagonal blocks' determinants; a
+    vertex on no cycle is a 1x1 block equal to 1.
+    """
+    det = [1]
+    for comp in g.cycles.cyclic:
+        pos = {v: i for i, v in enumerate(comp)}
+        m = [[[] for _ in comp] for _ in comp]
+        for i, v in enumerate(comp):
+            m[i][i] = [1]
+            for t in g.out[v]:
+                if t in pos:
+                    m[i][pos[t]] = poly_sub(m[i][pos[t]], [0, 1])
+        det = poly_mul(det, bareiss_det(m))
+    return det
+
+
 def hilbert_series(g):
     """Exact Hilbert series of the cohomology algebra in one variable.
 
-    Length-n walks are entries of the n-th power of the adjacency
-    matrix, so the generating function is 1 + y u (I - yA)^(-1) 1 with
-    u the generator-row indicator; the inner product is evaluated as a
-    ratio of two determinants via a bordered matrix.
+    Length-k walks are entries of the k-th power of the adjacency
+    matrix A, so the series is H = 1 + y u (I - yA)^(-1) 1 with u the
+    generator-row indicator (the transfer-matrix method).
+
+    Denominator: in the sinks-first SCC order A is block triangular, so
+    D = det(I - yA) is the product of one determinant per cyclic SCC.
+    Numerator: by Cramer's rule N = D H = D - y B, where B is the
+    determinant of I - yA bordered by a column of ones and the row u
+    with a zero corner.  Each term of B takes one constant from the
+    border row and another from the border column, so y B, like D, has
+    degree at most n, the vertex count.  N is therefore D times the
+    first n + 1 coefficients of H, truncated to degree n.
     """
-    vs = list(g.vertices)
-    n = len(vs)
-    pos = {v: i for i, v in enumerate(vs)}
-    m = [[[] for _ in range(n + 1)] for _ in range(n + 1)]
-    for i, v in enumerate(vs):
-        m[i][i] = [1]
-        for t in g.out[v]:
-            j = pos[t]
-            base = m[i][j]
-            m[i][j] = poly_sub(base, [0, 1])
-        m[i][n] = [1]                      # column of ones
-    for i, v in enumerate(vs):
-        m[n][i] = [1] if len(v) == 1 else []
-    m[n][n] = []
-    det_m = bareiss_det([row[:n] for row in m[:n]])
-    det_b = bareiss_det(m)
-    num = poly_sub(det_m, poly_mul([0, 1], det_b))
-    return make_rational(num, det_m)
+    n = len(g.vertices)
+    det = _cycle_determinant(g)
+    num = poly_mul(det, _walk_counts(g, n + 1))[: n + 1]
+    return make_rational(num, det)

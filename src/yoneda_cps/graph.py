@@ -80,8 +80,13 @@ def build_graph(ideal):
     vertices = tuple(sorted(generation, key=ideal.sort_key))
     edges = tuple(sorted(set(edges), key=lambda e: (ideal.sort_key(e[0]), ideal.sort_key(e[1]))))
     edge_word = {(s, t): t + s for s, t in edges}
-    out = {v: tuple(t for s, t in edges if s == v) for v in vertices}
-    inc = {v: tuple(s for s, t in edges if t == v) for v in vertices}
+    out = {v: [] for v in vertices}
+    inc = {v: [] for v in vertices}
+    for s, t in edges:
+        out[s].append(t)
+        inc[t].append(s)
+    out = {v: tuple(ts) for v, ts in out.items()}
+    inc = {v: tuple(ss) for v, ss in inc.items()}
     return CpsGraph(ideal, vertices, generation, g0, edges, {}, edge_word, out, inc)
 
 

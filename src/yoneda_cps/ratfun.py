@@ -1,12 +1,13 @@
 """Exact rational functions in one variable with integer coefficients.
 
-Polynomials are coefficient lists, constant term first.  Determinants
-use Bareiss elimination, which stays in the polynomial ring: every
-division along the way is exact.
+Polynomials are coefficient lists, constant term first.  All arithmetic
+stays in the integers: determinants use Bareiss elimination, whose
+every division is exact; gcds use a primitive pseudo-remainder
+sequence; and exact division and series expansion divide by one
+leading or constant coefficient at a time, asserting a zero remainder.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -47,26 +48,20 @@ def poly_mul(a, b):
 
 def poly_divexact(a, b):
     """a / b when the division is exact; assertion failure otherwise."""
-    a = [Fraction(c) for c in trim(a)]
+    a = trim(a)
     b = trim(b)
     assert b, "division by the zero polynomial"
-    quot = [Fraction(0)] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-    lead = Fraction(b[-1])
-    while len(a) >= len(b) and any(a):
-        shift = len(a) - len(b)
-        c = a[-1] / lead
-        quot[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] -= c * bc
-        a = a[:-1]
-        while a and a[-1] == 0:
-            a.pop()
+    lead = b[-1]
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        # a remainder left at the top position stays there to the end
+        c = a[shift + len(b) - 1] // lead
+        if c:
+            quot[shift] = c
+            for i, bc in enumerate(b):
+                a[shift + i] -= c * bc
     assert not any(a), "inexact polynomial division"
-    out = []
-    for c in quot:
-        assert c.denominator == 1, "inexact polynomial division"
-        out.append(int(c))
-    return trim(out)
+    return trim(quot)
 
 
 def content(p):
@@ -76,35 +71,35 @@ def content(p):
     return g or 1
 
 
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    g = content(p)
+    if p and p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of the remainder of a by b."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        g = gcd(r[-1], lead)
+        scale, c = lead // g, r[-1] // g
+        shift = len(r) - len(b)
+        r = [x * scale for x in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= c * bc
+        r = trim(r)
+    return r
+
+
 def poly_gcd(a, b):
     """Primitive integer gcd, positive leading coefficient."""
     a, b = trim(a), trim(b)
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    while fb:
-        # remainder of fa by fb
-        r = fa[:]
-        while len(r) >= len(fb) and any(r):
-            c = r[-1] / fb[-1]
-            shift = len(r) - len(fb)
-            for i, bc in enumerate(fb):
-                r[shift + i] -= c * bc
-            r = r[:-1]
-            while r and r[-1] == 0:
-                r.pop()
-        fa, fb = fb, r
-    if not fa:
-        return []
-    # clear denominators, reduce content
-    denom = 1
-    for c in fa:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in fa]
-    g = content(ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _primitive(a)
 
 
 def bareiss_det(matrix):
@@ -144,12 +139,12 @@ class RationalFunction:
         assert den and den[0] != 0, "denominator has no constant term"
         out = []
         for k in range(order + 1):
-            acc = Fraction(num[k] if k < len(num) else 0)
+            acc = num[k] if k < len(num) else 0
             for t in range(1, min(k, len(den) - 1) + 1):
                 acc -= den[t] * out[k - t]
-            acc /= den[0]
-            assert acc.denominator == 1, "series is not integral"
-            out.append(int(acc))
+            c, rem = divmod(acc, den[0])
+            assert rem == 0, "series is not integral"
+            out.append(c)
         return out
 
     def to_json(self):

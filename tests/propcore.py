@@ -9,6 +9,7 @@ from yoneda_cps.ext import ext_class, yoneda_mul
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
+from yoneda_cps.ratfun import bareiss_det, make_rational, poly_mul, poly_sub
 from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
                               enumerate_anchored, enumerate_walks, word_of)
 
@@ -26,6 +27,29 @@ def random_presentation(rng, max_gens=3, max_relations=4, max_degree=4):
         deg = rng.randint(2, max_degree)
         rels.append(tuple(rng.choice(names) for _ in range(deg)))
     return make_presentation(names, rels)
+
+
+def transfer_matrix(g):
+    """I - yA over all vertices in graph order, entries as polynomials."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    m = [[[] for _ in g.vertices] for _ in g.vertices]
+    for i, v in enumerate(g.vertices):
+        m[i][i] = [1]
+        for t in g.out[v]:
+            m[i][pos[t]] = poly_sub(m[i][pos[t]], [0, 1])
+    return m
+
+
+def bordered_hilbert_series(g):
+    """Reference route: 1 + y u (I - yA)^(-1) 1 by Cramer's rule, as the
+    full determinant and the determinant of I - yA bordered by a column
+    of ones and the generator-row indicator u."""
+    m = transfer_matrix(g)
+    bordered = [row + [[1]] for row in m]
+    bordered.append([[1] if len(v) == 1 else [] for v in g.vertices] + [[]])
+    det_m = bareiss_det(m)
+    det_b = bareiss_det(bordered)
+    return make_rational(poly_sub(det_m, poly_mul([0, 1], det_b)), det_m)
 
 
 def collect_walks(g):

@@ -1,8 +1,15 @@
+import random
+
 import pytest
 
-from conftest import W, graph
-from yoneda_cps.ext import (ext_class, generators_up_to, hilbert_series,
-                            poincare_table, yoneda_mul)
+from conftest import ALL, W, graph
+from propcore import bordered_hilbert_series, random_presentation, transfer_matrix
+from yoneda_cps.ext import (_cycle_determinant, ext_class, generators_up_to,
+                            hilbert_series, poincare_table, yoneda_mul)
+from yoneda_cps.graph import build_marked_graph
+from yoneda_cps.monomial import MonomialIdeal
+from yoneda_cps.presentation import make_presentation
+from yoneda_cps.ratfun import bareiss_det
 from yoneda_cps.walks import enumerate_anchored
 
 
@@ -144,3 +151,36 @@ def test_hilbert_series_matches_table_on_every_fixture():
 def test_series_json_shape():
     out = hilbert_series(graph("abc_cdab")).to_json()
     assert out == {"numerator": [1, 3, -2], "denominator": [1, -1]}
+
+
+def _graphs_with_long_cycles(count=40, seed=5):
+    """Derandomized draws whose graph has a cyclic SCC of 3 or more
+    vertices, where the per-SCC factorisation has something to do."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        p = random_presentation(rng, max_gens=4, max_relations=6, max_degree=5)
+        g = build_marked_graph(MonomialIdeal(p))
+        if any(len(c) >= 3 for c in g.cycles.cyclic):
+            found.append(g)
+    return found
+
+
+def test_hilbert_series_matches_bordered_reference():
+    for g in [graph(name) for name in ALL] + _graphs_with_long_cycles():
+        got, expect = hilbert_series(g), bordered_hilbert_series(g)
+        assert got.to_json() == expect.to_json(), g.ideal.relations
+        assert str(got) == str(expect), g.ideal.relations
+        assert _cycle_determinant(g) == bareiss_det(transfer_matrix(g)), \
+            g.ideal.relations
+
+
+def test_series_on_a_long_acyclic_chain():
+    # a1099 -> ... -> a0 has no cycle, so the denominator is 1 and the
+    # numerator is the walk-count polynomial, of degree n.
+    n = 1100
+    names = [f"a{i}" for i in range(n)]
+    p = make_presentation(names, [(names[i + 1], names[i]) for i in range(n - 1)])
+    h = hilbert_series(build_marked_graph(MonomialIdeal(p)))
+    assert h.denominator == (1,)
+    assert h.series(n + 1) == [1] + list(range(n, 0, -1)) + [0]
