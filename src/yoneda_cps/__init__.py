@@ -15,15 +15,15 @@ from .graph import (CpsGraph, GraphParams, build_graph, build_marked_graph,
                     circuits_and_sccs, export_dot, export_json,
                     graph_params, mark_admissible_edges)
 from .walks import (AnchoredWalk, EventuallyPeriodicWalk, WalkCapExceeded,
-                    canonical_anchored, enumerate_anchored, equivalent,
-                    is_admissible, is_decomposable, is_dense, word_of)
+                    canonical_anchored, enumerate_anchored, is_decomposable,
+                    is_dense, word_of)
 from .ext import (BigradedTable, ExtClass, ext_class, generators_up_to,
                   hilbert_series, poincare_table, yoneda_mul)
 from .decide import (INFINITY, AnalysisReport, analyze, finitely_generated,
                      gk_dimension, global_dimension, noetherian,
                      report_to_json)
 from .oracle import (BettiTable, algebra_basis, cross_validate,
-                     minimal_resolution, minimal_resolution_dense)
+                     minimal_resolution)
 
 __all__ = [
     "Presentation", "PresentationError", "leading_words", "make_presentation",
@@ -34,13 +34,12 @@ __all__ = [
     "circuits_and_sccs", "export_dot", "export_json", "graph_params",
     "mark_admissible_edges",
     "AnchoredWalk", "EventuallyPeriodicWalk", "WalkCapExceeded",
-    "canonical_anchored", "enumerate_anchored", "equivalent", "is_admissible",
-    "is_decomposable", "is_dense", "word_of",
+    "canonical_anchored", "enumerate_anchored", "is_decomposable", "is_dense",
+    "word_of",
     "BigradedTable", "ExtClass", "ext_class", "generators_up_to",
     "hilbert_series", "poincare_table", "yoneda_mul",
     "INFINITY", "AnalysisReport", "analyze", "finitely_generated",
     "gk_dimension", "global_dimension", "noetherian", "report_to_json",
     "BettiTable", "algebra_basis", "cross_validate", "minimal_resolution",
-    "minimal_resolution_dense",
 ]
 __version__ = "0.1.0"

@@ -118,11 +118,27 @@ class BigradedTable:
 
 
 def poincare_table(g, max_i, cap=None):
-    """Bigraded dimensions dim Ext^(i,j) for i <= max_i."""
+    """Bigraded dimensions dim Ext^(i,j) for i <= max_i.
+
+    dim Ext^(i,j) counts the anchored walks of i - 1 edges whose
+    vertices hold j letters in all.  A layer DP counts them without
+    building one, the bigraded sibling of _walk_counts: layer i maps
+    each vertex to {internal degree: walks ending there}.  So `cap`
+    no longer binds; it is accepted and ignored.
+    """
     entries = {(0, 0): 1}
-    for w in enumerate_anchored(g, max_i - 1, cap):
-        key = (w.cohomological_degree, w.internal_degree)
-        entries[key] = entries.get(key, 0) + 1
+    layer = {v: {1: 1} for v in g.g0}
+    for i in range(1, max_i + 1):
+        step = {}
+        for v, by_j in layer.items():
+            for j, c in by_j.items():
+                entries[i, j] = entries.get((i, j), 0) + c
+            if i < max_i:
+                for t in g.out[v]:
+                    into = step.setdefault(t, {})
+                    for j, c in by_j.items():
+                        into[j + len(t)] = into.get(j + len(t), 0) + c
+        layer = step
     return BigradedTable(entries, max_i)
 
 

@@ -4,7 +4,7 @@ GF(2) rows are bitmasks; GF(p) rows are sparse column->value dicts.
 Both eliminations are destructive on copies of the input.
 """
 
-__all__ = ["gf2_rank", "gfp_rank", "gfp_nullspace", "gfp_rref"]
+__all__ = ["gf2_rank", "gfp_rank"]
 
 
 def gf2_rank(rows):
@@ -42,40 +42,3 @@ def gfp_rank(rows, p):
                 rank += 1
                 break
     return rank
-
-
-def gfp_rref(rows, ncols, p):
-    """Dense reduced row echelon form; returns (rref rows, pivot cols)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
-
-
-def gfp_nullspace(rows, ncols, p):
-    """Basis of the right null space of a dense matrix (rows x ncols)."""
-    rref, pivots = gfp_rref(rows, ncols, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-rref[r][free]) % p
-        basis.append(vec)
-    return basis

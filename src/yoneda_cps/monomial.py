@@ -102,6 +102,11 @@ class MonomialIdeal:
         self.factor_index = _Automaton(self.relations)
         self._alphabet = presentation.generator_names
         self._gen_index = {name: i for i, name in enumerate(self._alphabet)}
+        # each proper suffix v of a relation u (x) v -> the left parts u
+        self._left_parts = {}
+        for r in self.relations:
+            for k in range(1, len(r)):
+                self._left_parts.setdefault(r[k:], []).append(r[:k])
 
     def contains(self, word):
         return self.factor_index.has_match(word)
@@ -162,21 +167,19 @@ def annihilator_generators(ideal, m):
 
     Every w tensor m in the ideal (w normal) contains a relation
     straddling the w/m boundary, so each candidate is the left part of
-    a relation split r = u tensor v with v a nonempty prefix of m.  The
-    candidates are then filtered by the defining conditions: u normal
+    a relation split r = u tensor v with v a nonempty prefix of m, read
+    from the ideal's index of relation suffixes.  The candidates are
+    then filtered by the defining conditions: u normal
     and no proper suffix of u already annihilates m.
     """
     m = tuple(m)
     if ideal.contains(m):
         raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
     found = set()
-    for r in ideal.relations:
-        for split in range(1, min(len(r), len(m) + 1)):
-            # v = last `split` letters of r must be a prefix of m
-            if r[len(r) - split:] != m[:split]:
-                continue
-            u = r[:len(r) - split]
-            if not u or u in found or ideal.contains(u):
+    for split in range(1, min(len(m), ideal.max_relation_degree - 1) + 1):
+        # v = m[:split] must be a proper suffix of the relation u (x) v
+        for u in ideal._left_parts.get(m[:split], ()):
+            if u in found or ideal.contains(u):
                 continue
             if left_min_annihilating_suffix(ideal, u, m) == u:
                 found.add(u)

@@ -13,9 +13,6 @@ least end of a relation occurrence starting at or past a.  The complex
 of a word is therefore fixed by its length and that array of least
 ends, min_end, and `minimal_resolution` reduces one complex per
 distinct (length, min_end) key, not one per chain word.
-
-A much slower degree-by-degree syzygy computation over the same field
-is kept as a second, structurally different route for small windows.
 """
 
 from dataclasses import dataclass
@@ -29,7 +26,6 @@ __all__ = [
     "chain_words",
     "word_homology",
     "minimal_resolution",
-    "minimal_resolution_dense",
     "cross_validate",
 ]
 
@@ -230,14 +226,16 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16, jobs=1,
     return BettiTable(entries, max_i, max_j, field_char, truncated)
 
 
-def cross_validate(g, table, cap=None):
+def cross_validate(g, table):
     """Compare anchored walk counts against a Betti table.
 
     Walks of cohomological degree i <= max_i and internal degree
     j <= max_j must match the table exactly; walks outside the window
-    are excluded rather than reported.  Returns mismatch records.
+    are excluded rather than reported.  The counts come from
+    poincare_table, which counts walks without building them, so no
+    window trips the walk cap.  Returns mismatch records.
     """
-    counts = {k: d for k, d in poincare_table(g, table.max_i, cap).entries.items()
+    counts = {k: d for k, d in poincare_table(g, table.max_i).entries.items()
               if k[1] <= table.max_j}
     keys = set(counts) | {k for k in table.entries
                           if k[0] <= table.max_i and k[1] <= table.max_j}
@@ -249,128 +247,3 @@ def cross_validate(g, table, cap=None):
             mismatches.append({"i": key[0], "j": key[1],
                                "walk_count": walks, "betti": betti})
     return mismatches
-
-
-def minimal_resolution_dense(ideal, field_char, max_i, max_j):
-    """Degree-by-degree syzygy route, structurally independent of the
-    splitting complexes.  Exponential in max_j; use small windows.
-
-    Modules are free with recorded generator degrees; kernels are found
-    degree by degree, and new generators are kernel vectors independent
-    of letter multiples of lower-degree kernel elements.  Minimality is
-    asserted: no new generator may have a scalar component.
-    """
-    p = field_char
-    names = ideal.presentation.generator_names
-    basis = {0: [()]}
-    for j in range(1, max_j + 1):
-        basis[j] = [w + (x,) for w in basis[j - 1] for x in names
-                    if not ideal.contains(w + (x,))]
-    index = {j: {w: t for t, w in enumerate(ws)} for j, ws in basis.items()}
-
-    entries = {(0, 0): 1}
-    cur_gdegs = [0]
-    cur_diff = None  # None marks the augmentation P_0 -> k
-
-    def layer(gdegs, j):
-        out = []
-        for t, d in enumerate(gdegs):
-            if 0 <= j - d:
-                out.extend((t, w) for w in basis[j - d])
-        return out
-
-    for i in range(max_i):
-        new_gdegs = []
-        new_diff = []
-        kernel_by_degree = {}
-        for j in range(max_j + 1):
-            dom = layer(cur_gdegs, j)
-            if not dom:
-                kernel_by_degree[j] = []
-                continue
-            if cur_diff is None:
-                kernel = [] if j == 0 else [{bw: 1} for bw in dom]
-            else:
-                cod = layer(prev_gdegs, j)
-                cod_index = {bw: k for k, bw in enumerate(cod)}
-                images = []
-                for (t, w) in dom:
-                    img = {}
-                    for (s, u), c in cur_diff[t].items():
-                        prod = w + u
-                        if ideal.contains(prod):
-                            continue
-                        k = cod_index[(s, prod)]
-                        img[k] = (img.get(k, 0) + c) % p
-                    images.append(img)
-                # kernel of the map: null space of the cod x dom matrix
-                from .linalg import gfp_nullspace
-                mat = [[0] * len(dom) for _ in range(len(cod))]
-                for d_idx, img in enumerate(images):
-                    for k, c in img.items():
-                        mat[k][d_idx] = c
-                null = gfp_nullspace(mat, len(dom), p)
-                kernel = [{dom[t]: v for t, v in enumerate(vec) if v}
-                          for vec in null]
-            kernel_by_degree[j] = kernel
-
-            # span of letter multiples of the lower-degree kernel
-            dom_index = {bw: k for k, bw in enumerate(dom)}
-            span_rows = []
-            for z in kernel_by_degree.get(j - 1, []):
-                for x in names:
-                    vec = [0] * len(dom)
-                    ok = True
-                    for (t, w), c in z.items():
-                        prod = (x,) + w
-                        if ideal.contains(prod):
-                            continue
-                        # left letter multiple shifts the word
-                        key = (t, prod)
-                        if key not in dom_index:
-                            ok = False
-                            break
-                        vec[dom_index[key]] = (vec[dom_index[key]] + c) % p
-                    if ok and any(vec):
-                        span_rows.append(vec)
-            # eliminate, then pick kernel vectors outside the span
-            pivots = {}
-
-            def reduce_vec(vec):
-                vec = vec[:]
-                for col in range(len(vec)):
-                    if vec[col] % p and col in pivots:
-                        f = vec[col]
-                        vec = [(a - f * b) % p for a, b in zip(vec, pivots[col])]
-                return vec
-
-            def insert(vec):
-                vec = reduce_vec(vec)
-                lead = next((c for c in range(len(vec)) if vec[c] % p), None)
-                if lead is None:
-                    return False
-                inv = pow(vec[lead], p - 2, p)
-                pivots[lead] = [(a * inv) % p for a in vec]
-                return True
-
-            for row in span_rows:
-                insert(row)
-            for z in kernel:
-                vec = [0] * len(dom)
-                for bw, c in z.items():
-                    vec[dom_index[bw]] = c
-                if insert(vec):
-                    # a genuinely new generator in degree j
-                    for (t, w), c in z.items():
-                        assert len(w) > 0 or c % p == 0, \
-                            "minimality: no scalar components in new generators"
-                    entries[(i + 1, j)] = entries.get((i + 1, j), 0) + 1
-                    new_gdegs.append(j)
-                    new_diff.append(dict(z))
-        prev_gdegs = cur_gdegs
-        cur_gdegs = new_gdegs
-        cur_diff = new_diff
-        if not cur_gdegs:
-            break
-    return BettiTable(entries, max_i, max_j, p,
-                      truncation_reached=True)

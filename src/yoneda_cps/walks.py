@@ -24,16 +24,11 @@ __all__ = [
     "WalkCapExceeded",
     "vertices_of",
     "word_of",
-    "equivalent",
     "greedy_parse",
     "canonical_anchored",
-    "is_admissible",
     "is_decomposable",
     "enumerate_anchored",
-    "enumerate_walks",
-    "equivalence_classes",
     "is_dense",
-    "first_admissible_tail_edge",
     "display_walk",
     "parse_display_walk",
     "validate_walk",
@@ -93,11 +88,6 @@ def word_of(w):
     for v in reversed(vs):
         out += v
     return out
-
-
-def equivalent(p, q):
-    p, q = vertices_of(p), vertices_of(q)
-    return len(p) == len(q) and word_of(p) == word_of(q)
 
 
 def display_walk(w):
@@ -183,10 +173,6 @@ def canonical_anchored(g, w):
     return greedy_parse(g.ideal, word_of(vs), len(vs) - 1)
 
 
-def is_admissible(g, w):
-    return canonical_anchored(g, w) is not None
-
-
 def is_decomposable(g, w):
     """Whether the class of an anchored walk is a product of lower ones.
 
@@ -234,32 +220,6 @@ def enumerate_anchored(g, max_length, cap=None):
         if n == max_length:
             break
         layer = [vs + (t,) for vs in layer for t in g.out[vs[-1]]]
-
-
-def enumerate_walks(g, length, cap=None):
-    """All walks (any start vertex) of exactly the given length."""
-    if cap is None:
-        cap = walk_cap()
-    count = 0
-    layer = [(v,) for v in g.vertices]
-    for _ in range(length):
-        layer = [vs + (t,) for vs in layer for t in g.out[vs[-1]]]
-        count += len(layer)
-        if count > cap:
-            raise WalkCapExceeded(cap)
-    return layer
-
-
-def equivalence_classes(g, length, cap=None):
-    """Group all length-n walks by word; a class is {word, members}."""
-    groups = {}
-    for vs in enumerate_walks(g, length, cap):
-        groups.setdefault(word_of(vs), []).append(vs)
-    key = g.ideal.sort_key
-    return [
-        {"word": word, "members": sorted(members, key=lambda vs: [key(v) for v in vs])}
-        for word, members in sorted(groups.items(), key=lambda kv: key(kv[0]))
-    ]
 
 
 @dataclass(frozen=True)
@@ -313,19 +273,6 @@ def validate_periodic(g, w):
     validate_walk(g, w.prefix)
     validate_walk(g, w.cycle)
     return w
-
-
-def first_admissible_tail_edge(g, w, start=1):
-    """Index of the first admissible edge at position >= start, or None.
-
-    Positions at and beyond the prefix repeat with the cycle, so
-    scanning one full cycle past the splice covers every edge class.
-    """
-    a = len(w.prefix) - 1
-    for i in range(start, a + w.cycle_length + 1):
-        if g.admissible[(w.vertex(i), w.vertex(i + 1))]:
-            return i
-    return None
 
 
 def is_dense(g, w, edge_index):

@@ -1,0 +1,171 @@
+"""The dense syzygy route of the resolution oracle, kept as a test
+reference.
+
+A degree-by-degree computation of the minimal resolution over GF(p),
+structurally different from the splitting complexes of
+`yoneda_cps.oracle`.  It is exponential in max_j, so the tests run it on
+small windows only.
+"""
+
+from yoneda_cps.oracle import BettiTable
+
+
+def gfp_rref(rows, ncols, p):
+    """Dense reduced row echelon form; returns (rref rows, pivot cols)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] % p:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
+
+
+def gfp_nullspace(rows, ncols, p):
+    """Basis of the right null space of a dense matrix (rows x ncols)."""
+    rref, pivots = gfp_rref(rows, ncols, p)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = (-rref[r][free]) % p
+        basis.append(vec)
+    return basis
+
+
+def minimal_resolution_dense(ideal, field_char, max_i, max_j):
+    """Degree-by-degree syzygy route, structurally independent of the
+    splitting complexes.  Exponential in max_j; use small windows.
+
+    Modules are free with recorded generator degrees; kernels are found
+    degree by degree, and new generators are kernel vectors independent
+    of letter multiples of lower-degree kernel elements.  Minimality is
+    asserted: no new generator may have a scalar component.
+    """
+    p = field_char
+    names = ideal.presentation.generator_names
+    basis = {0: [()]}
+    for j in range(1, max_j + 1):
+        basis[j] = [w + (x,) for w in basis[j - 1] for x in names
+                    if not ideal.contains(w + (x,))]
+    index = {j: {w: t for t, w in enumerate(ws)} for j, ws in basis.items()}
+
+    entries = {(0, 0): 1}
+    cur_gdegs = [0]
+    cur_diff = None  # None marks the augmentation P_0 -> k
+
+    def layer(gdegs, j):
+        out = []
+        for t, d in enumerate(gdegs):
+            if 0 <= j - d:
+                out.extend((t, w) for w in basis[j - d])
+        return out
+
+    for i in range(max_i):
+        new_gdegs = []
+        new_diff = []
+        kernel_by_degree = {}
+        for j in range(max_j + 1):
+            dom = layer(cur_gdegs, j)
+            if not dom:
+                kernel_by_degree[j] = []
+                continue
+            if cur_diff is None:
+                kernel = [] if j == 0 else [{bw: 1} for bw in dom]
+            else:
+                cod = layer(prev_gdegs, j)
+                cod_index = {bw: k for k, bw in enumerate(cod)}
+                images = []
+                for (t, w) in dom:
+                    img = {}
+                    for (s, u), c in cur_diff[t].items():
+                        prod = w + u
+                        if ideal.contains(prod):
+                            continue
+                        k = cod_index[(s, prod)]
+                        img[k] = (img.get(k, 0) + c) % p
+                    images.append(img)
+                # kernel of the map: null space of the cod x dom matrix
+                mat = [[0] * len(dom) for _ in range(len(cod))]
+                for d_idx, img in enumerate(images):
+                    for k, c in img.items():
+                        mat[k][d_idx] = c
+                null = gfp_nullspace(mat, len(dom), p)
+                kernel = [{dom[t]: v for t, v in enumerate(vec) if v}
+                          for vec in null]
+            kernel_by_degree[j] = kernel
+
+            # span of letter multiples of the lower-degree kernel
+            dom_index = {bw: k for k, bw in enumerate(dom)}
+            span_rows = []
+            for z in kernel_by_degree.get(j - 1, []):
+                for x in names:
+                    vec = [0] * len(dom)
+                    ok = True
+                    for (t, w), c in z.items():
+                        prod = (x,) + w
+                        if ideal.contains(prod):
+                            continue
+                        # left letter multiple shifts the word
+                        key = (t, prod)
+                        if key not in dom_index:
+                            ok = False
+                            break
+                        vec[dom_index[key]] = (vec[dom_index[key]] + c) % p
+                    if ok and any(vec):
+                        span_rows.append(vec)
+            # eliminate, then pick kernel vectors outside the span
+            pivots = {}
+
+            def reduce_vec(vec):
+                vec = vec[:]
+                for col in range(len(vec)):
+                    if vec[col] % p and col in pivots:
+                        f = vec[col]
+                        vec = [(a - f * b) % p for a, b in zip(vec, pivots[col])]
+                return vec
+
+            def insert(vec):
+                vec = reduce_vec(vec)
+                lead = next((c for c in range(len(vec)) if vec[c] % p), None)
+                if lead is None:
+                    return False
+                inv = pow(vec[lead], p - 2, p)
+                pivots[lead] = [(a * inv) % p for a in vec]
+                return True
+
+            for row in span_rows:
+                insert(row)
+            for z in kernel:
+                vec = [0] * len(dom)
+                for bw, c in z.items():
+                    vec[dom_index[bw]] = c
+                if insert(vec):
+                    # a genuinely new generator in degree j
+                    for (t, w), c in z.items():
+                        assert len(w) > 0 or c % p == 0, \
+                            "minimality: no scalar components in new generators"
+                    entries[(i + 1, j)] = entries.get((i + 1, j), 0) + 1
+                    new_gdegs.append(j)
+                    new_diff.append(dict(z))
+        prev_gdegs = cur_gdegs
+        cur_gdegs = new_gdegs
+        cur_diff = new_diff
+        if not cur_gdegs:
+            break
+    return BettiTable(entries, max_i, max_j, p,
+                      truncation_reached=True)

@@ -5,13 +5,13 @@ assertions on random presentations; sampling lives here so the
 acceptance criterion can drive a deterministic seeded loop.
 """
 
-from yoneda_cps.ext import ext_class, yoneda_mul
+from yoneda_cps.ext import ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.ratfun import bareiss_det, make_rational, poly_mul, poly_sub
 from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
-                              enumerate_anchored, enumerate_walks, word_of)
+                              enumerate_anchored, word_of)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -52,13 +52,37 @@ def bordered_hilbert_series(g):
     return make_rational(poly_sub(det_m, poly_mul([0, 1], det_b)), det_m)
 
 
+def list_walks(g, length):
+    """Reference lister: every walk, from any start vertex, of exactly
+    `length` edges.  Raises WalkCapExceeded once the layers it has
+    built hold more than ENUM_CAP walks in all."""
+    count = 0
+    layer = [(v,) for v in g.vertices]
+    for _ in range(length):
+        layer = [vs + (t,) for vs in layer for t in g.out[vs[-1]]]
+        count += len(layer)
+        if count > ENUM_CAP:
+            raise WalkCapExceeded(ENUM_CAP)
+    return layer
+
+
+def table_of_anchored(walks):
+    """Reference route for poincare_table: anchored walks, as vertex
+    tuples, grouped by (cohomological, internal) degree."""
+    entries = {(0, 0): 1}
+    for vs in walks:
+        key = (len(vs), sum(len(v) for v in vs))
+        entries[key] = entries.get(key, 0) + 1
+    return entries
+
+
 def collect_walks(g):
     """All walks of length 1..MAX_LEN plus anchored ones, or None if huge."""
     by_len = {}
     anchored_by_len = {n: [] for n in range(MAX_LEN + 1)}
     try:
         for n in range(1, MAX_LEN + 1):
-            by_len[n] = enumerate_walks(g, n, cap=ENUM_CAP)
+            by_len[n] = list_walks(g, n)
         for w in enumerate_anchored(g, MAX_LEN, cap=ENUM_CAP):
             anchored_by_len[w.length].append(w.vertices)
     except WalkCapExceeded:
@@ -87,6 +111,15 @@ def check_equivalence_invariants(g, by_len, anchored_by_len):
             assert sum(1 for vs in members if vs in anchored) <= 1, members
             checks += 1
     return checks
+
+
+def check_poincare_table(g, anchored_by_len):
+    """poincare_table's counts against the listed anchored walks."""
+    expect = table_of_anchored(vs for walks in anchored_by_len.values()
+                               for vs in walks)
+    got = poincare_table(g, MAX_LEN + 1).entries
+    assert got == expect, (g.ideal.relations, got, expect)
+    return len(expect)
 
 
 def check_canonical_agreement(g, by_len, anchored_by_len):
@@ -227,6 +260,7 @@ def run_sample(p, rng, parity_log=None):
     by_len, anchored_by_len = collected
     checks = 0
     checks += check_equivalence_invariants(g, by_len, anchored_by_len)
+    checks += check_poincare_table(g, anchored_by_len)
     checks += check_canonical_agreement(g, by_len, anchored_by_len)
     checks += check_sound_closures(g, by_len)
     if parity_log is not None:

@@ -139,6 +139,15 @@ def test_walk_cap_from_environment(monkeypatch, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("window", [("4", "8"), ("8", "16")])
+def test_counting_never_trips_the_walk_cap(monkeypatch, capsys, window):
+    monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", "10")
+    code, out, err = run(capsys, "validate", "--max-i", window[0],
+                         "--max-j", window[1], fixture_path("abc_cdab"))
+    assert code == 0, err
+    assert json.loads(out)["mismatches"] == []
+
+
 def test_analyze_is_deterministic(capsys):
     first = run(capsys, "analyze", fixture_path("two_chain_overlap"))
     second = run(capsys, "analyze", fixture_path("two_chain_overlap"))

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from conftest import ALL, W, graph
-from propcore import bordered_hilbert_series, random_presentation, transfer_matrix
+from propcore import (bordered_hilbert_series, random_presentation,
+                      table_of_anchored, transfer_matrix)
 from yoneda_cps.ext import (_cycle_determinant, ext_class, generators_up_to,
                             hilbert_series, poincare_table, yoneda_mul)
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.ratfun import bareiss_det
-from yoneda_cps.walks import enumerate_anchored
+from yoneda_cps.walks import WalkCapExceeded, enumerate_anchored
 
 
 def cls(name, *words):
@@ -136,16 +137,38 @@ def test_hilbert_series_polynomial_case():
     assert h.series(5) == [1, 2, 1, 0, 0, 0]
 
 
+def test_poincare_table_matches_anchored_walks_on_every_fixture():
+    for name in ALL:
+        g = graph(name)
+        for max_i in (0, 1, 9):
+            walks = (w.vertices for w in enumerate_anchored(g, max_i - 1))
+            table = poincare_table(g, max_i)
+            assert table.entries == table_of_anchored(walks), (name, max_i)
+            assert table.truncation == max_i
+
+
+def test_poincare_table_ignores_the_walk_cap(monkeypatch):
+    monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", "10")
+    g = graph("sklyanin_leading")
+    with pytest.raises(WalkCapExceeded):
+        list(enumerate_anchored(g, 3))
+    table = poincare_table(g, 16)
+    by_i = [0] * 17
+    for (i, _), d in table.entries.items():
+        by_i[i] += d
+    assert by_i == hilbert_series(g).series(16)
+
+
 def test_hilbert_series_matches_table_on_every_fixture():
     for name in ("x_square", "xy_single", "abc_cdab", "abc_cdab_bcda",
                  "x2y_family", "two_chain_overlap", "sklyanin_leading"):
         g = graph(name)
-        coeffs = hilbert_series(g).series(9)
-        table = poincare_table(g, 9)
+        coeffs = hilbert_series(g).series(40)
+        table = poincare_table(g, 40)
         by_i = {}
         for (i, _), d in table.entries.items():
             by_i[i] = by_i.get(i, 0) + d
-        assert coeffs == [by_i.get(i, 0) for i in range(10)], name
+        assert coeffs == [by_i.get(i, 0) for i in range(41)], name
 
 
 def test_series_json_shape():

@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import W, graph, load
+from dense_oracle import minimal_resolution_dense
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (BettiTable, algebra_basis, chain_words,
                                cross_validate, minimal_resolution,
-                               minimal_resolution_dense, word_homology)
+                               word_homology)
 from yoneda_cps.presentation import make_presentation
 
 

@@ -1,16 +1,15 @@
 import pytest
 
 from conftest import W, graph
+from propcore import check_equivalence_invariants, list_walks
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (AnchoredWalk, EventuallyPeriodicWalk,
                               WalkCapExceeded, canonical_anchored,
-                              display_walk, enumerate_anchored,
-                              enumerate_walks, equivalence_classes,
-                              equivalent, first_admissible_tail_edge,
-                              greedy_parse, is_admissible, is_decomposable,
-                              is_dense, parse_display_walk, validate_periodic,
-                              validate_walk, walk_cap, word_of)
+                              display_walk, enumerate_anchored, greedy_parse,
+                              is_decomposable, is_dense, parse_display_walk,
+                              validate_periodic, validate_walk, walk_cap,
+                              word_of)
 
 
 def mixed_graph():
@@ -26,6 +25,9 @@ def test_word_of_reverses_vertex_order():
 
 
 def test_equivalent_needs_length_and_word():
+    def equivalent(p, q):
+        return len(p) == len(q) and word_of(p) == word_of(q)
+
     assert equivalent(W("b", "cda", "ab"), W("ab", "cd", "ab"))
     assert equivalent(W("b", "cda"), W("ab", "cd"))
     assert not equivalent(W("c", "ab"), W("ab", "cd"))
@@ -85,17 +87,17 @@ def test_canonical_anchored_known_values():
 
 def test_admissibility_of_single_edges():
     ga, gb = graph("abc_cdab"), graph("abc_cdab_bcda")
-    assert is_admissible(ga, W("ab", "cd"))
-    assert is_admissible(gb, W("ab", "cd"))
-    assert not is_admissible(ga, W("cd", "ab"))
-    assert not is_admissible(gb, W("cd", "ab"))
+    assert canonical_anchored(ga, W("ab", "cd")) is not None
+    assert canonical_anchored(gb, W("ab", "cd")) is not None
+    assert canonical_anchored(ga, W("cd", "ab")) is None
+    assert canonical_anchored(gb, W("cd", "ab")) is None
 
 
 def test_admissible_prefix_with_inadmissible_extension():
     g = mixed_graph()
-    assert is_admissible(g, W("xx", "x"))
-    assert not is_admissible(g, W("xx", "x", "xx"))
-    assert not is_admissible(g, W("xx", "x", "xx", "y"))
+    assert canonical_anchored(g, W("xx", "x")) is not None
+    assert canonical_anchored(g, W("xx", "x", "xx")) is None
+    assert canonical_anchored(g, W("xx", "x", "xx", "y")) is None
 
 
 def test_anchored_walks_are_admissible():
@@ -152,16 +154,17 @@ def test_anchored_walk_degrees():
     assert w.internal_degree == 4
 
 
-def test_enumerate_walks_and_classes():
+def test_list_walks_and_classes():
     g = graph("abc_cdab")
-    walks = enumerate_walks(g, 2)
+    walks = list_walks(g, 2)
     assert sorted(walks) == sorted([
         W("b", "cda", "ab"), W("c", "ab", "cd"), W("ab", "cd", "ab"),
         W("cd", "ab", "cd"), W("cda", "ab", "cd"),
     ])
-    classes = equivalence_classes(g, 2)
-    by_word = {c["word"]: c["members"] for c in classes}
-    assert by_word[tuple("abcdab")] == [W("b", "cda", "ab"), W("ab", "cd", "ab")]
+    by_word = {}
+    for vs in walks:
+        by_word.setdefault(word_of(vs), set()).add(vs)
+    assert by_word[tuple("abcdab")] == {W("b", "cda", "ab"), W("ab", "cd", "ab")}
     assert len(by_word) == 4
 
 
@@ -169,20 +172,11 @@ def test_equivalence_invariants_exhaustive_small():
     """Same word and length force the expected shared structure."""
     for name in ("abc_cdab", "abc_cdab_bcda"):
         g = graph(name)
-        anchored = {n: set() for n in range(7)}
+        anchored = {n: [] for n in range(7)}
         for w in enumerate_anchored(g, 6):
-            anchored[w.length].add(w.vertices)
-        for n in range(1, 7):
-            for cls in equivalence_classes(g, n):
-                members = cls["members"]
-                first = members[0]
-                steps = [first[2 * k + 1] + first[2 * k] for k in range((n + 1) // 2)]
-                for vs in members[1:]:
-                    if n % 2 == 0:
-                        assert vs[-1] == first[-1]
-                    assert [vs[2 * k + 1] + vs[2 * k]
-                            for k in range((n + 1) // 2)] == steps
-                assert sum(1 for vs in members if vs in anchored[n]) <= 1
+            anchored[w.length].append(w.vertices)
+        by_len = {n: list_walks(g, n) for n in range(1, 7)}
+        assert check_equivalence_invariants(g, by_len, anchored) > 0
 
 
 def test_walk_cap_env(monkeypatch):
@@ -193,8 +187,6 @@ def test_walk_cap_env(monkeypatch):
     g = graph("abc_cdab")
     with pytest.raises(WalkCapExceeded):
         list(enumerate_anchored(g, 6))
-    with pytest.raises(WalkCapExceeded):
-        enumerate_walks(g, 8)
 
 
 def test_explicit_cap_argument():
@@ -232,16 +224,6 @@ def test_validate_periodic_needs_real_edges():
     bogus = EventuallyPeriodicWalk(W("b", "cda"), W("cda", "cda"))
     with pytest.raises(ValueError, match="not an edge"):
         validate_periodic(g, bogus)
-
-
-def test_first_admissible_tail_edge():
-    g = graph("abc_cdab")
-    w = EventuallyPeriodicWalk(W("c", "ab"), W("ab", "cd", "ab"))
-    assert first_admissible_tail_edge(g, w) == 1
-    assert first_admissible_tail_edge(g, w, start=2) == 3
-    g0 = graph("x_square")
-    loop = EventuallyPeriodicWalk(W("x"), W("x", "x"))
-    assert first_admissible_tail_edge(g0, loop) == 1
 
 
 def test_density_flips_between_the_two_examples():
