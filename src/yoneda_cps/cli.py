@@ -13,8 +13,8 @@ import sys
 
 from .decide import analyze, finitely_generated, noetherian, report_to_json
 from .ext import ext_class, generators_up_to, hilbert_series, poincare_table, yoneda_mul
-from .graph import build_marked_graph, export_dot, export_json, graph_params
-from .monomial import MonomialIdeal, PreconditionError
+from .graph import build_marked_graph, export_dot, export_json
+from .monomial import PreconditionError
 from .oracle import cross_validate, minimal_resolution
 from .presentation import PresentationError, parse_presentation
 from .walks import WalkCapExceeded, parse_display_walk, walk_cap
@@ -49,7 +49,7 @@ def cmd_analyze(args):
 
 
 def cmd_graph(args):
-    g = build_marked_graph(MonomialIdeal(_load(args.presentation)))
+    g = build_marked_graph(_load(args.presentation))
     if args.format == "dot":
         sys.stdout.write(export_dot(g))
     else:
@@ -58,7 +58,7 @@ def cmd_graph(args):
 
 
 def cmd_ext_basis(args):
-    g = build_marked_graph(MonomialIdeal(_load(args.presentation)))
+    g = build_marked_graph(_load(args.presentation))
     table = poincare_table(g, args.max_degree)
     classes = generators_up_to(g, args.max_degree)
     _emit({
@@ -83,7 +83,7 @@ def _parse_walk_arg(g, text, name):
 
 
 def cmd_multiply(args):
-    g = build_marked_graph(MonomialIdeal(_load(args.presentation)))
+    g = build_marked_graph(_load(args.presentation))
     try:
         left = ext_class(g, _parse_walk_arg(g, args.left, "--left"))
         right = ext_class(g, _parse_walk_arg(g, args.right, "--right"))
@@ -100,20 +100,20 @@ def cmd_multiply(args):
 
 
 def cmd_decide_fg(args):
-    g = build_marked_graph(MonomialIdeal(_load(args.presentation)))
+    g = build_marked_graph(_load(args.presentation))
     verdict = finitely_generated(g)
     _emit(verdict.to_json())
     return 0
 
 
 def cmd_decide_noetherian(args):
-    g = build_marked_graph(MonomialIdeal(_load(args.presentation)))
+    g = build_marked_graph(_load(args.presentation))
     _emit(noetherian(g, args.side).to_json())
     return 0
 
 
 def cmd_series(args):
-    g = build_marked_graph(MonomialIdeal(_load(args.presentation)))
+    g = build_marked_graph(_load(args.presentation))
     series = hilbert_series(g)
     out = series.to_json()
     out["pretty"] = str(series)
@@ -124,9 +124,8 @@ def cmd_series(args):
 
 
 def cmd_validate(args):
-    ideal = MonomialIdeal(_load(args.presentation))
-    g = build_marked_graph(ideal)
-    table = minimal_resolution(ideal, field_char=args.field_char,
+    g = build_marked_graph(_load(args.presentation))
+    table = minimal_resolution(g.ideal, field_char=args.field_char,
                                max_i=args.max_i, max_j=args.max_j,
                                jobs=args.jobs, progress=_progress)
     mismatches = cross_validate(g, table)
@@ -134,7 +133,7 @@ def cmd_validate(args):
         "betti": table.to_json(),
         "mismatches": mismatches,
         "params": {
-            "edge_count": graph_params(g).edge_count,
+            "edge_count": len(g.edges),
         },
     })
     if mismatches:

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .graph import build_marked_graph, graph_params
-from .monomial import MonomialIdeal, left_min_annihilating_suffix
 from .presentation import format_word
-from .walks import (EventuallyPeriodicWalk, WalkCapExceeded,
-                    greedy_parse, is_decomposable, is_dense, walk_cap)
+from .walks import (EventuallyPeriodicWalk, WalkCapExceeded, greedy_parse,
+                    is_decomposable, is_dense, partner_step, walk_cap)
 
 __all__ = [
     "INFINITY",
@@ -257,21 +256,16 @@ def _search_indecomposable(g, targets, cap):
             pruned = False
             advanced = []
             for pj, ell, r in new_chains:
-                dead = False
                 while pj + ell + 2 <= len(walk) - 1:
-                    nxt = walk[pj + ell + 1]
-                    s = left_min_annihilating_suffix(ideal, nxt, r)
-                    if s == nxt:
-                        pruned = True  # even-offset rejoin
-                        break
-                    r = walk[pj + ell + 2] + nxt[:len(nxt) - len(s)]
-                    if ideal.contains(r):
-                        dead = True
+                    # pruned on an even-offset rejoin
+                    pruned, r = partner_step(ideal, r, walk[pj + ell + 1],
+                                             walk[pj + ell + 2])
+                    if pruned or r is None:
                         break
                     ell += 2
                 if pruned:
                     break
-                if not dead:
+                if r is not None:  # a dead chain is dropped for good
                     advanced.append((pj, ell, r))
             if not pruned:
                 found = extend(walk, advanced)
@@ -316,14 +310,15 @@ def _periodic_witness(g, q, attempts=400):
 
 
 def finitely_generated(g, params=None, cap=None):
-    if cap is None:
-        cap = walk_cap()
-    if params is None:
-        params = graph_params(g)
+    # The acyclic verdict reads neither the walk cap nor the bound.
     if not g.cycles.has_cycle:
         gd = global_dimension(g)
         return FgVerdict(True, "finite_global_dimension",
                          generator_degree_bound=gd.value)
+    if cap is None:
+        cap = walk_cap()
+    if params is None:
+        params = graph_params(g)
     circuit = _circuit_avoiding_generators(g)
     if circuit is None:
         # Every tail of every infinite walk revisits a degree-1 vertex,
@@ -418,7 +413,7 @@ class AnalysisReport:
 
 
 def analyze(presentation, cap=None):
-    g = build_marked_graph(MonomialIdeal(presentation))
+    g = build_marked_graph(presentation)
     params = graph_params(g)
     gldim = global_dimension(g)
     gk = gk_dimension(g)

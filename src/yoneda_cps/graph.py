@@ -10,6 +10,7 @@ An edge is admissible when its edge word (target tensor source) is one
 of the defining relations; walk-level admissibility lives in `walks`.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -34,7 +35,6 @@ __all__ = [
 class CpsGraph:
     ideal: MonomialIdeal
     vertices: tuple    # letter tuples, sorted by (degree, index sequence)
-    generation: dict   # vertex -> first generation index (generators are 0)
     g0: tuple          # the degree-1 vertices, always the whole alphabet
     edges: tuple       # (source, target) pairs, sorted
     admissible: dict   # edge -> bool; empty until mark_admissible_edges
@@ -62,22 +62,20 @@ def build_graph(ideal):
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(ideal)
     g0 = tuple((name,) for name in ideal.presentation.generator_names)
-    generation = {v: 0 for v in g0}
+    seen = set(g0)
     edges = []
     frontier = list(g0)
-    step = 0
     while frontier:
-        step += 1
         new = []
         for m in frontier:
             for w in annihilator_generators(ideal, m):
                 edges.append((m, w))
-                if w not in generation:
-                    generation[w] = step
+                if w not in seen:
+                    seen.add(w)
                     new.append(w)
         frontier = new
 
-    vertices = tuple(sorted(generation, key=ideal.sort_key))
+    vertices = tuple(sorted(seen, key=ideal.sort_key))
     edges = tuple(sorted(set(edges), key=lambda e: (ideal.sort_key(e[0]), ideal.sort_key(e[1]))))
     edge_word = {(s, t): t + s for s, t in edges}
     out = {v: [] for v in vertices}
@@ -87,7 +85,7 @@ def build_graph(ideal):
         inc[t].append(s)
     out = {v: tuple(ts) for v, ts in out.items()}
     inc = {v: tuple(ss) for v, ss in inc.items()}
-    return CpsGraph(ideal, vertices, generation, g0, edges, {}, edge_word, out, inc)
+    return CpsGraph(ideal, vertices, g0, edges, {}, edge_word, out, inc)
 
 
 def mark_admissible_edges(g):
@@ -102,10 +100,7 @@ def mark_admissible_edges(g):
 
 
 def build_marked_graph(presentation_or_ideal):
-    ideal = presentation_or_ideal
-    if not isinstance(ideal, MonomialIdeal):
-        ideal = MonomialIdeal(ideal)
-    return mark_admissible_edges(build_graph(ideal))
+    return mark_admissible_edges(build_graph(presentation_or_ideal))
 
 
 @dataclass(frozen=True)
@@ -122,34 +117,31 @@ class GraphParams:
 def graph_params(g):
     assert g.marked, "mark_admissible_edges first"
     e_count = len(g.edges)
-    classes = {}
-    for e in g.edges:
-        classes.setdefault(g.edge_word[e], []).append(e)
-    m = max((len(c) for c in classes.values()), default=1)
+    m = max(Counter(g.edge_word.values()).values(), default=1)
 
-    # L: DFS over anchored simple paths.  A path dies once any edge at
-    # positions 1..k-2 is admissible, since that edge stays interior in
-    # every extension.
+    # L: DFS over anchored simple paths whose interior edges (all but the
+    # first and the last) are non-admissible.  Stop rule: an admissible
+    # edge at position k >= 1 (k edges before it) ends a qualifying path
+    # of k + 1 edges and is never descended into, since any extension
+    # would make it interior.
     best = 0
+    on_path = set()
 
-    def extend(path, visited, last_edge_admissible_idx):
+    def extend(v, k):
         nonlocal best
-        v = path[-1]
-        k = len(path) - 1  # current edge count
+        on_path.add(v)
         for t in g.out[v]:
-            if t in visited:
+            if t in on_path:
                 continue
-            adm = g.admissible[(v, t)]
-            # the old last edge (index k-1) becomes interior if k-1 >= 1
-            interior_bad = last_edge_admissible_idx is not None and last_edge_admissible_idx >= 1
-            if interior_bad:
-                continue
-            if adm and k + 1 > best:
-                best = k + 1
-            extend(path + [t], visited | {t}, k if adm else None)
+            if g.admissible[(v, t)]:
+                best = max(best, k + 1)
+                if k >= 1:
+                    continue
+            extend(t, k + 1)
+        on_path.discard(v)
 
     for start in g.g0:
-        extend([start], {start}, None)
+        extend(start, 0)
 
     l_defaulted = best == 0
     l_value = 1 if l_defaulted else best

@@ -29,6 +29,7 @@ __all__ = [
     "is_decomposable",
     "enumerate_anchored",
     "is_dense",
+    "partner_step",
     "display_walk",
     "parse_display_walk",
     "validate_walk",
@@ -269,10 +270,18 @@ class EventuallyPeriodicWalk:
         }
 
 
-def validate_periodic(g, w):
-    validate_walk(g, w.prefix)
-    validate_walk(g, w.cycle)
-    return w
+def partner_step(ideal, r, nxt, after):
+    """Advance a partner chain, top vertex `r`, past the walk's next two
+    vertices `nxt` and `after`.  Returns `(True, r)` on an even-offset
+    rejoin, `(False, None)` when the carried word falls into the ideal,
+    else `(False, r')` with the partner's new top vertex."""
+    s = left_min_annihilating_suffix(ideal, nxt, r)
+    if s == nxt:
+        return True, r
+    r = after + nxt[:len(nxt) - len(s)]
+    if ideal.contains(r):
+        return False, None
+    return False, r
 
 
 def is_dense(g, w, edge_index):
@@ -313,11 +322,9 @@ def is_dense(g, w, edge_index):
         x = w.vertex(pos)
         # partner vertices at odd offsets extend the walk's on the right
         assert len(r) >= len(x) and r[:len(x)] == x, "partner lost the walk"
-        nxt = w.vertex(pos + 1)
-        s = left_min_annihilating_suffix(ideal, nxt, r)
-        if s == nxt:
+        rejoined, r = partner_step(ideal, r, w.vertex(pos + 1), w.vertex(pos + 2))
+        if rejoined:
             return True
-        r = w.vertex(pos + 2) + nxt[:len(nxt) - len(s)]
-        if ideal.contains(r):
+        if r is None:
             return False
         ell += 2

@@ -52,6 +52,34 @@ def bordered_hilbert_series(g):
     return make_rational(poly_sub(det_m, poly_mul([0, 1], det_b)), det_m)
 
 
+def reference_leading_path(g):
+    """Reference route for L: the former search of graph_params, which
+    carries the whole path and its visited set, copies both at every
+    step, and descends into an admissible edge at position k >= 1 only
+    to cut every continuation there.  Returns (L, l_defaulted)."""
+    best = 0
+
+    def extend(path, visited, last_edge_admissible_idx):
+        nonlocal best
+        v = path[-1]
+        k = len(path) - 1  # current edge count
+        for t in g.out[v]:
+            if t in visited:
+                continue
+            adm = g.admissible[(v, t)]
+            # the old last edge (index k-1) becomes interior if k-1 >= 1
+            interior_bad = last_edge_admissible_idx is not None and last_edge_admissible_idx >= 1
+            if interior_bad:
+                continue
+            if adm and k + 1 > best:
+                best = k + 1
+            extend(path + [t], visited | {t}, k if adm else None)
+
+    for start in g.g0:
+        extend([start], {start}, None)
+    return (1 if best == 0 else best), best == 0
+
+
 def list_walks(g, length):
     """Reference lister: every walk, from any start vertex, of exactly
     `length` edges.  Raises WalkCapExceeded once the layers it has

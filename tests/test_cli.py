@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fixture_path
 from propcore import random_presentation
+from yoneda_cps import cli, decide
 from yoneda_cps.cli import main
 from yoneda_cps.presentation import serialize_presentation
 
@@ -190,6 +191,44 @@ def test_deep_input_exits_cleanly(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def _forbid_graph_params(monkeypatch):
+    def refuse(g):
+        raise RuntimeError("graph_params must not run")
+    for module in (cli, decide):
+        monkeypatch.setattr(module, "graph_params", refuse, raising=False)
+
+
+def test_acyclic_decide_fg_skips_the_l_search(tmp_path, monkeypatch, capsys):
+    # The chain of test_deep_input_exits_cleanly without its x x x cycle:
+    # acyclic, so the verdict needs neither L nor bound_N.
+    _forbid_graph_params(monkeypatch)
+    gens = [f"a{i}" for i in range(1100)]
+    rels = [[f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}"] for i in range(1099)]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"generators": gens, "relations": rels}))
+    js = run_json(capsys, "decide-fg", str(chain))
+    assert js["value"] is True
+    assert js["method"] == "finite_global_dimension"
+
+
+def test_validate_skips_the_l_search(monkeypatch, capsys):
+    _forbid_graph_params(monkeypatch)
+    code, out, err = run(capsys, "validate", "--max-i", "2", "--max-j", "4",
+                         fixture_path("abc_cdab"))
+    assert code == 0, err
+    expect = {
+        "betti": {
+            "entries": [{"dim": 1, "i": 0, "j": 0}, {"dim": 4, "i": 1, "j": 1},
+                        {"dim": 1, "i": 2, "j": 3}, {"dim": 1, "i": 2, "j": 4}],
+            "field_char": 2, "max_i": 2, "max_j": 4,
+            "truncation_reached": True,
+        },
+        "mismatches": [],
+        "params": {"edge_count": 5},
+    }
+    assert out == json.dumps(expect, indent=2, sort_keys=True) + "\n"
 
 
 def _fuzz_calls(path, generator):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from conftest import ALL, graph, load
+from propcore import random_presentation, reference_leading_path
 from yoneda_cps.graph import (build_graph, build_marked_graph,
                               circuits_and_sccs, export_dot, export_json,
                               graph_params, mark_admissible_edges)
@@ -132,6 +135,16 @@ def test_graph_params(name, expect):
     assert got == expect
     assert p.bound_N % 2 == 0
     assert p.bound_N >= 2 * p.edge_count * (p.max_edge_class - 1) + p.max_leading_path + 1
+
+
+def test_graph_params_matches_reference_search():
+    rng = random.Random(7)
+    draws = [build_marked_graph(random_presentation(
+        rng, max_gens=4, max_relations=6, max_degree=5)) for _ in range(300)]
+    for g in [graph(name) for name in ALL] + draws:
+        p = graph_params(g)
+        assert (p.max_leading_path, p.l_defaulted) == \
+            reference_leading_path(g), g.ideal.relations
 
 
 def test_circuit_summary_shapes():

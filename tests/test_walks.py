@@ -8,8 +8,7 @@ from yoneda_cps.walks import (AnchoredWalk, EventuallyPeriodicWalk,
                               WalkCapExceeded, canonical_anchored,
                               display_walk, enumerate_anchored, greedy_parse,
                               is_decomposable, is_dense, parse_display_walk,
-                              validate_periodic, validate_walk, walk_cap,
-                              word_of)
+                              validate_walk, walk_cap, word_of)
 
 
 def mixed_graph():
@@ -220,10 +219,12 @@ def test_periodic_walk_indexing():
 def test_validate_periodic_needs_real_edges():
     g = graph("abc_cdab")
     w = EventuallyPeriodicWalk(W("c", "ab"), W("ab", "cd", "ab"))
-    assert validate_periodic(g, w) is w
+    assert validate_walk(g, w.prefix) == w.prefix
+    assert validate_walk(g, w.cycle) == w.cycle
     bogus = EventuallyPeriodicWalk(W("b", "cda"), W("cda", "cda"))
+    validate_walk(g, bogus.prefix)
     with pytest.raises(ValueError, match="not an edge"):
-        validate_periodic(g, bogus)
+        validate_walk(g, bogus.cycle)
 
 
 def test_density_flips_between_the_two_examples():
@@ -255,7 +256,8 @@ def test_density_partner_death_returns_false():
     """A partner word falling into the ideal ends all longer extensions."""
     g = mixed_graph()
     w = EventuallyPeriodicWalk(W("xx"), W("xx", "x", "xx", "y", "xx"))
-    validate_periodic(g, w)
+    validate_walk(g, w.prefix)
+    validate_walk(g, w.cycle)
     assert not is_dense(g, w, 0)
 
 
