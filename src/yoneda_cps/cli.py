@@ -2,7 +2,7 @@
 
 All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 bad input, an exceeded walk
-cap or an input too deep for a recursive search, 2 an internal
+cap or an input too deep for the recursive `L` search, 2 an internal
 invariant violation.
 """
 

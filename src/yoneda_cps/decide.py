@@ -5,8 +5,9 @@ the annihilator graph.  Global dimension is finite exactly when the
 graph is acyclic.  Growth is the largest number of cycle components met
 by a single walk, infinite when two circuits share a vertex.  Finite
 generation reduces to decomposability of all anchored walks at two
-consecutive bounded lengths, checked by a pruned search; a negative
-answer carries the indecomposable walk and, when one of its repeats
+consecutive bounded lengths, checked by `walks.indecomposable_walks`,
+the pruned search `ext.generators_up_to` also uses; a negative answer
+carries the first walk it finds and, when one of its repeats
 certifies, an eventually periodic walk on which no decomposition
 mechanism fires.  The chain conditions are local: every
 circuit vertex must have unique continuation on the relevant side and
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 from .graph import build_marked_graph, graph_params
 from .presentation import format_word
-from .walks import (EventuallyPeriodicWalk, WalkCapExceeded, greedy_parse,
-                    is_decomposable, is_dense, partner_step, walk_cap)
+from .walks import EventuallyPeriodicWalk, indecomposable_walks, is_dense
 
 __all__ = [
     "INFINITY",
@@ -215,73 +215,6 @@ def _pump(g, circuit):
     return EventuallyPeriodicWalk(path, cycle)
 
 
-def _search_indecomposable(g, targets, cap):
-    """Depth-first hunt for an indecomposable anchored walk at a target
-    length.  A branch is cut when every completion is certainly
-    decomposable: a degree-1 vertex would leave an anchored suffix in
-    every completion, and a rejoined partner chain grafts onto any
-    continuation, keeping the suffix at its edge admissible forever.
-    Survivors at a target length get the honest decomposability check.
-
-    Each admissible tail edge carries its own partner chain (j, ell, r):
-    the anchored partner of the length-ell extension of the edge at j,
-    with r the partner's top vertex.  A chain whose carried word falls
-    into the ideal is dropped for good: no suffix from that edge ever
-    parses again, of either parity.
-    """
-    ideal = g.ideal
-    horizon = max(targets)
-    target_set = set(targets)
-    budget = [cap]
-
-    def extend(walk, chains):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise WalkCapExceeded(cap)
-        n = len(walk) - 1
-        if n in target_set and not is_decomposable(g, walk):
-            return tuple(walk)
-        if n == horizon:
-            return None
-        for t in g.out[walk[-1]]:
-            if len(t) == 1:
-                continue  # anchored suffix in every completion
-            j = n  # index of the new edge; tail edges start at index 1
-            new_chains = list(chains)
-            if j >= 1 and g.admissible[(walk[-1], t)]:
-                pair = greedy_parse(ideal, t + walk[-1], 1)
-                assert pair is not None, "admissible edge words always parse"
-                new_chains.append((j, 1, pair[1]))
-            walk.append(t)
-            pruned = False
-            advanced = []
-            for pj, ell, r in new_chains:
-                while pj + ell + 2 <= len(walk) - 1:
-                    # pruned on an even-offset rejoin
-                    pruned, r = partner_step(ideal, r, walk[pj + ell + 1],
-                                             walk[pj + ell + 2])
-                    if pruned or r is None:
-                        break
-                    ell += 2
-                if pruned:
-                    break
-                if r is not None:  # a dead chain is dropped for good
-                    advanced.append((pj, ell, r))
-            if not pruned:
-                found = extend(walk, advanced)
-                if found is not None:
-                    walk.pop()
-                    return found
-            walk.pop()
-        return None
-
-    for start in g.g0:
-        found = extend([start], [])
-        if found is not None:
-            return found
-    return None
-
-
 def _periodic_witness(g, q, attempts=400):
     """Eventually periodic walk certifying the failure, or None.
 
@@ -310,13 +243,16 @@ def _periodic_witness(g, q, attempts=400):
 
 
 def finitely_generated(g, params=None, cap=None):
-    # The acyclic verdict reads neither the walk cap nor the bound.
+    """Finite generation, from the first of four premises that holds:
+    an acyclic graph (yes, read without the bound N); every circuit
+    meets a degree-1 vertex (yes); a circuit avoids them and every
+    admissible edge leaves one (no, the pumped circuit); else the
+    search at lengths (N, N+1), no on its first walk, yes if none.
+    Only the search reads the walk cap."""
     if not g.cycles.has_cycle:
         gd = global_dimension(g)
         return FgVerdict(True, "finite_global_dimension",
                          generator_degree_bound=gd.value)
-    if cap is None:
-        cap = walk_cap()
     if params is None:
         params = graph_params(g)
     circuit = _circuit_avoiding_generators(g)
@@ -341,7 +277,7 @@ def finitely_generated(g, params=None, cap=None):
                          witness_circuit=circuit,
                          witness_periodic=witness)
     targets = (params.bound_N, params.bound_N + 1)
-    found = _search_indecomposable(g, targets, cap)
+    found = next(indecomposable_walks(g, targets, cap), None)
     if found is None:
         return FgVerdict(True, "no_indecomposables_at_bound",
                          bound_n=params.bound_N, checked_lengths=targets,

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from .monomial import annihilator_generators
 from .ratfun import bareiss_det, make_rational, poly_sub, poly_mul
 from .walks import (AnchoredWalk, canonical_anchored, display_walk,
-                    enumerate_anchored, greedy_parse, is_decomposable,
-                    validate_walk, word_of)
+                    greedy_parse, indecomposable_walks, validate_walk, word_of)
 
 __all__ = [
     "ExtClass",
@@ -89,17 +88,15 @@ def yoneda_mul(g, p, q):
     return result
 
 
-def generators_up_to(g, max_cohomological_degree, cap=None):
-    """Indecomposable basis classes with degree <= the bound.
-
-    Degree 1 classes (single generators) are always indecomposable;
-    higher ones survive when no proper suffix walk is admissible.
-    """
-    out = []
-    for w in enumerate_anchored(g, max_cohomological_degree - 1, cap):
-        if w.length == 0 or not is_decomposable(g, w):
-            out.append(ExtClass(w))
-    return out
+def generators_up_to(g, max_cohomological_degree):
+    """Indecomposable basis classes of degree <= the bound, by degree:
+    the generators, then the walks with no admissible proper suffix,
+    from the pruned search that also decides finite generation."""
+    if max_cohomological_degree < 1:
+        return []
+    found = indecomposable_walks(g, range(1, max_cohomological_degree))
+    walks = [(v,) for v in g.g0] + sorted(found, key=len)
+    return [ExtClass(AnchoredWalk(w)) for w in walks]
 
 
 @dataclass(frozen=True)

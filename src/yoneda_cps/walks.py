@@ -28,6 +28,7 @@ __all__ = [
     "canonical_anchored",
     "is_decomposable",
     "enumerate_anchored",
+    "indecomposable_walks",
     "is_dense",
     "partner_step",
     "display_walk",
@@ -110,9 +111,8 @@ def validate_walk(g, w):
     vs = vertices_of(w)
     if not vs:
         raise ValueError("a walk needs at least one vertex")
-    vertex_set = set(g.vertices)
     for v in vs:
-        if v not in vertex_set:
+        if v not in g.out:
             raise ValueError(f"{format_word(v)} is not a vertex of the graph")
     for a, b in zip(vs, vs[1:]):
         if (a, b) not in g.edge_word:
@@ -328,3 +328,69 @@ def is_dense(g, w, edge_index):
         if r is None:
             return False
         ell += 2
+
+
+def _carry_chains(g, walk, t, chains):
+    """The partner chains of `walk` extended by `t`, or None when one
+    rejoins at an even offset.  A chain whose carried word falls into
+    the ideal is dropped: no suffix from its edge parses again."""
+    j = len(walk) - 1  # index of the new edge; tail edges start at index 1
+    if j >= 1 and g.admissible[(walk[-1], t)]:
+        pair = greedy_parse(g.ideal, t + walk[-1], 1)
+        assert pair is not None, "admissible edge words always parse"
+        chains = chains + [(j, 1, pair[1])]
+    advanced = []
+    for pj, ell, r in chains:
+        if pj + ell + 1 == j:  # the new edge completes two more vertices
+            rejoined, r = partner_step(g.ideal, r, walk[-1], t)
+            if rejoined:
+                return None
+            ell += 2
+        if r is not None:
+            advanced.append((pj, ell, r))
+    return advanced
+
+
+def indecomposable_walks(g, lengths, cap=None):
+    """Yield, depth first, the indecomposable anchored walks whose length
+    is in `lengths`; walks of one length come in `enumerate_anchored`'s
+    order.  A branch is cut when every completion is decomposable: at a
+    degree-1 vertex, which starts an anchored suffix, or where a partner
+    chain rejoins at an even offset and so grafts onto any continuation.
+    Each admissible tail edge at j carries its chain (j, ell, r): the
+    anchored partner of the edge's length-ell extension, top vertex r.
+    Survivors at a listed length get the honest decomposability check.
+    Every visited walk counts against the cap; the stack is explicit.
+    """
+    if cap is None:
+        cap = walk_cap()
+    lengths = set(lengths)
+    horizon = max(lengths, default=0)
+    visited = 0
+    walk = []
+    stack = [(iter(g.g0), [])]  # per frame: successors left, partner chains
+    while stack:
+        succ, chains = stack[-1]
+        t = next(succ, None)
+        if t is None:
+            stack.pop()
+            if walk:
+                walk.pop()
+            continue
+        if walk:
+            if len(t) == 1:
+                continue  # anchored suffix in every completion
+            chains = _carry_chains(g, walk, t, chains)
+            if chains is None:
+                continue
+        walk.append(t)
+        visited += 1
+        if visited > cap:
+            raise WalkCapExceeded(cap)
+        n = len(walk) - 1
+        if n in lengths and not is_decomposable(g, walk):
+            yield tuple(walk)
+        if n < horizon:
+            stack.append((iter(g.out[t]), chains))
+        else:
+            walk.pop()

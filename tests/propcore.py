@@ -5,13 +5,14 @@ assertions on random presentations; sampling lives here so the
 acceptance criterion can drive a deterministic seeded loop.
 """
 
-from yoneda_cps.ext import ext_class, poincare_table, yoneda_mul
+from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.ratfun import bareiss_det, make_rational, poly_mul, poly_sub
 from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
-                              enumerate_anchored, word_of)
+                              enumerate_anchored, greedy_parse,
+                              is_decomposable, partner_step, word_of)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -79,6 +80,85 @@ def reference_leading_path(g):
         extend([start], {start}, None)
     return (1 if best == 0 else best), best == 0
 
+
+
+def reference_generators(g, max_cohomological_degree, cap=None):
+    """Reference route for generators_up_to: the former one, which lists
+    every anchored walk and keeps the generators and the walks that
+    is_decomposable rejects."""
+    out = []
+    for w in enumerate_anchored(g, max_cohomological_degree - 1, cap):
+        if w.length == 0 or not is_decomposable(g, w):
+            out.append(ExtClass(w))
+    return out
+
+
+def reference_search_indecomposable(g, targets, cap):
+    """Reference route for the first walk of indecomposable_walks: the
+    former recursive search of finitely_generated.  A branch is cut when
+    every completion is certainly decomposable: a degree-1 vertex would
+    leave an anchored suffix in every completion, and a rejoined partner
+    chain grafts onto any continuation, keeping the suffix at its edge
+    admissible forever.  Survivors at a target length get the honest
+    decomposability check.
+
+    Each admissible tail edge carries its own partner chain (j, ell, r):
+    the anchored partner of the length-ell extension of the edge at j,
+    with r the partner's top vertex.  A chain whose carried word falls
+    into the ideal is dropped for good: no suffix from that edge ever
+    parses again, of either parity.
+    """
+    ideal = g.ideal
+    horizon = max(targets)
+    target_set = set(targets)
+    budget = [cap]
+
+    def extend(walk, chains):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise WalkCapExceeded(cap)
+        n = len(walk) - 1
+        if n in target_set and not is_decomposable(g, walk):
+            return tuple(walk)
+        if n == horizon:
+            return None
+        for t in g.out[walk[-1]]:
+            if len(t) == 1:
+                continue  # anchored suffix in every completion
+            j = n  # index of the new edge; tail edges start at index 1
+            new_chains = list(chains)
+            if j >= 1 and g.admissible[(walk[-1], t)]:
+                pair = greedy_parse(ideal, t + walk[-1], 1)
+                assert pair is not None, "admissible edge words always parse"
+                new_chains.append((j, 1, pair[1]))
+            walk.append(t)
+            pruned = False
+            advanced = []
+            for pj, ell, r in new_chains:
+                while pj + ell + 2 <= len(walk) - 1:
+                    # pruned on an even-offset rejoin
+                    pruned, r = partner_step(ideal, r, walk[pj + ell + 1],
+                                             walk[pj + ell + 2])
+                    if pruned or r is None:
+                        break
+                    ell += 2
+                if pruned:
+                    break
+                if r is not None:  # a dead chain is dropped for good
+                    advanced.append((pj, ell, r))
+            if not pruned:
+                found = extend(walk, advanced)
+                if found is not None:
+                    walk.pop()
+                    return found
+            walk.pop()
+        return None
+
+    for start in g.g0:
+        found = extend([start], [])
+        if found is not None:
+            return found
+    return None
 
 def list_walks(g, length):
     """Reference lister: every walk, from any start vertex, of exactly

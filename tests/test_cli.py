@@ -193,6 +193,20 @@ def test_deep_input_exits_cleanly(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_deep_fg_search_answers(tmp_path, capsys):
+    # x2y_family plus 150 cycles a_i -> a_i a_i -> a_i puts bound_N at
+    # 1240, a search deeper than the interpreter's recursion limit.
+    gens = ["x", "y"] + [f"a{i}" for i in range(150)]
+    rels = [["x", "x", "y"], ["x", "y", "y"], ["y", "y", "y"],
+            ["x", "x", "x", "x"]] + [[f"a{i}"] * 3 for i in range(150)]
+    deep = tmp_path / "deep_fg.json"
+    deep.write_text(json.dumps({"generators": gens, "relations": rels}))
+    js = run_json(capsys, "decide-fg", str(deep))
+    assert js["value"] is True
+    assert js["method"] == "no_indecomposables_at_bound"
+    assert js["checked_lengths"] == [1240, 1241]
+
+
 def _forbid_graph_params(monkeypatch):
     def refuse(g):
         raise RuntimeError("graph_params must not run")

@@ -4,16 +4,18 @@ import random
 import pytest
 
 from conftest import ALL, W, graph, load
-from propcore import random_presentation
-from yoneda_cps.decide import (INFINITY, _search_indecomposable, analyze,
-                               check_tail_conditions, finitely_generated,
-                               gk_dimension, global_dimension, noetherian,
-                               report_to_json)
-from yoneda_cps.graph import build_marked_graph
+from propcore import (random_presentation, reference_generators,
+                      reference_search_indecomposable)
+from yoneda_cps.decide import (INFINITY, analyze, check_tail_conditions,
+                               finitely_generated, gk_dimension,
+                               global_dimension, noetherian, report_to_json)
+from yoneda_cps.ext import generators_up_to
+from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkCapExceeded,
-                              enumerate_anchored, is_decomposable)
+                              enumerate_anchored, indecomposable_walks,
+                              is_decomposable)
 
 
 def test_global_dimension_finite_case():
@@ -126,7 +128,44 @@ def test_fg_survives_mixed_relation_degrees():
     assert out.method == "all_circuits_meet_generators"
     # the verdict no longer needs the search here, but the search must
     # still terminate on this family (suffix death inside the scan)
-    assert _search_indecomposable(g, (14, 15), 10 ** 7) is None
+    assert next(indecomposable_walks(g, (14, 15), 10 ** 7), None) is None
+
+
+def test_fg_search_needs_no_recursion():
+    # walks of 1,201 edges, past Python's default recursion limit
+    assert next(indecomposable_walks(graph("x2y_family"), (1200, 1201)), None) is None
+
+
+def _check_against_reference_routes(g, degrees):
+    for d in degrees:
+        assert generators_up_to(g, d) == reference_generators(g, d), d
+    if g.cycles.has_cycle:
+        n = graph_params(g).bound_N
+        targets = (n, n + 1)
+        assert next(indecomposable_walks(g, targets), None) == \
+            reference_search_indecomposable(g, targets, 10 ** 7)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_indecomposable_walks_match_reference_routes(name):
+    _check_against_reference_routes(graph(name), range(11))
+
+
+def test_a_dead_partner_chain_cuts_no_branch():
+    """A chain whose word falls into the ideal is dropped, neither
+    followed further nor taken as a cut: here the first indecomposable
+    walk below a dead chain has degree 6."""
+    p = make_presentation("xy", [("y", "x", "x"), ("x", "x", "y", "x"),
+                                 ("x", "y", "x", "y")])
+    _check_against_reference_routes(build_marked_graph(MonomialIdeal(p)), range(11))
+
+
+def test_indecomposable_walks_match_reference_routes_on_random_presentations():
+    rng = random.Random(8)
+    for _ in range(300):
+        p = random_presentation(rng, max_gens=4, max_relations=6, max_degree=5)
+        _check_against_reference_routes(build_marked_graph(MonomialIdeal(p)),
+                                        (0, 1, 4, 7, 10))
 
 
 def test_fg_admissible_loop_off_generators():

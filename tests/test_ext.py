@@ -105,6 +105,12 @@ def test_generators_enlarged_example_keep_appearing():
     assert per_degree == {1: 4, 2: 3, 4: 1, 6: 1, 8: 1}
 
 
+def test_generators_up_to_honors_the_walk_cap(monkeypatch):
+    monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", "10")
+    with pytest.raises(WalkCapExceeded):
+        generators_up_to(graph("sklyanin_leading"), 11)
+
+
 def test_poincare_table_first_example():
     table = poincare_table(graph("abc_cdab"), 8)
     expect = {(0, 0): 1, (1, 1): 4}
