@@ -1,9 +1,10 @@
 """Command line interface.
 
 All results go to stdout as JSON with sorted keys; progress and errors
-go to stderr.  Exit codes: 0 success, 1 bad input, an exceeded walk
-cap or an input too deep for the recursive `L` search, 2 an internal
-invariant violation.
+go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
+exceeded walk cap or an input too deep for a recursive search (the two
+left are `graph_params`' `extend` and
+`decide._circuit_avoiding_generators`' `dfs`), 2 a broken internal invariant.
 """
 
 import argparse
@@ -127,7 +128,7 @@ def cmd_validate(args):
     g = build_marked_graph(_load(args.presentation))
     table = minimal_resolution(g.ideal, field_char=args.field_char,
                                max_i=args.max_i, max_j=args.max_j,
-                               jobs=args.jobs, progress=_progress)
+                               progress=_progress)
     mismatches = cross_validate(g, table)
     _emit({
         "betti": table.to_json(),
@@ -149,8 +150,6 @@ def _argument_error(args):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             return f"--{name.replace('_', '-')} must be >= 0, got {value}"
-    if args.jobs < 1:
-        return f"--jobs must be >= 1, got {args.jobs}"
     # gfp_rank inverts by Fermat's little theorem, valid only mod a prime
     p = getattr(args, "field_char", 2)
     if not (2 <= p < 2 ** 31 and all(p % d for d in range(2, math.isqrt(p) + 1))):
@@ -162,14 +161,17 @@ def _argument_error(args):
     return None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="yoneda-cps",
         description="Finiteness properties of the cohomology of graded "
                     "monomial algebras",
     )
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the oracle")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report on one presentation")
@@ -220,9 +222,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    problem = _argument_error(args)
+    try:
+        args = build_parser().parse_args(argv)
+        problem = _argument_error(args)
+    except argparse.ArgumentError as e:    # a usage error
+        problem = str(e)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 1

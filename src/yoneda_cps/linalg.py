@@ -8,16 +8,13 @@ __all__ = ["gf2_rank", "gfp_rank"]
 
 
 def gf2_rank(rows):
-    rank = 0
-    pivots = []  # (pivot bit, row) pairs, reduced against each other lazily
+    pivots = {}  # lowest set bit -> row
     for row in rows:
-        for bit, prow in pivots:
-            if row & bit:
-                row ^= prow
+        while (low := row & -row) in pivots:
+            row ^= pivots[low]
         if row:
-            pivots.append((row & -row, row))
-            rank += 1
-    return rank
+            pivots[low] = row
+    return len(pivots)
 
 
 def gfp_rank(rows, p):

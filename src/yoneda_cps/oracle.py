@@ -13,6 +13,16 @@ least end of a relation occurrence starting at or past a.  The complex
 of a word is therefore fixed by its length and that array of least
 ends, min_end, and `minimal_resolution` reduces one complex per
 distinct (length, min_end) key, not one per chain word.
+
+Each complex is shrunk before any rank is taken, from its incidences
+alone.  If a cell a is the only face of a cell c, then d c = +-a and
+d a = +-d d c = 0, so a and c span an acyclic subcomplex; the incidence
++-1 is a unit in every field.  The quotient by it has the same homology,
+and its differential is the old one with a and c struck out, so nothing
+fills in.  Only splittings of at most max_i + 1 parts are listed.  They
+form a subcomplex whose homology is the true one in degrees <= max_i:
+its top layer is only a source of boundaries, and cancelling inside it
+keeps that.
 """
 
 from dataclasses import dataclass
@@ -80,42 +90,39 @@ def chain_words(ideal, max_len):
     internal position splits them.  Returns (words, truncated).
     """
     relations = ideal.relations
-    truncated = False
-    words = set()
-    stack = []
+    rests = {}    # proper prefix p of a relation p + q -> the rests q
     for r in relations:
-        if len(r) > max_len:
-            truncated = True
-        else:
-            stack.append(r)
+        for k in range(1, len(r)):
+            rests.setdefault(r[:k], []).append(r[k:])
+    stack = [r for r in relations if len(r) <= max_len]
+    truncated = len(stack) < len(relations)
+    words = set()
     while stack:
         w = stack.pop()
         if w in words:
             continue
         words.add(w)
-        for r in relations:
-            for s in range(max(1, len(w) - len(r) + 1), len(w)):
-                overlap = len(w) - s
-                if w[s:] == r[:overlap]:
-                    new = w + r[overlap:]
-                    if len(new) > max_len:
-                        truncated = True
-                    elif new not in words:
-                        stack.append(new)
+        for k in range(1, len(w)):
+            for rest in rests.get(w[-k:], ()):
+                new = w + rest
+                if len(new) > max_len:
+                    truncated = True
+                elif new not in words:
+                    stack.append(new)
     return sorted(words, key=ideal.sort_key), truncated
 
 
 def _min_occurrence_end(ideal, word):
     """m[a] = least end of a relation occurrence starting at or past a."""
-    n = len(word)
-    inf = n + 1
-    m = [inf] * (n + 1)
-    ends = {}
-    for start, rel in ideal.occurrences(word):
-        end = start + len(ideal.relations[rel])
-        ends[start] = min(ends.get(start, inf), end)
-    for a in range(n - 1, -1, -1):
-        m[a] = min(ends.get(a, inf), m[a + 1])
+    relations = set(ideal.relations)
+    lengths = sorted({len(r) for r in relations})
+    m = [len(word) + 1] * (len(word) + 1)
+    for a in range(len(word) - 1, -1, -1):
+        m[a] = m[a + 1]
+        for k in lengths:
+            if a + k < m[a] and word[a:a + k] in relations:
+                m[a] = a + k
+                break
     return m
 
 
@@ -135,55 +142,68 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
     if n_len == 0:
         return {0: 1}
     max_parts = min(n_len, max_i + 1)
-
-    layers = {n: [] for n in range(1, max_parts + 1)}
-
-    def rec(a, cuts):
-        parts = len(cuts) + 1
+    # need[a]: fewest normal parts covering [a, n_len), above n_len if
+    # none do.  Greedy is exact: any piece of a normal part is normal.
+    need = [0] * (n_len + 1)
+    for a in range(n_len - 1, -1, -1):
+        reach = min(min_end[a] - 1, n_len)
+        need[a] = need[reach] + 1 if reach > a else n_len + 1
+    layers = [[] for _ in range(max_parts + 1)]
+    stack = [(0, (0,), 0)]    # (end, (0, cuts...), bitmask of the cuts)
+    while stack:
+        a, ext, mask = stack.pop()
         if n_len < min_end[a]:
-            layers[parts].append(cuts)
-        if parts == max_parts:
-            return
-        for b in range(a + 1, min(min_end[a], n_len)):
-            rec(b, cuts + (b,))
+            layers[len(ext)].append((ext + (n_len,), mask))
+        for b in range(min(min_end[a], n_len) - 1, a, -1):
+            if len(ext) + need[b] <= max_parts:
+                stack.append((b, ext + (b,), mask | 1 << b))
 
-    rec(0, ())
-
-    index = {n: {cuts: k for k, cuts in enumerate(layer)}
-             for n, layer in layers.items()}
+    cells = [cell for layer in layers for cell in layer]
+    ids = {mask: c for c, (_, mask) in enumerate(cells)}
+    faces = [{} for _ in cells]       # cell -> {face: sign}
+    cofaces = [[] for _ in cells]
+    for c, (ext, mask) in enumerate(cells):
+        for t in range(1, len(ext) - 1):
+            if min_end[ext[t - 1]] > ext[t + 1]:
+                f = ids[mask ^ 1 << ext[t]]
+                faces[c][f] = 1 if t % 2 else -1
+                cofaces[f].append(c)
+    alive = [True] * len(cells)
+    queue = [c for c, fs in enumerate(faces) if len(fs) == 1]
+    while queue:    # cancel (a, c) while a is the only face of c
+        c = queue.pop()
+        if alive[c] and len(faces[c]) == 1:
+            (a,) = faces[c]
+            alive[a] = alive[c] = False
+            for dead in (a, c):
+                for x in cofaces[dead]:
+                    if faces[x].pop(dead, None) and len(faces[x]) == 1:
+                        queue.append(x)
+    left = [[] for _ in layers]
+    for c, (ext, _) in enumerate(cells):
+        if alive[c]:
+            left[len(ext) - 1].append(c)
+    # Cells are numbered in lexicographic order of their cuts.  Feeding
+    # the rows last cell first, so that each pivot is a lex-least face,
+    # keeps the fill-in of the elimination small.
     ranks = {}
     for n in range(2, max_parts + 1):
-        target = index[n - 1]
-        rows = []
-        for cuts in layers[n]:
-            ext = (0,) + cuts + (n_len,)
-            if field_char == 2:
-                row = 0
-                for t in range(1, n):
-                    if min_end[ext[t - 1]] > ext[t + 1]:
-                        row ^= 1 << target[cuts[:t - 1] + cuts[t:]]
-            else:
-                row = {}
-                for t in range(1, n):
-                    if min_end[ext[t - 1]] > ext[t + 1]:
-                        col = target[cuts[:t - 1] + cuts[t:]]
-                        row[col] = row.get(col, 0) + (1 if t % 2 else -1)
-            rows.append(row)
+        rows = [faces[c] for c in reversed(left[n])]
         if field_char == 2:
-            ranks[n] = gf2_rank(rows)
+            col = {f: 1 << k for k, f in enumerate(left[n - 1])}
+            ranks[n] = gf2_rank([sum(col[f] for f in row) for row in rows])
         else:
             ranks[n] = gfp_rank(rows, field_char)
-
     out = {}
     for n in range(1, min(n_len, max_i) + 1):
-        dim = len(layers[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        dim = len(left[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         assert dim >= 0
         if dim:
             out[n] = dim
     return out
 
 
-def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16, jobs=1,
+def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
                        progress=None):
     """Bigraded dimensions (i, j) -> dim for i <= max_i, j <= max_j.
 
@@ -192,32 +212,22 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16, jobs=1,
     distinct (length, min_end) key and its homology is added once for
     every chain word with that key.  This is exact, not a heuristic:
     two words with the same key have the same complex, basis for basis
-    and differential for differential.  With jobs > 1 the distinct keys
-    are reduced in worker processes.  progress, if given, receives a
-    line every 50 chain words and one at the end.
+    and differential for differential.  Each complex is first shrunk
+    by cancelling unit-incidence pairs, which is exact too (see the
+    module docstring).  progress, if given, receives a line every 50
+    chain words and one at the end.
     """
     assert field_char >= 2, "field characteristic"
     words, truncated = chain_words(ideal, max_j)
     entries = {(0, 0): 1, (1, 1): len(ideal.presentation.generator_names)}
 
     keys = [(len(w), tuple(_min_occurrence_end(ideal, w))) for w in words]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        distinct = list(dict.fromkeys(keys))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            homology = dict(zip(distinct, pool.map(
-                _splitting_homology,
-                [n_len for n_len, _ in distinct],
-                [min_end for _, min_end in distinct],
-                [max_i] * len(distinct), [field_char] * len(distinct),
-                chunksize=8)))
-    else:
-        homology = {}
-        for k, key in enumerate(keys):
-            if key not in homology:
-                homology[key] = _splitting_homology(*key, max_i, field_char)
-            if progress and (k + 1) % 50 == 0:
-                progress(f"{k + 1}/{len(keys)} words resolved")
+    homology = {}
+    for k, key in enumerate(keys):
+        if key not in homology:
+            homology[key] = _splitting_homology(*key, max_i, field_char)
+        if progress and (k + 1) % 50 == 0:
+            progress(f"{k + 1}/{len(keys)} words resolved")
     for n_len, min_end in keys:
         for n, dim in homology[n_len, min_end].items():
             entries[n, n_len] = entries.get((n, n_len), 0) + dim

@@ -1,13 +1,74 @@
-"""The dense syzygy route of the resolution oracle, kept as a test
-reference.
+"""Reference routes of the resolution oracle, kept for the tests.
 
-A degree-by-degree computation of the minimal resolution over GF(p),
-structurally different from the splitting complexes of
-`yoneda_cps.oracle`.  It is exponential in max_j, so the tests run it on
-small windows only.
+`minimal_resolution_dense` is a degree-by-degree computation of the
+minimal resolution over GF(p), structurally different from the
+splitting complexes of `yoneda_cps.oracle`.  It is exponential in
+max_j, so the tests run it on small windows only.
+
+`reference_splitting_homology` ranks a whole splitting complex with no
+cancellation first, listing its cells by recursion: the route that
+`oracle._splitting_homology` replaced.
 """
 
+from yoneda_cps.linalg import gf2_rank, gfp_rank
 from yoneda_cps.oracle import BettiTable
+
+
+def reference_splitting_homology(n_len, min_end, max_i, field_char):
+    """Homology of the splitting complex of a word of length n_len.
+
+    The word enters only through min_end, its least occurrence ends: a
+    part [a, b) lies in the ideal exactly when min_end[a] <= b.
+    """
+    if n_len == 0:
+        return {0: 1}
+    max_parts = min(n_len, max_i + 1)
+
+    layers = {n: [] for n in range(1, max_parts + 1)}
+
+    def rec(a, cuts):
+        parts = len(cuts) + 1
+        if n_len < min_end[a]:
+            layers[parts].append(cuts)
+        if parts == max_parts:
+            return
+        for b in range(a + 1, min(min_end[a], n_len)):
+            rec(b, cuts + (b,))
+
+    rec(0, ())
+
+    index = {n: {cuts: k for k, cuts in enumerate(layer)}
+             for n, layer in layers.items()}
+    ranks = {}
+    for n in range(2, max_parts + 1):
+        target = index[n - 1]
+        rows = []
+        for cuts in layers[n]:
+            ext = (0,) + cuts + (n_len,)
+            if field_char == 2:
+                row = 0
+                for t in range(1, n):
+                    if min_end[ext[t - 1]] > ext[t + 1]:
+                        row ^= 1 << target[cuts[:t - 1] + cuts[t:]]
+            else:
+                row = {}
+                for t in range(1, n):
+                    if min_end[ext[t - 1]] > ext[t + 1]:
+                        col = target[cuts[:t - 1] + cuts[t:]]
+                        row[col] = row.get(col, 0) + (1 if t % 2 else -1)
+            rows.append(row)
+        if field_char == 2:
+            ranks[n] = gf2_rank(rows)
+        else:
+            ranks[n] = gfp_rank(rows, field_char)
+
+    out = {}
+    for n in range(1, min(n_len, max_i) + 1):
+        dim = len(layers[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        assert dim >= 0
+        if dim:
+            out[n] = dim
+    return out
 
 
 def gfp_rref(rows, ncols, p):

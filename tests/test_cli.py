@@ -155,27 +155,51 @@ def test_analyze_is_deterministic(capsys):
     assert first == second
 
 
+X = fixture_path("x_square")
+
+
 @pytest.mark.parametrize("env,argv,message", [
-    (None, ["validate", "--field-char", "1"], "--field-char must be a prime"),
-    (None, ["validate", "--field-char", "4"], "--field-char must be a prime"),
-    (None, ["validate", "--field-char", "9"], "--field-char must be a prime"),
-    (None, ["validate", "--max-i", "-1"], "--max-i must be >= 0"),
-    (None, ["validate", "--max-j", "-1"], "--max-j must be >= 0"),
-    (None, ["ext-basis", "--max-degree", "-1"], "--max-degree must be >= 0"),
-    (None, ["series", "--truncate", "-1"], "--truncate must be >= 0"),
-    (None, ["--jobs", "0", "validate"], "--jobs must be >= 1"),
-    ("abc", ["decide-fg"], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
-    ("0", ["decide-fg"], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
-    ("-5", ["analyze"], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+    (None, ["validate", "--field-char", "1", X], "--field-char must be a prime"),
+    (None, ["validate", "--field-char", "4", X], "--field-char must be a prime"),
+    (None, ["validate", "--field-char", "9", X], "--field-char must be a prime"),
+    (None, ["validate", "--max-i", "-1", X], "--max-i must be >= 0"),
+    (None, ["validate", "--max-j", "-1", X], "--max-j must be >= 0"),
+    (None, ["ext-basis", "--max-degree", "-1", X], "--max-degree must be >= 0"),
+    (None, ["series", "--truncate", "-1", X], "--truncate must be >= 0"),
+    (None, ["--jobs", "2", "validate", X],
+     "argument command: invalid choice: '2'"),
+    ("abc", ["decide-fg", X], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+    ("0", ["decide-fg", X], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+    ("-5", ["analyze", X], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
+    (None, ["analyze"], "the following arguments are required: presentation"),
+    (None, ["frobnicate", X], "argument command: invalid choice: 'frobnicate'"),
+    (None, ["validate", "--max-i", "x", X], "argument --max-i: invalid int"),
 ])
 def test_out_of_range_arguments(monkeypatch, capsys, env, argv, message):
+    # usage errors the argument parser finds exit 1 as well, not 2
     if env is not None:
         monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", env)
-    code, out, err = run(capsys, *argv, fixture_path("x_square"))
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: " + message)
     assert err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "validate" in capsys.readouterr().out
+
+
+def test_deep_oracle_window_answers(capsys):
+    # chain words x^n up to n = 1100, each with one cell of n parts:
+    # deeper than the interpreter's recursion limit
+    js = run_json(capsys, "validate", "--max-i", "1100", "--max-j", "1100",
+                  fixture_path("x_square"))
+    assert js["mismatches"] == []
+    assert {"dim": 1, "i": 1100, "j": 1100} in js["betti"]["entries"]
 
 
 def test_deep_input_exits_cleanly(tmp_path, capsys):

@@ -1,0 +1,29 @@
+import random
+
+import pytest
+
+from dense_oracle import gfp_rref
+from yoneda_cps.linalg import gf2_rank, gfp_rank
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_gf2_rank_agrees_with_gfp_rank_and_dense_rref(seed):
+    rng = random.Random(seed)
+    n_cols = rng.randint(1, 40)
+    density = rng.random()
+    mat = [[int(rng.random() < density) for _ in range(n_cols)]
+           for _ in range(rng.randint(0, 30))]
+    mat += [[0] * n_cols for _ in range(rng.randint(0, 3))]
+    mat += [list(row) for row in rng.sample(mat, min(len(mat), 3))]
+    rng.shuffle(mat)
+    bitmasks = [sum(1 << c for c, v in enumerate(row) if v) for row in mat]
+    dicts = [{c: v for c, v in enumerate(row) if v} for row in mat]
+    rank = len(gfp_rref(mat, n_cols, 2)[1])
+    assert gf2_rank(bitmasks) == gfp_rank(dicts, 2) == rank
+
+
+def test_gf2_rank_edge_cases():
+    assert gf2_rank([]) == 0
+    assert gf2_rank([0, 0]) == 0
+    assert gf2_rank([0b101, 0b101, 0b011, 0b110]) == 2
+    assert gf2_rank([1 << 200, (1 << 200) | 1, 1]) == 2

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import W, graph, load
-from dense_oracle import minimal_resolution_dense
+from conftest import ALL, W, graph, load
+from dense_oracle import (minimal_resolution_dense,
+                          reference_splitting_homology)
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.oracle import (BettiTable, algebra_basis, chain_words,
-                               cross_validate, minimal_resolution,
-                               word_homology)
+from yoneda_cps.oracle import (BettiTable, _min_occurrence_end,
+                               _splitting_homology, algebra_basis,
+                               chain_words, cross_validate,
+                               minimal_resolution, word_homology)
 from yoneda_cps.presentation import make_presentation
 
 
@@ -154,6 +157,8 @@ def test_resolution_memo_is_exact(name, n_words, n_keys, field_char):
     words, _ = chain_words(a, 16)
     assert len(words) == n_words
     assert len({_occurrence_key(a, w) for w in words}) == n_keys
+    assert all(_occurrence_key(a, w) == (len(w), tuple(_min_occurrence_end(a, w)))
+               for w in words)
     expect = {(0, 0): 1, (1, 1): len(a.presentation.generator_names)}
     for w in words:
         for n, dim in word_homology(a, w, 8, field_char).items():
@@ -161,12 +166,43 @@ def test_resolution_memo_is_exact(name, n_words, n_keys, field_char):
     assert minimal_resolution(a, field_char, 8, 16).entries == expect
 
 
-def test_resolution_worker_pool_matches_serial():
-    a = ideal("x2y_family")
-    serial = minimal_resolution(a, 2, 8, 16)
-    pooled = minimal_resolution(a, 2, 8, 16, jobs=2)
-    assert pooled.entries == serial.entries
-    assert pooled.truncation_reached == serial.truncation_reached
+@pytest.mark.parametrize("field_char", [2, 32003])
+def test_reduction_matches_reference_on_fixture_keys(field_char):
+    """Cancelling unit-incidence pairs before the ranks gives the
+    homology that ranking the whole complex gives, on every distinct key
+    of the fixtures' chain words."""
+    windows = [(name, 12) for name in ALL]
+    windows += [("x2y_family", 16), ("abc_cdab_bcda", 16)]
+    keys = set()
+    for name, max_j in windows:
+        a = ideal(name)
+        keys |= {_occurrence_key(a, w) for w in chain_words(a, max_j)[0]}
+    for key in sorted(keys):
+        assert (_splitting_homology(*key, 8, field_char)
+                == reference_splitting_homology(*key, 8, field_char)), key
+
+
+@st.composite
+def min_end_arrays(draw):
+    """(n, min_end) with min_end non-decreasing, a < min_end[a] <= n + 1.
+
+    As in a word, each start a carries at most one shortest occurrence,
+    of length 1 to 5, and min_end is the suffix minimum of their ends.
+    """
+    n = draw(st.integers(1, 12))
+    ends = [n + 1] * (n + 1)
+    for a in range(n - 1, -1, -1):
+        length = draw(st.one_of(st.none(), st.integers(1, 5)))
+        ends[a] = min(ends[a + 1], a + length if length else n + 1)
+    return n, tuple(ends)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(min_end_arrays(), st.integers(0, 12), st.sampled_from([2, 3, 32003]))
+def test_reduction_matches_reference_on_random_complexes(key, max_i,
+                                                         field_char):
+    assert (_splitting_homology(*key, max_i, field_char)
+            == reference_splitting_homology(*key, max_i, field_char))
 
 
 def test_resolution_progress_counts_chain_words():
