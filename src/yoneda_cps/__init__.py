@@ -6,9 +6,8 @@ algebra and the one-sided chain conditions.  An independent resolution
 oracle cross-checks the graded dimensions.
 """
 
-from .presentation import (Presentation, PresentationError, leading_words,
-                           make_presentation, parse_presentation,
-                           serialize_presentation, validate_minimality)
+from .presentation import (Presentation, PresentationError, make_presentation,
+                           parse_presentation, serialize_presentation)
 from .monomial import (MonomialIdeal, PreconditionError,
                        annihilator_generators, left_min_annihilating_suffix)
 from .graph import (CpsGraph, GraphParams, build_graph, build_marked_graph,
@@ -22,12 +21,11 @@ from .ext import (BigradedTable, ExtClass, ext_class, generators_up_to,
 from .decide import (INFINITY, AnalysisReport, analyze, finitely_generated,
                      gk_dimension, global_dimension, noetherian,
                      report_to_json)
-from .oracle import (BettiTable, algebra_basis, cross_validate,
-                     minimal_resolution)
+from .oracle import BettiTable, cross_validate, minimal_resolution
 
 __all__ = [
-    "Presentation", "PresentationError", "leading_words", "make_presentation",
-    "parse_presentation", "serialize_presentation", "validate_minimality",
+    "Presentation", "PresentationError", "make_presentation",
+    "parse_presentation", "serialize_presentation",
     "MonomialIdeal", "PreconditionError", "annihilator_generators",
     "left_min_annihilating_suffix",
     "CpsGraph", "GraphParams", "build_graph", "build_marked_graph",
@@ -40,6 +38,6 @@ __all__ = [
     "hilbert_series", "poincare_table", "yoneda_mul",
     "INFINITY", "AnalysisReport", "analyze", "finitely_generated",
     "gk_dimension", "global_dimension", "noetherian", "report_to_json",
-    "BettiTable", "algebra_basis", "cross_validate", "minimal_resolution",
+    "BettiTable", "cross_validate", "minimal_resolution",
 ]
 __version__ = "0.1.0"

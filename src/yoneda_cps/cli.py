@@ -2,9 +2,8 @@
 
 All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
-exceeded walk cap or an input too deep for a recursive search (the two
-left are `graph_params`' `extend` and
-`decide._circuit_avoiding_generators`' `dfs`), 2 a broken internal invariant.
+exceeded walk cap or an input too deep for the one recursive search
+left (`graph_params`' `extend`), 2 a broken internal invariant.
 """
 
 import argparse

@@ -38,6 +38,8 @@ __all__ = [
 
 INFINITY = math.inf
 
+WITNESS_ATTEMPTS = 400  # repeat pairs `_periodic_witness` tries at most
+
 GLDIM_NOTE = ("convention: an acyclic graph whose longest anchored walk has "
               "length n has cohomology vanishing above degree n+1, so the "
               "global dimension reported is n+1")
@@ -150,34 +152,25 @@ def check_tail_conditions(g, w):
 
 
 def _circuit_avoiding_generators(g):
-    """A closed cycle through no degree-1 vertex, or None."""
-    allowed = {v for v in g.vertices if len(v) > 1}
-    color = {}
-
-    def dfs(v, stack, on_path):
-        color[v] = 1
-        stack.append(v)
-        on_path.add(v)
-        for t in g.out[v]:
-            if t not in allowed:
-                continue
-            if t in on_path:
-                i = stack.index(t)
-                return stack[i:] + [t]
-            if color.get(t, 0) == 0:
-                cyc = dfs(t, stack, on_path)
-                if cyc:
-                    return cyc
-        stack.pop()
-        on_path.discard(v)
-        color[v] = 2
-        return None
-
-    for v in sorted(allowed, key=g.ideal.sort_key):
-        if color.get(v, 0) == 0:
-            cyc = dfs(v, [], set())
-            if cyc:
-                return tuple(cyc)
+    """A closed cycle through no degree-1 vertex, or None: the first back
+    edge of a depth-first search from the vertices in sorted order.  The
+    stack is explicit, so a cycle of any length is found."""
+    path, index, done = [], {}, set()  # index: vertex -> position on path
+    stack = [iter(g.vertices)]
+    while stack:
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            if path:
+                v = path.pop()
+                del index[v]
+                done.add(v)
+        elif t in index:
+            return tuple(path[index[t]:]) + (t,)
+        elif len(t) > 1 and t not in done:
+            index[t] = len(path)
+            path.append(t)
+            stack.append(iter(g.out[t]))
     return None
 
 
@@ -215,7 +208,7 @@ def _pump(g, circuit):
     return EventuallyPeriodicWalk(path, cycle)
 
 
-def _periodic_witness(g, q, attempts=400):
+def _periodic_witness(g, q):
     """Eventually periodic walk certifying the failure, or None.
 
     Candidates come from repeated vertices of the indecomposable walk:
@@ -235,7 +228,7 @@ def _periodic_witness(g, q, attempts=400):
             for b in positions.get(q[a], []):
                 if b > a and (b - a) % 2 == parity:
                     candidates.append((a, b))
-    for a, b in candidates[:attempts]:
+    for a, b in candidates[:WITNESS_ATTEMPTS]:
         w = EventuallyPeriodicWalk(q[:a + 1], q[a:b + 1])
         if check_tail_conditions(g, w):
             return w

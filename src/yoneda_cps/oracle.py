@@ -32,22 +32,10 @@ from .linalg import gf2_rank, gfp_rank
 
 __all__ = [
     "BettiTable",
-    "algebra_basis",
     "chain_words",
-    "word_homology",
     "minimal_resolution",
     "cross_validate",
 ]
-
-
-def algebra_basis(ideal, degree):
-    """All normal words of the given degree, in sorted order."""
-    names = ideal.presentation.generator_names
-    words = [()]
-    for _ in range(degree):
-        words = [w + (x,) for w in words for x in names
-                 if not ideal.contains(w + (x,))]
-    return tuple(sorted(words, key=ideal.sort_key))
 
 
 @dataclass(frozen=True)
@@ -69,16 +57,6 @@ class BettiTable:
                 for (i, j), d in sorted(self.entries.items())
             ],
         }
-
-    def to_text(self):
-        cols = list(range(self.max_i + 1))
-        lines = ["    " + "".join(f"{i:>6}" for i in cols)]
-        for j in range(self.max_j + 1):
-            row = [self.entries.get((i, j), 0) for i in cols]
-            if any(row):
-                lines.append(f"{j:>4}" + "".join(
-                    f"{d:>6}" if d else "     ." for d in row))
-        return "\n".join(lines)
 
 
 def chain_words(ideal, max_len):
@@ -124,13 +102,6 @@ def _min_occurrence_end(ideal, word):
                 m[a] = a + k
                 break
     return m
-
-
-def word_homology(ideal, word, max_i, field_char):
-    """Homology dimensions {n: dim} of the word's splitting complex."""
-    word = tuple(word)
-    return _splitting_homology(len(word), _min_occurrence_end(ideal, word),
-                               max_i, field_char)
 
 
 def _splitting_homology(n_len, min_end, max_i, field_char):

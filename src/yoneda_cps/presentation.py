@@ -13,20 +13,14 @@ one-character alphabet, which keeps tests readable.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 import json
 
 __all__ = [
     "Presentation",
     "PresentationError",
-    "MinimalityViolation",
-    "LeadingWordsResult",
-    "LEADING_WORDS_CAVEAT",
     "format_word",
     "parse_presentation",
     "serialize_presentation",
-    "validate_minimality",
-    "leading_words",
     "make_presentation",
 ]
 
@@ -59,15 +53,6 @@ def format_word(letters):
 class Presentation:
     generator_names: tuple  # in index order
     relations: tuple        # letter tuples, sorted by (degree, index sequence)
-
-
-@dataclass(frozen=True)
-class MinimalityViolation:
-    """A relation made redundant by another relation occurring inside it."""
-
-    redundant: tuple
-    witness: tuple
-    position: int
 
 
 def _index_map(names):
@@ -144,8 +129,7 @@ def parse_presentation(source):
          "generator_order": ["a", "b"]}        # optional
 
     generator_order, when present, must be a permutation of generators
-    and fixes the index order used for sorting and for deg-lex in
-    leading_words.
+    and fixes the index order used for sorting.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -183,80 +167,3 @@ def serialize_presentation(p):
         "generators": list(p.generator_names),
         "relations": [list(r) for r in p.relations],
     }
-
-
-def validate_minimality(p):
-    """List every relation containing another relation (or a duplicate).
-
-    Empty on anything parse_presentation produced, since the parser
-    prunes; useful for hand-built Presentation values.
-    """
-    violations = []
-    rels = p.relations
-    for i, r in enumerate(rels):
-        for k, other in enumerate(rels):
-            if i == k:
-                continue
-            if other == r and k < i:
-                violations.append(MinimalityViolation(r, other, 0))
-                break
-            if len(other) < len(r):
-                pos = _contains_factor(r, other)
-                if pos is not None:
-                    violations.append(MinimalityViolation(r, other, pos))
-                    break
-    return violations
-
-
-LEADING_WORDS_CAVEAT = (
-    "leading words generate the associated monomial ideal only if the "
-    "supplied polynomials are a Groebner basis for their ideal; no "
-    "completion is performed"
-)
-
-
-@dataclass(frozen=True)
-class LeadingWordsResult:
-    presentation: Presentation
-    caveat: str
-
-
-def leading_words(generator_names, polynomials, order=None):
-    """Extract deg-lex leading words from homogeneous polynomial relations.
-
-    Each polynomial is a list of (coefficient, word) terms; coefficients
-    are rationals (int, Fraction, or numeric strings), words are token
-    lists.  `order` lists generators from smallest to largest; defaults
-    to generator_names order.  Returns a LeadingWordsResult whose
-    presentation is the pruned monomial presentation of the leading
-    words and whose caveat always carries the Groebner-basis warning.
-
-    Raises PresentationError on a zero polynomial (after merging like
-    terms) or a non-homogeneous polynomial.
-    """
-    names = list(order) if order is not None else list(generator_names)
-    if sorted(names) != sorted(generator_names):
-        raise PresentationError("order must be a permutation of generators")
-    index = _index_map(names)
-
-    leads = []
-    for poly_num, poly in enumerate(polynomials):
-        merged = {}
-        for coeff, word in poly:
-            word = tuple(word)
-            for tok in word:
-                if tok not in index:
-                    raise PresentationError(f"unknown generator {tok!r} in polynomial {poly_num}")
-            merged[word] = merged.get(word, Fraction(0)) + Fraction(coeff)
-        terms = [(w, c) for w, c in merged.items() if c != 0]
-        if not terms:
-            raise PresentationError(f"polynomial {poly_num} is zero")
-        degrees = {len(w) for w, _ in terms}
-        if len(degrees) != 1:
-            raise PresentationError(f"polynomial {poly_num} is not homogeneous (degrees {sorted(degrees)})")
-        # deg-lex: a larger generator index means a larger letter
-        lead = max((w for w, _ in terms), key=lambda w: _sort_key(w, index))
-        leads.append(lead)
-
-    presentation = make_presentation(names, leads)
-    return LeadingWordsResult(presentation, LEADING_WORDS_CAVEAT)

@@ -246,10 +246,6 @@ class EventuallyPeriodicWalk:
             raise ValueError("last prefix vertex must equal the cycle start")
 
     @property
-    def splice(self):
-        return self.prefix[-1]
-
-    @property
     def cycle_length(self):
         return len(self.cycle) - 1
 
@@ -259,9 +255,6 @@ class EventuallyPeriodicWalk:
             return self.prefix[i]
         k = (i - a - 1) % self.cycle_length
         return self.cycle[k + 1]
-
-    def unroll(self, length):
-        return tuple(self.vertex(i) for i in range(length + 1))
 
     def to_json(self):
         return {

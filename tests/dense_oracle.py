@@ -8,10 +8,20 @@ max_j, so the tests run it on small windows only.
 `reference_splitting_homology` ranks a whole splitting complex with no
 cancellation first, listing its cells by recursion: the route that
 `oracle._splitting_homology` replaced.
+
+`word_homology` reduces one chain word's complex on its own, with no
+memo by (length, min_end) key.
 """
 
 from yoneda_cps.linalg import gf2_rank, gfp_rank
-from yoneda_cps.oracle import BettiTable
+from yoneda_cps.oracle import (BettiTable, _min_occurrence_end,
+                               _splitting_homology)
+
+
+def word_homology(ideal, word, max_i, field_char):
+    """Homology dimensions {n: dim} of one word's splitting complex."""
+    return _splitting_homology(len(word), _min_occurrence_end(ideal, word),
+                               max_i, field_char)
 
 
 def reference_splitting_homology(n_len, min_end, max_i, field_char):

@@ -6,11 +6,12 @@ import pytest
 from conftest import ALL, W, graph, load
 from propcore import (random_presentation, reference_generators,
                       reference_search_indecomposable)
-from yoneda_cps.decide import (INFINITY, analyze, check_tail_conditions,
+from yoneda_cps.decide import (INFINITY, _circuit_avoiding_generators,
+                               analyze, check_tail_conditions,
                                finitely_generated, gk_dimension,
                                global_dimension, noetherian, report_to_json)
 from yoneda_cps.ext import generators_up_to
-from yoneda_cps.graph import build_marked_graph, graph_params
+from yoneda_cps.graph import CpsGraph, build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkCapExceeded,
@@ -134,6 +135,20 @@ def test_fg_survives_mixed_relation_degrees():
 def test_fg_search_needs_no_recursion():
     # walks of 1,201 edges, past Python's default recursion limit
     assert next(indecomposable_walks(graph("x2y_family"), (1200, 1201)), None) is None
+
+
+def test_circuit_search_needs_no_recursion():
+    # a ring of 5,000 degree-13 vertices, past Python's recursion limit,
+    # with a shortcut through a generator that the search must not take;
+    # the search reads only `vertices` and `out`
+    gen = ("x",)
+    ring = tuple(tuple("xy"[int(b)] for b in f"{i:013b}") for i in range(5000))
+    out = {gen: (ring[0],)}
+    out.update((v, (ring[(i + 1) % len(ring)],)) for i, v in enumerate(ring))
+    out[ring[0]] = (gen, ring[1])
+    ideal = MonomialIdeal(make_presentation("xy", [("x", "x")]))
+    g = CpsGraph(ideal, (gen,) + ring, (gen,), (), {}, {}, out, {})
+    assert _circuit_avoiding_generators(g) == ring + ring[:1]
 
 
 def _check_against_reference_routes(g, degrees):

@@ -1,15 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL, W, graph, load
 from dense_oracle import (minimal_resolution_dense,
-                          reference_splitting_homology)
+                          reference_splitting_homology, word_homology)
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (BettiTable, _min_occurrence_end,
-                               _splitting_homology, algebra_basis,
-                               chain_words, cross_validate,
-                               minimal_resolution, word_homology)
+                               _splitting_homology, chain_words,
+                               cross_validate, minimal_resolution)
 from yoneda_cps.presentation import make_presentation
 
 
@@ -19,11 +20,11 @@ def ideal(name):
 
 def test_algebra_basis_matches_counting():
     a = ideal("abc_cdab")
+    names = a.presentation.generator_names
     for d, expect in enumerate([1, 4, 16, 63, 247]):
-        basis = algebra_basis(a, d)
+        basis = [w for w in itertools.product(names, repeat=d)
+                 if not a.contains(w)]
         assert len(basis) == expect
-        assert basis == tuple(sorted(basis, key=a.sort_key))
-        assert not any(a.contains(w) for w in basis)
         assert a.normal_count(d) == expect
 
 
@@ -131,9 +132,6 @@ def test_betti_table_serialization():
     assert js["field_char"] == 2
     assert js["truncation_reached"] is False
     assert {"i": 2, "j": 2, "dim": 1} in js["entries"]
-    text = t.to_text()
-    assert text.splitlines()[0].split() == ["0", "1", "2", "3", "4",
-                                            "5", "6", "7", "8"]
 
 
 def _occurrence_key(a, word):

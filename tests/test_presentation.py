@@ -3,11 +3,9 @@ import json
 import pytest
 
 from conftest import load
-from yoneda_cps.presentation import (LEADING_WORDS_CAVEAT, Presentation,
-                                     PresentationError, leading_words,
-                                     make_presentation, parse_presentation,
-                                     serialize_presentation,
-                                     validate_minimality)
+from yoneda_cps.presentation import (PresentationError, make_presentation,
+                                     parse_presentation,
+                                     serialize_presentation)
 
 
 def rels(p):
@@ -74,73 +72,6 @@ def test_generator_order_overrides_listing_order():
     assert rels(p) == [("b", "b"), ("a", "a")]
 
 
-def test_validate_minimality_cases():
-    assert validate_minimality(load("abc_cdab")) == []
-    hand = Presentation(("a", "b"), (("a", "b"), ("a", "b", "c")))
-    out = validate_minimality(hand)
-    assert len(out) == 1
-    assert out[0].redundant == ("a", "b", "c")
-    assert out[0].witness == ("a", "b")
-    assert out[0].position == 0
-
-
 def test_minimality_incomparable_words():
     p = make_presentation("xy", [("x", "y"), ("y", "x")])
-    assert validate_minimality(p) == []
-    assert len(p.relations) == 2
-
-
-def test_leading_words_two_generator_family():
-    polys = [
-        [(1, "xxx"), (-1, "xxy")],
-        [(1, "xyy")],
-        [(1, "yyy")],
-        [(1, "xxxx")],
-    ]
-    out = leading_words(["x", "y"], polys)
-    assert out.presentation == load("x2y_family")
-    assert out.caveat == LEADING_WORDS_CAVEAT
-
-
-def test_leading_words_supplied_basis():
-    # three defining relations plus six completions, z largest
-    polys = [
-        [(1, "xy"), (-1, "zz")],
-        [(1, "zx"), (-1, "yy")],
-        [(1, "yz"), (-1, "xx")],
-        [(1, "yyy"), (-1, "xxx")],
-        [(1, "zyy"), (-1, "xxx")],
-        [(1, "yxy"), (-1, "xyx")],
-        [(1, "yxxx"), (-1, "xxxx")],
-        [(1, "yyxx"), (-1, "xxxx")],
-        [(1, "zyxx"), (-1, "xxxx")],
-    ]
-    out = leading_words(["x", "y", "z"], polys, order=["x", "y", "z"])
-    assert out.presentation == load("sklyanin_leading")
-
-
-def test_leading_words_single_monomial():
-    out = leading_words(["x", "y"], [[(1, "xy")]])
-    assert rels(out.presentation) == [("x", "y")]
-
-
-def test_leading_words_merges_like_terms():
-    # 2yx + xy - 2yx leaves xy as the only surviving term
-    out = leading_words(["x", "y"], [[(2, "yx"), (1, "xy"), (-2, "yx")]])
-    assert rels(out.presentation) == [("x", "y")]
-
-
-def test_leading_words_rejects_zero_polynomial():
-    with pytest.raises(PresentationError, match="zero"):
-        leading_words(["x"], [[(1, "xx"), (-1, "xx")]])
-
-
-def test_leading_words_rejects_inhomogeneous():
-    with pytest.raises(PresentationError, match="homogeneous"):
-        leading_words(["x"], [[(1, "xx"), (1, "xxx")]])
-
-
-def test_leading_words_output_is_minimal():
-    out = leading_words(["x", "y"], [[(1, "xy")], [(1, "xyx")]])
-    assert validate_minimality(out.presentation) == []
-    assert rels(out.presentation) == [("x", "y")]
+    assert rels(p) == [("x", "y"), ("y", "x")]
