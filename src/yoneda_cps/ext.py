@@ -5,12 +5,16 @@ n+1 part; the internal degree is the total letter count of the walk's
 vertices.  Products are computed combinatorially: the class of the left
 factor restarts its parse seeded with an annihilator of the right
 factor's last vertex, and at most one seed can succeed.
+
+The Hilbert series is read off the walk counts in integer arithmetic:
+its denominator is their shortest linear recurrence, with constant term
+1 by Fatou's lemma, and its numerator one polynomial product.
 """
 
 from dataclasses import dataclass
 
 from .monomial import annihilator_generators
-from .ratfun import bareiss_det, make_rational, poly_sub, poly_mul
+from .ratfun import RationalFunction, poly_mul, shortest_recurrence, trim
 from .walks import (AnchoredWalk, canonical_anchored, display_walk,
                     greedy_parse, indecomposable_walks, validate_walk, word_of)
 
@@ -154,43 +158,36 @@ def _walk_counts(g, length):
     return h + [0] * (length - len(h))
 
 
-def _cycle_determinant(g):
-    """det(I - yA), one Bareiss determinant per cyclic SCC.
-
-    Ordered sinks first, the SCCs put A in block-triangular form, so the
-    determinant is the product of the diagonal blocks' determinants; a
-    vertex on no cycle is a 1x1 block equal to 1.
-    """
-    det = [1]
-    for comp in g.cycles.cyclic:
-        pos = {v: i for i, v in enumerate(comp)}
-        m = [[[] for _ in comp] for _ in comp]
-        for i, v in enumerate(comp):
-            m[i][i] = [1]
-            for t in g.out[v]:
-                if t in pos:
-                    m[i][pos[t]] = poly_sub(m[i][pos[t]], [0, 1])
-        det = poly_mul(det, bareiss_det(m))
-    return det
-
-
 def hilbert_series(g):
     """Exact Hilbert series of the cohomology algebra in one variable.
 
     Length-k walks are entries of the k-th power of the adjacency
     matrix A, so the series is H = 1 + y u (I - yA)^(-1) 1 with u the
-    generator-row indicator (the transfer-matrix method).
-
-    Denominator: in the sinks-first SCC order A is block triangular, so
-    D = det(I - yA) is the product of one determinant per cyclic SCC.
-    Numerator: by Cramer's rule N = D H = D - y B, where B is the
+    generator-row indicator (the transfer-matrix method).  By Cramer's
+    rule H = (det(I - yA) - y B) / det(I - yA), where B is the
     determinant of I - yA bordered by a column of ones and the row u
     with a zero corner.  Each term of B takes one constant from the
-    border row and another from the border column, so y B, like D, has
-    degree at most n, the vertex count.  N is therefore D times the
-    first n + 1 coefficients of H, truncated to degree n.
+    border row and another from the border column, so y B, like
+    det(I - yA), has degree at most n, the vertex count.
+
+    So H = N / D in lowest terms with deg N, deg D <= n and D(0) != 0,
+    D dividing det(I - yA).  If P is H truncated to degree n, then
+    D (H - P) = N - D P is divisible by y^(n+1) and has degree at most
+    n + deg D, so the tail y^-(n+1) (H - P) is M / D with deg M < deg D;
+    and M is coprime to D, since a common factor would divide N.  The
+    shortest recurrence of the tail is therefore D itself, of length
+    deg D <= n, and 2n terms of the tail determine it.  H has integer
+    coefficients, so by Fatou's lemma D is integral once D(0) = 1; being
+    primitive, it is then the recurrence exactly as shortest_recurrence
+    returns it, and N = D H truncated to degree n is integral too.  This
+    is the normal form the CLI prints: lowest terms, denominator with
+    constant term 1.  Any other constant term would be an internal
+    invariant violation.
     """
     n = len(g.vertices)
-    det = _cycle_determinant(g)
-    num = poly_mul(det, _walk_counts(g, n + 1))[: n + 1]
-    return make_rational(num, det)
+    h = _walk_counts(g, 3 * n + 1)
+    den = shortest_recurrence(h[n + 1:])
+    assert den[0] == 1, \
+        "the reduced denominator of an integer series must be integral"
+    num = trim(poly_mul(den, h)[: n + 1])
+    return RationalFunction(tuple(num), tuple(den))

@@ -1,15 +1,19 @@
-"""Shared randomized walk-calculus checks.
+"""Shared randomized walk-calculus checks and reference routes.
 
 The hypothesis suite and the acceptance run exercise the same
 assertions on random presentations; sampling lives here so the
-acceptance criterion can drive a deterministic seeded loop.
+acceptance criterion can drive a deterministic seeded loop.  The
+reference routes carry their own integer polynomial arithmetic, so a
+fault in the package's arithmetic cannot pass both sides of a check.
 """
+
+from math import gcd
 
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
-from yoneda_cps.ratfun import bareiss_det, make_rational, poly_mul, poly_sub
+from yoneda_cps.ratfun import RationalFunction
 from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
                               enumerate_anchored, greedy_parse,
                               is_decomposable, partner_step, word_of)
@@ -28,6 +32,135 @@ def random_presentation(rng, max_gens=3, max_relations=4, max_degree=4):
         deg = rng.randint(2, max_degree)
         rels.append(tuple(rng.choice(names) for _ in range(deg)))
     return make_presentation(names, rels)
+
+
+def trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_sub(a, b):
+    n = max(len(a), len(b))
+    return trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                 for i in range(n)])
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trim(out)
+
+
+def poly_divexact(a, b):
+    """a / b when the division is exact; assertion failure otherwise."""
+    a = trim(a)
+    b = trim(b)
+    assert b, "division by the zero polynomial"
+    lead = b[-1]
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        # a remainder left at the top position stays there to the end
+        c = a[shift + len(b) - 1] // lead
+        if c:
+            quot[shift] = c
+            for i, bc in enumerate(b):
+                a[shift + i] -= c * bc
+    assert not any(a), "inexact polynomial division"
+    return trim(quot)
+
+
+def content(p):
+    g = 0
+    for c in p:
+        g = gcd(g, abs(c))
+    return g or 1
+
+
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    g = content(p)
+    if p and p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _pseudo_remainder(a, b):
+    """A nonzero integer multiple of the remainder of a by b."""
+    r = list(a)
+    lead = b[-1]
+    while len(r) >= len(b):
+        g = gcd(r[-1], lead)
+        scale, c = lead // g, r[-1] // g
+        shift = len(r) - len(b)
+        r = [x * scale for x in r]
+        for i, bc in enumerate(b):
+            r[shift + i] -= c * bc
+        r = trim(r)
+    return r
+
+
+def poly_gcd(a, b):
+    """Primitive integer gcd, positive leading coefficient."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return _primitive(a)
+
+
+def bareiss_det(matrix):
+    """Determinant of a matrix of integer polynomials, fraction free."""
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    m = [[trim(e) for e in row] for row in matrix]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return []
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = poly_sub(poly_mul(m[i][j], m[k][k]),
+                               poly_mul(m[i][k], m[k][j]))
+                m[i][j] = poly_divexact(num, prev) if num else []
+            m[i][k] = []
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return [-c for c in det] if sign < 0 else det
+
+
+def make_rational(num, den):
+    """num / den in lowest terms: coprime, no common content, and a
+    positive constant term in the denominator."""
+    num, den = trim(num), trim(den)
+    assert den, "zero denominator"
+    if not num:
+        return RationalFunction((), (1,))
+    g = poly_gcd(num, den)
+    if len(g) > 1 or (g and g[0] != 1):
+        num = poly_divexact(num, g)
+        den = poly_divexact(den, g)
+    c = gcd(content(num), content(den))
+    if c > 1:
+        num = [x // c for x in num]
+        den = [x // c for x in den]
+    lead = den[0] if den[0] != 0 else den[-1]
+    if lead < 0:
+        num = [-x for x in num]
+        den = [-x for x in den]
+    return RationalFunction(tuple(num), tuple(den))
 
 
 def transfer_matrix(g):
