@@ -10,9 +10,8 @@ from .presentation import (Presentation, PresentationError, make_presentation,
                            parse_presentation, serialize_presentation)
 from .monomial import (MonomialIdeal, PreconditionError,
                        annihilator_generators, left_min_annihilating_suffix)
-from .graph import (CpsGraph, GraphParams, build_graph, build_marked_graph,
-                    circuits_and_sccs, export_dot, export_json,
-                    graph_params, mark_admissible_edges)
+from .graph import (CpsGraph, GraphParams, build_marked_graph,
+                    circuits_and_sccs, export_dot, export_json, graph_params)
 from .walks import (AnchoredWalk, EventuallyPeriodicWalk, WalkCapExceeded,
                     canonical_anchored, enumerate_anchored, is_decomposable,
                     is_dense, word_of)
@@ -28,9 +27,8 @@ __all__ = [
     "parse_presentation", "serialize_presentation",
     "MonomialIdeal", "PreconditionError", "annihilator_generators",
     "left_min_annihilating_suffix",
-    "CpsGraph", "GraphParams", "build_graph", "build_marked_graph",
+    "CpsGraph", "GraphParams", "build_marked_graph",
     "circuits_and_sccs", "export_dot", "export_json", "graph_params",
-    "mark_admissible_edges",
     "AnchoredWalk", "EventuallyPeriodicWalk", "WalkCapExceeded",
     "canonical_anchored", "enumerate_anchored", "is_decomposable", "is_dense",
     "word_of",

@@ -3,7 +3,8 @@
 All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
 exceeded walk cap or an input too deep for the one recursive search
-left (`graph_params`' `extend`), 2 a broken internal invariant.
+left (`graph_params`' `extend`), 2 a broken internal invariant (a failed
+assertion, or a precondition of the annihilator routines).
 """
 
 import argparse
@@ -231,13 +232,15 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except (PresentationError, PreconditionError, WalkCapExceeded) as e:
+    except (PresentationError, WalkCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError as e:
         print(f"error: input too deep to process ({e})", file=sys.stderr)
         return 1
-    except AssertionError as e:
+    except (AssertionError, PreconditionError) as e:
+        # No verb passes user words to the annihilator routines, so a
+        # failed precondition there is a bug, not bad input.
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,7 @@ every circuit edge must be admissible.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .graph import build_marked_graph, graph_params
 from .presentation import format_word
@@ -222,13 +223,9 @@ def _periodic_witness(g, q):
     positions = {}
     for idx in range(1, n + 1):
         positions.setdefault(q[idx], []).append(idx)
-    candidates = []
-    for parity in (0, 1):
-        for a in range(1, n):
-            for b in positions.get(q[a], []):
-                if b > a and (b - a) % 2 == parity:
-                    candidates.append((a, b))
-    for a, b in candidates[:WITNESS_ATTEMPTS]:
+    candidates = ((a, b) for parity in (0, 1) for a in range(1, n)
+                  for b in positions[q[a]] if b > a and (b - a) % 2 == parity)
+    for a, b in islice(candidates, WITNESS_ATTEMPTS):
         w = EventuallyPeriodicWalk(q[:a + 1], q[a:b + 1])
         if check_tail_conditions(g, w):
             return w

@@ -3,15 +3,14 @@
 Vertices are the generators together with every minimal left-annihilator
 word reachable from them; there is an edge m1 -> m2 exactly when m2 is a
 minimal left annihilator of m1.  The graph is finite (annihilator words
-are shorter than the longest relation) and is built by fixed-point
-iteration from the generators.
-
-An edge is admissible when its edge word (target tensor source) is one
-of the defining relations; walk-level admissibility lives in `walks`.
+are shorter than the longest relation) and is built in one search from
+the generators, which marks each edge as it adds it: an edge is
+admissible when its edge word (target tensor source) is one of the
+defining relations.  Walk-level admissibility lives in `walks`.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .monomial import MonomialIdeal, annihilator_generators
@@ -21,8 +20,6 @@ __all__ = [
     "CpsGraph",
     "GraphParams",
     "CircuitSummary",
-    "build_graph",
-    "mark_admissible_edges",
     "build_marked_graph",
     "graph_params",
     "circuits_and_sccs",
@@ -37,14 +34,10 @@ class CpsGraph:
     vertices: tuple    # letter tuples, sorted by (degree, index sequence)
     g0: tuple          # the degree-1 vertices, always the whole alphabet
     edges: tuple       # (source, target) pairs, sorted
-    admissible: dict   # edge -> bool; empty until mark_admissible_edges
+    admissible: dict   # edge -> bool: the edge word is a relation
     edge_word: dict    # edge -> target + source letters
     out: dict          # vertex -> tuple of successors, sorted
     inc: dict          # vertex -> tuple of predecessors, sorted
-
-    @property
-    def marked(self):
-        return len(self.admissible) == len(self.edges)
 
     @cached_property
     def cycles(self):
@@ -52,31 +45,32 @@ class CpsGraph:
         return circuits_and_sccs(self)
 
 
-def build_graph(ideal):
-    """Grow the vertex set from the generators to its fixed point.
+def build_marked_graph(ideal):
+    """The graph of a MonomialIdeal or a Presentation, every edge marked.
 
-    Each generation step adds the annihilator sets of the previous
-    step's new vertices; termination is guaranteed because annihilator
-    words have degree at most (max relation degree) - 1.
+    A worklist adds each new vertex's annihilator set as its out-edges;
+    it ends since annihilator words are shorter than the longest relation.
     """
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(ideal)
+    relations = set(ideal.relations)
     g0 = tuple((name,) for name in ideal.presentation.generator_names)
     seen = set(g0)
-    edges = []
-    frontier = list(g0)
-    while frontier:
-        new = []
-        for m in frontier:
-            for w in annihilator_generators(ideal, m):
-                edges.append((m, w))
-                if w not in seen:
-                    seen.add(w)
-                    new.append(w)
-        frontier = new
+    admissible = {}
+    todo = list(g0)
+    while todo:
+        m = todo.pop()
+        for w in annihilator_generators(ideal, m):
+            admissible[(m, w)] = w + m in relations
+            # Edges leaving a generator always straddle a whole relation.
+            assert admissible[(m, w)] or len(m) > 1, \
+                f"generator edge {format_word(m)}->{format_word(w)} must be admissible"
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
 
     vertices = tuple(sorted(seen, key=ideal.sort_key))
-    edges = tuple(sorted(set(edges), key=lambda e: (ideal.sort_key(e[0]), ideal.sort_key(e[1]))))
+    edges = tuple(sorted(admissible, key=lambda e: (ideal.sort_key(e[0]), ideal.sort_key(e[1]))))
     edge_word = {(s, t): t + s for s, t in edges}
     out = {v: [] for v in vertices}
     inc = {v: [] for v in vertices}
@@ -85,22 +79,7 @@ def build_graph(ideal):
         inc[t].append(s)
     out = {v: tuple(ts) for v, ts in out.items()}
     inc = {v: tuple(ss) for v, ss in inc.items()}
-    return CpsGraph(ideal, vertices, g0, edges, {}, edge_word, out, inc)
-
-
-def mark_admissible_edges(g):
-    """Flag each edge whose edge word is literally a relation."""
-    relations = set(g.ideal.relations)
-    admissible = {e: (g.edge_word[e] in relations) for e in g.edges}
-    # Edges leaving a generator always straddle a whole relation.
-    for (s, t), flag in admissible.items():
-        if len(s) == 1:
-            assert flag, f"generator edge {format_word(s)}->{format_word(t)} must be admissible"
-    return replace(g, admissible=admissible)
-
-
-def build_marked_graph(presentation_or_ideal):
-    return mark_admissible_edges(build_graph(presentation_or_ideal))
+    return CpsGraph(ideal, vertices, g0, edges, admissible, edge_word, out, inc)
 
 
 @dataclass(frozen=True)
@@ -115,7 +94,6 @@ class GraphParams:
 
 
 def graph_params(g):
-    assert g.marked, "mark_admissible_edges first"
     e_count = len(g.edges)
     m = max(Counter(g.edge_word.values()).values(), default=1)
 
@@ -167,54 +145,49 @@ class CircuitSummary:
         return bool(self.cyclic)
 
 
-def _tarjan_sccs(vertices, out):
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
+def _sccs(vertices, out):
+    """Strongly connected components, sinks first (Kosaraju).
 
+    Pass 1 lists the vertices in depth-first finish order.  Pass 2
+    sweeps the reversed edges from each unswept vertex, latest finish
+    first; the sweeps find the components sources first, hence the
+    final reversal.
+    """
+    finished, seen = [], set()
     for root in vertices:
-        if root in index:
+        if root in seen:
             continue
-        # iterative Tarjan: (vertex, iterator position)
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            succs = out[v]
-            while pi < len(succs):
-                w = succs[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+        seen.add(root)
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, succs = stack[-1]
+            for t in succs:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, iter(out[t])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return sccs
+            else:
+                stack.pop()
+                finished.append(v)
+    back = {v: [] for v in vertices}
+    for v in vertices:
+        for t in out[v]:
+            back[t].append(v)
+    sccs, assigned = [], set()
+    for root in reversed(finished):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        comp, todo = [], [root]
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for s in back[v]:
+                if s not in assigned:
+                    assigned.add(s)
+                    todo.append(s)
+        sccs.append(tuple(comp))
+    return sccs[::-1]
 
 
 def circuits_and_sccs(g):
@@ -223,11 +196,11 @@ def circuits_and_sccs(g):
     shared_vertex is true when some cyclic component is not a simple
     cycle; two distinct circuits then meet at a vertex and the circuit
     count may be exponential, so enumeration is refused (flagged, not
-    raised).  Tarjan's algorithm completes a component only after every
-    component it reaches, which gives `sccs` its sinks-first order.
+    raised).  `_sccs` lists each component after every component it
+    reaches, which gives `sccs` its sinks-first order.
     """
     key = g.ideal.sort_key
-    sccs = tuple(tuple(sorted(c, key=key)) for c in _tarjan_sccs(g.vertices, g.out))
+    sccs = tuple(tuple(sorted(c, key=key)) for c in _sccs(g.vertices, g.out))
     cyclic = tuple(sorted((c for c in sccs if len(c) > 1 or c[0] in g.out[c[0]]),
                           key=lambda c: (len(c), key(c[0]))))
 
@@ -249,7 +222,6 @@ def circuits_and_sccs(g):
 
 
 def export_dot(g):
-    assert g.marked, "mark_admissible_edges first"
     lines = ["digraph annihilator_graph {"]
     for v in g.vertices:
         lines.append(f'  "{format_word(v)}";')
@@ -261,7 +233,6 @@ def export_dot(g):
 
 
 def export_json(g):
-    assert g.marked, "mark_admissible_edges first"
     return {
         "vertices": [
             {"word": format_word(v), "degree": len(v), "in_g0": len(v) == 1}

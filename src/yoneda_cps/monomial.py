@@ -169,8 +169,9 @@ def annihilator_generators(ideal, m):
     straddling the w/m boundary, so each candidate is the left part of
     a relation split r = u tensor v with v a nonempty prefix of m, read
     from the ideal's index of relation suffixes.  The candidates are
-    then filtered by the defining conditions: u normal
-    and no proper suffix of u already annihilates m.
+    then filtered by the defining conditions: u normal and no proper
+    suffix of u already annihilates m.  For each proper suffix s of u,
+    s tensor m is a suffix of u[1:] tensor m, so u[1:] alone is tested.
     """
     m = tuple(m)
     if ideal.contains(m):
@@ -181,7 +182,7 @@ def annihilator_generators(ideal, m):
         for u in ideal._left_parts.get(m[:split], ()):
             if u in found or ideal.contains(u):
                 continue
-            if left_min_annihilating_suffix(ideal, u, m) == u:
+            if not ideal.contains(u[1:] + m):
                 found.add(u)
     for u in found:
         # Each annihilator sits inside a single straddling relation, so

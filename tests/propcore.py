@@ -9,14 +9,16 @@ fault in the package's arithmetic cannot pass both sides of a check.
 
 from math import gcd
 
+from yoneda_cps.decide import WITNESS_ATTEMPTS, check_tail_conditions
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.ratfun import RationalFunction
-from yoneda_cps.walks import (WalkCapExceeded, canonical_anchored,
-                              enumerate_anchored, greedy_parse,
-                              is_decomposable, partner_step, word_of)
+from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkCapExceeded,
+                              canonical_anchored, enumerate_anchored,
+                              greedy_parse, is_decomposable, partner_step,
+                              word_of)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -213,6 +215,42 @@ def reference_leading_path(g):
         extend([start], {start}, None)
     return (1 if best == 0 else best), best == 0
 
+
+
+def reference_sccs(g):
+    """Reference route for the SCC partition: the classes of mutual
+    reachability, each vertex's reach found by breadth-first search."""
+    reach = {}
+    for v in g.vertices:
+        seen, queue = {v}, [v]
+        for u in queue:
+            for t in g.out[u]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+        reach[v] = seen
+    return {frozenset(u for u in reach[v] if v in reach[u]) for v in g.vertices}
+
+
+def reference_periodic_witness(g, q):
+    """Reference route for decide._periodic_witness: the former one,
+    which lists every repeat pair of the walk before it keeps the
+    first WITNESS_ATTEMPTS of them."""
+    n = len(q) - 1
+    positions = {}
+    for idx in range(1, n + 1):
+        positions.setdefault(q[idx], []).append(idx)
+    candidates = []
+    for parity in (0, 1):
+        for a in range(1, n):
+            for b in positions.get(q[a], []):
+                if b > a and (b - a) % 2 == parity:
+                    candidates.append((a, b))
+    for a, b in candidates[:WITNESS_ATTEMPTS]:
+        w = EventuallyPeriodicWalk(q[:a + 1], q[a:b + 1])
+        if check_tail_conditions(g, w):
+            return w
+    return None
 
 
 def reference_generators(g, max_cohomological_degree, cap=None):

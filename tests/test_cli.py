@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import fixture_path
 from propcore import random_presentation
 from yoneda_cps import cli, decide
+from yoneda_cps import graph as graph_module
 from yoneda_cps.cli import main
+from yoneda_cps.monomial import PreconditionError
 from yoneda_cps.presentation import serialize_presentation
 
 
@@ -184,6 +186,19 @@ def test_out_of_range_arguments(monkeypatch, capsys, env, argv, message):
     assert out == ""
     assert err.startswith("error: " + message)
     assert err.count("\n") == 1
+
+
+def test_precondition_error_is_an_internal_fault(monkeypatch, capsys):
+    # Every verb hands the annihilator routines graph vertices or parse
+    # states, never user words, so a failed precondition is a bug.
+    def broken(ideal, m):
+        raise PreconditionError("m_in_ideal", "m = x lies in the ideal")
+    monkeypatch.setattr(graph_module, "annihilator_generators", broken)
+    code, out, err = run(capsys, "analyze", fixture_path("x_square"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == \
+        ["internal invariant violated: m = x lies in the ideal"]
 
 
 def test_help_exits_0(capsys):

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import ALL, W, graph, load
 from propcore import (random_presentation, reference_generators,
+                      reference_periodic_witness,
                       reference_search_indecomposable)
 from yoneda_cps.decide import (INFINITY, _circuit_avoiding_generators,
-                               analyze, check_tail_conditions,
+                               _periodic_witness, analyze,
+                               check_tail_conditions,
                                finitely_generated, gk_dimension,
                                global_dimension, noetherian, report_to_json)
 from yoneda_cps.ext import generators_up_to
@@ -118,6 +120,23 @@ def test_fg_verdict_json_round():
     assert out["witness"]["periodic_walk"] == \
         {"prefix": ["c", "ab"], "cycle": ["ab", "cd", "ab"]}
     assert len(out["witness"]["indecomposable_walk"]) == 20
+
+
+def test_periodic_witness_matches_the_eager_candidate_list():
+    """The repeat pairs, drawn lazily, give the witness the former
+    list of every pair gave, on every walk the fg search returns."""
+    rng = random.Random(10)
+    draws = [build_marked_graph(random_presentation(
+        rng, max_gens=4, max_relations=6, max_degree=5)) for _ in range(300)]
+    walks = 0
+    for g in [graph(name) for name in ALL] + draws:
+        out = finitely_generated(g)
+        if out.method == "indecomposable_at_bound":
+            walks += 1
+            assert _periodic_witness(g, out.witness_walk) == \
+                reference_periodic_witness(g, out.witness_walk), \
+                g.ideal.relations
+    assert walks >= 3
 
 
 def test_fg_survives_mixed_relation_degrees():

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from conftest import ALL, graph, load
-from propcore import random_presentation, reference_leading_path
-from yoneda_cps.graph import (build_graph, build_marked_graph,
-                              circuits_and_sccs, export_dot, export_json,
-                              graph_params, mark_admissible_edges)
-from yoneda_cps.monomial import MonomialIdeal, annihilator_generators
+from propcore import (random_presentation, reference_leading_path,
+                      reference_sccs)
+from yoneda_cps.graph import (build_marked_graph, circuits_and_sccs,
+                              export_dot, export_json, graph_params)
+from yoneda_cps.monomial import annihilator_generators
 
 
 def disp(g, items):
@@ -102,15 +102,6 @@ def test_admissible_iff_edge_word_is_a_relation():
             assert g.admissible[e] == (g.edge_word[e] in rels), (name, e)
 
 
-def test_build_then_mark_matches_build_marked():
-    ideal = MonomialIdeal(load("abc_cdab"))
-    g = build_graph(ideal)
-    assert not g.marked
-    g = mark_admissible_edges(g)
-    assert g.marked
-    assert edge_table(g) == edge_table(graph("abc_cdab"))
-
-
 def test_two_chain_counts():
     g = graph("two_chain_overlap")
     assert len(g.vertices) == 33
@@ -169,6 +160,15 @@ def test_sccs_come_sinks_first(name):
         assert position[src] >= position[dst]
     assert set(s.cyclic) == {c for c in s.sccs
                              if len(c) > 1 or c[0] in g.out[c[0]]}
+
+
+def test_sccs_are_the_mutual_reachability_classes():
+    rng = random.Random(9)
+    draws = [build_marked_graph(random_presentation(
+        rng, max_gens=4, max_relations=6, max_degree=5)) for _ in range(300)]
+    for g in [graph(name) for name in ALL] + draws:
+        assert set(map(frozenset, g.cycles.sccs)) == reference_sccs(g), \
+            g.ideal.relations
 
 
 def test_loop_is_a_circuit():

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import inspect
 import io
 import sys
 import types
+from pathlib import Path
 
 import yoneda_cps
 from conftest import ALL, fixture_path
@@ -24,14 +26,14 @@ def test_public_api_is_pinned():
         "CpsGraph", "EventuallyPeriodicWalk", "ExtClass", "GraphParams",
         "INFINITY", "MonomialIdeal", "PreconditionError", "Presentation",
         "PresentationError", "WalkCapExceeded",
-        "analyze", "annihilator_generators", "build_graph",
-        "build_marked_graph", "canonical_anchored", "circuits_and_sccs",
+        "analyze", "annihilator_generators", "build_marked_graph",
+        "canonical_anchored", "circuits_and_sccs",
         "cross_validate", "enumerate_anchored", "export_dot", "export_json",
         "ext_class", "finitely_generated", "generators_up_to",
         "gk_dimension", "global_dimension", "graph_params", "hilbert_series",
         "is_decomposable", "is_dense",
         "left_min_annihilating_suffix", "make_presentation",
-        "mark_admissible_edges", "minimal_resolution", "noetherian",
+        "minimal_resolution", "noetherian",
         "parse_presentation", "poincare_table", "report_to_json",
         "serialize_presentation", "word_of",
         "yoneda_mul",
@@ -78,3 +80,25 @@ def test_every_exported_function_is_reached():
         if inspect.isfunction(getattr(yoneda_cps, name))
         and getattr(yoneda_cps, name).__code__ not in called)
     assert unreached == sorted(unreached_by_design)
+
+
+def test_only_the_l_search_recurses():
+    """No function of the package calls itself by name but `extend`,
+    the `L` search of graph_params.  Recursion depth grows with the
+    input, so a new recursive function would bring RecursionError back."""
+    recursive = set()
+    for path in Path(yoneda_cps.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Name) and callee.id == fn.name or \
+                        isinstance(callee, ast.Attribute) and \
+                        callee.attr == fn.name and \
+                        isinstance(callee.value, ast.Name) and \
+                        callee.value.id in ("self", "cls"):
+                    recursive.add(fn.name)
+    assert recursive == {"extend"}
