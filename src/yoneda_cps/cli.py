@@ -2,9 +2,9 @@
 
 All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
-exceeded walk cap or an input too deep for the one recursive search
-left (`graph_params`' `extend`), 2 a broken internal invariant (a failed
-assertion, or a precondition of the annihilator routines).
+exceeded walk cap or an input file nested too deep for the JSON parser
+(no search of the package recurses), 2 a broken internal invariant (a
+failed assertion, or a precondition of the annihilator routines).
 """
 
 import argparse

@@ -87,39 +87,89 @@ class GraphParams:
     edge_count: int        # script-E, the number of edges
     max_edge_class: int    # M, size of the largest equal-edge-word class
     max_leading_path: int  # L, longest anchored simple path whose last edge
-                           # is admissible and whose interior edges are not
+                           # is admissible and whose interior edges are not;
+                           # exact, from the merged-state search below
     bound_N: int           # smallest even integer >= 2E(M-1)+L+1
     weak_bound: int        # the cruder 2E^2+E+1 bound, for comparison
     l_defaulted: bool      # no qualifying path existed; L fell back to 1
 
 
 def graph_params(g):
+    """E, M, L and the bounds built from them.
+
+    L is the most edges on a simple path from a generator whose interior
+    edges (all but the first and the last) are non-admissible and whose
+    last edge is admissible.  Longest simple path is NP-hard, so the
+    search is exact over merged states, as in Held & Karp (1962), rather
+    than over paths:
+
+    - After its first edge a path at v goes on only along non-admissible
+      ("plain") edges and ends with one admissible edge, every vertex
+      new.  So all it can still visit lies in rel[v]: v, the vertices
+      plain edges reach from v, and their admissible targets.
+    - Hence the state (v, visited & rel[v]) decides every continuation,
+      and paths that reach one state merge, keeping the most edges.
+      rel[t] is inside rel[v] for a plain edge v -> t, so the next state
+      is (t, (mask | {t}) & rel[t]).  A state with k edges and an
+      admissible edge off its mask ends a path of k + 1 edges.
+    - Each edge s -> t out of a generator, t != s, starts the state
+      (t, {s, t} & rel[t]) with 1 edge, and is itself a path of 1 edge
+      when admissible.
+    - A path never returns to a plain component it has left.  The
+      components run sources first, each from the states that enter it,
+      and inside one the states step layer by layer, so every state has
+      its final count before it steps.  Within a component each step
+      adds one member to the mask; a state can recur one layer later
+      only when a path's first vertex lies in the component, and is then
+      stepped again, which costs time but not exactness.
+    """
     e_count = len(g.edges)
     m = max(Counter(g.edge_word.values()).values(), default=1)
 
-    # L: DFS over anchored simple paths whose interior edges (all but the
-    # first and the last) are non-admissible.  Stop rule: an admissible
-    # edge at position k >= 1 (k edges before it) ends a qualifying path
-    # of k + 1 edges and is never descended into, since any extension
-    # would make it interior.
+    index = {v: i for i, v in enumerate(g.vertices)}
+    plain = [[] for _ in g.vertices]
+    adm = [0] * len(g.vertices)
+    for (s, t), is_adm in g.admissible.items():
+        if is_adm:
+            adm[index[s]] |= 1 << index[t]
+        else:
+            plain[index[s]].append(index[t])
+    comps = _sccs(range(len(plain)), plain)
+    comp_of, rel = [0] * len(plain), [0] * len(plain)
+    for c, comp in enumerate(comps):
+        reach = 0
+        for v in comp:
+            comp_of[v] = c
+            reach |= 1 << v | adm[v]
+            for t in plain[v]:
+                reach |= rel[t]
+        for v in comp:
+            rel[v] = reach
+
     best = 0
-    on_path = set()
-
-    def extend(v, k):
-        nonlocal best
-        on_path.add(v)
-        for t in g.out[v]:
-            if t in on_path:
-                continue
-            if g.admissible[(v, t)]:
-                best = max(best, k + 1)
-                if k >= 1:
-                    continue
-            extend(t, k + 1)
-        on_path.discard(v)
-
-    for start in g.g0:
-        extend(start, 0)
+    entry = [{} for _ in comps]
+    for s in g.g0:
+        i = index[s]
+        for t in g.out[s]:
+            j = index[t]
+            if j != i:
+                if adm[i] >> j & 1:
+                    best = 1
+                entry[comp_of[j]][(j, (1 << i | 1 << j) & rel[j])] = 1
+    for c in reversed(range(len(comps))):
+        layer, entry[c] = entry[c], None
+        while layer:
+            step = {}
+            for (v, mask), k in layer.items():
+                if adm[v] & ~mask:
+                    best = max(best, k + 1)
+                for t in plain[v]:
+                    if not mask >> t & 1:
+                        state = (t, (mask | 1 << t) & rel[t])
+                        into = step if comp_of[t] == c else entry[comp_of[t]]
+                        if into.get(state, 0) <= k:
+                            into[state] = k + 1
+            layer = step
 
     l_defaulted = best == 0
     l_value = 1 if l_defaulted else best

@@ -217,19 +217,19 @@ def test_deep_oracle_window_answers(capsys):
     assert {"dim": 1, "i": 1100, "j": 1100} in js["betti"]["entries"]
 
 
-def test_deep_input_exits_cleanly(tmp_path, capsys):
-    # The L search of graph_params recurses once per path edge, and on
-    # this chain its paths run deeper than the interpreter allows.
+def test_deep_input_answers(tmp_path, capsys):
+    # The L search of graph_params runs along paths of 1,099 edges on
+    # this chain, far past the interpreter's recursion limit.
     gens = [f"a{i}" for i in range(1100)] + ["x"]
     rels = [[f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}"] for i in range(1099)]
     deep = tmp_path / "deep.json"
     deep.write_text(json.dumps({"generators": gens,
                                 "relations": rels + [["x", "x", "x"]]}))
-    code, out, err = run(capsys, "analyze", str(deep))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    js = run_json(capsys, "analyze", str(deep))
+    assert js["params"] == {"edge_count": 5491, "max_edge_class": 2,
+                            "max_leading_path": 1099, "bound_N": 12082,
+                            "weak_bound": 60307654}
+    assert js["finitely_generated"]["method"] == "all_circuits_meet_generators"
 
 
 def test_deep_fg_search_answers(tmp_path, capsys):
@@ -254,7 +254,7 @@ def _forbid_graph_params(monkeypatch):
 
 
 def test_acyclic_decide_fg_skips_the_l_search(tmp_path, monkeypatch, capsys):
-    # The chain of test_deep_input_exits_cleanly without its x x x cycle:
+    # The chain of test_deep_input_answers without its x x x cycle:
     # acyclic, so the verdict needs neither L nor bound_N.
     _forbid_graph_params(monkeypatch)
     gens = [f"a{i}" for i in range(1100)]

@@ -138,6 +138,18 @@ def test_graph_params_matches_reference_search():
             reference_leading_path(g), g.ideal.relations
 
 
+def test_graph_params_matches_reference_search_on_dense_draws():
+    # Denser draws than above: 8 of these 200 graphs have a non-admissible
+    # component of 10 to 21 vertices, where many paths merge into one state.
+    rng = random.Random(11)
+    for _ in range(200):
+        g = build_marked_graph(random_presentation(
+            rng, max_gens=6, max_relations=16, max_degree=6))
+        p = graph_params(g)
+        assert (p.max_leading_path, p.l_defaulted) == \
+            reference_leading_path(g), g.ideal.relations
+
+
 def test_circuit_summary_shapes():
     assert not circuits_and_sccs(graph("xy_single")).has_cycle
     s = circuits_and_sccs(graph("abc_cdab"))
