@@ -5,6 +5,11 @@ go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
 exceeded walk cap or an input file nested too deep for the JSON parser
 (no search of the package recurses), 2 a broken internal invariant (a
 failed assertion, or a precondition of the annihilator routines).
+
+The module imports at its top only what every verb runs: parsing, the
+annihilator graph and the walk cap.  Each `cmd_*` imports the modules
+of its own verb, so `graph` never loads the decision procedures, the
+Hilbert series or the resolution oracle.
 """
 
 import argparse
@@ -12,11 +17,8 @@ import json
 import math
 import sys
 
-from .decide import analyze, finitely_generated, noetherian, report_to_json
-from .ext import ext_class, generators_up_to, hilbert_series, poincare_table, yoneda_mul
 from .graph import build_marked_graph, export_dot, export_json
 from .monomial import PreconditionError
-from .oracle import cross_validate, minimal_resolution
 from .presentation import PresentationError, parse_presentation
 from .walks import WalkCapExceeded, parse_display_walk, walk_cap
 
@@ -44,6 +46,7 @@ def _progress(msg):
 
 
 def cmd_analyze(args):
+    from .decide import analyze, report_to_json
     report = analyze(_load(args.presentation))
     _emit(report_to_json(report))
     return 0
@@ -59,6 +62,7 @@ def cmd_graph(args):
 
 
 def cmd_ext_basis(args):
+    from .ext import generators_up_to, poincare_table
     g = build_marked_graph(_load(args.presentation))
     table = poincare_table(g, args.max_degree)
     classes = generators_up_to(g, args.max_degree)
@@ -84,6 +88,7 @@ def _parse_walk_arg(g, text, name):
 
 
 def cmd_multiply(args):
+    from .ext import ext_class, yoneda_mul
     g = build_marked_graph(_load(args.presentation))
     try:
         left = ext_class(g, _parse_walk_arg(g, args.left, "--left"))
@@ -101,6 +106,7 @@ def cmd_multiply(args):
 
 
 def cmd_decide_fg(args):
+    from .decide import finitely_generated
     g = build_marked_graph(_load(args.presentation))
     verdict = finitely_generated(g)
     _emit(verdict.to_json())
@@ -108,12 +114,14 @@ def cmd_decide_fg(args):
 
 
 def cmd_decide_noetherian(args):
+    from .decide import noetherian
     g = build_marked_graph(_load(args.presentation))
     _emit(noetherian(g, args.side).to_json())
     return 0
 
 
 def cmd_series(args):
+    from .ext import hilbert_series
     g = build_marked_graph(_load(args.presentation))
     series = hilbert_series(g)
     out = series.to_json()
@@ -125,6 +133,7 @@ def cmd_series(args):
 
 
 def cmd_validate(args):
+    from .oracle import cross_validate, minimal_resolution
     g = build_marked_graph(_load(args.presentation))
     table = minimal_resolution(g.ideal, field_char=args.field_char,
                                max_i=args.max_i, max_j=args.max_j,
@@ -164,6 +173,18 @@ def _argument_error(args):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise argparse.ArgumentError(None, message)
+
+
+def _reject_option_before_verb(argv):
+    """Name an unknown option before the verb as an unrecognized argument.
+
+    The top-level parser takes no option but --help.  argparse would set
+    `--jobs` in `--jobs 2 validate f` aside and read `2` as the verb.
+    """
+    first = argv[0] if argv else ""
+    is_help = first == "-h" or "--help".startswith(first)
+    if first.startswith("-") and not is_help:
+        raise argparse.ArgumentError(None, f"unrecognized arguments: {first}")
 
 
 def build_parser():
@@ -222,7 +243,9 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        _reject_option_before_verb(argv)
         args = build_parser().parse_args(argv)
         problem = _argument_error(args)
     except argparse.ArgumentError as e:    # a usage error

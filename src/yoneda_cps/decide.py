@@ -15,11 +15,10 @@ every circuit edge must be admissible.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 
 from .graph import build_marked_graph, graph_params
-from .presentation import format_word
+from .presentation import Record, format_word
 from .walks import EventuallyPeriodicWalk, indecomposable_walks, is_dense
 
 __all__ = [
@@ -54,8 +53,7 @@ def _fmt_edge(e):
     return {"source": format_word(e[0]), "target": format_word(e[1])}
 
 
-@dataclass(frozen=True)
-class GlobalDimensionResult:
+class GlobalDimensionResult(Record):
     value: object          # int or INFINITY
     witness: tuple | None  # longest anchored walk when finite, else a circuit
     note: str = GLDIM_NOTE
@@ -103,8 +101,7 @@ def gk_dimension(g):
     return max(best.values(), default=0)
 
 
-@dataclass(frozen=True)
-class FgVerdict:
+class FgVerdict(Record):
     value: bool
     method: str
     bound_n: int | None = None
@@ -279,8 +276,7 @@ def finitely_generated(g, params=None, cap=None):
                      witness_walk=found, witness_periodic=witness)
 
 
-@dataclass(frozen=True)
-class NoetherianVerdict:
+class NoetherianVerdict(Record):
     side: str
     value: bool
     reason: str
@@ -326,8 +322,7 @@ def noetherian(g, side):
     return NoetherianVerdict(side, True, "unique_admissible_circuits")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Record):
     graph: object
     params: object
     gldim: GlobalDimensionResult

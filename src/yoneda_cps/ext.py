@@ -11,9 +11,8 @@ its denominator is their shortest linear recurrence, with constant term
 1 by Fatou's lemma, and its numerator one polynomial product.
 """
 
-from dataclasses import dataclass
-
 from .monomial import annihilator_generators
+from .presentation import Record
 from .ratfun import RationalFunction, poly_mul, shortest_recurrence, trim
 from .walks import (AnchoredWalk, canonical_anchored, display_walk,
                     greedy_parse, indecomposable_walks, validate_walk, word_of)
@@ -29,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(Record):
     walk: AnchoredWalk
 
     @property
@@ -103,8 +101,7 @@ def generators_up_to(g, max_cohomological_degree):
     return [ExtClass(AnchoredWalk(w)) for w in walks]
 
 
-@dataclass(frozen=True)
-class BigradedTable:
+class BigradedTable(Record):
     entries: dict  # (cohomological, internal) -> dimension, zeros omitted
     truncation: int
 

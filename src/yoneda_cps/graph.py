@@ -10,11 +10,10 @@ defining relations.  Walk-level admissibility lives in `walks`.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .monomial import MonomialIdeal, annihilator_generators
-from .presentation import format_word
+from .presentation import Record, format_word
 
 __all__ = [
     "CpsGraph",
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CpsGraph:
+class CpsGraph(Record):
     ideal: MonomialIdeal
     vertices: tuple    # letter tuples, sorted by (degree, index sequence)
     g0: tuple          # the degree-1 vertices, always the whole alphabet
@@ -82,8 +80,7 @@ def build_marked_graph(ideal):
     return CpsGraph(ideal, vertices, g0, edges, admissible, edge_word, out, inc)
 
 
-@dataclass(frozen=True)
-class GraphParams:
+class GraphParams(Record):
     edge_count: int        # script-E, the number of edges
     max_edge_class: int    # M, size of the largest equal-edge-word class
     max_leading_path: int  # L, longest anchored simple path whose last edge
@@ -179,8 +176,7 @@ def graph_params(g):
     return GraphParams(e_count, m, l_value, bound_n, weak, l_defaulted)
 
 
-@dataclass(frozen=True)
-class CircuitSummary:
+class CircuitSummary(Record):
     sccs: tuple           # vertex tuples, each sorted, whole partition, sinks
                           # first: an edge between two components always goes
                           # from a later entry to an earlier one

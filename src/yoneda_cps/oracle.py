@@ -25,10 +25,9 @@ its top layer is only a source of boundaries, and cancelling inside it
 keeps that.
 """
 
-from dataclasses import dataclass
-
 from .ext import poincare_table
 from .linalg import gf2_rank, gfp_rank
+from .presentation import Record
 
 __all__ = [
     "BettiTable",
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     entries: dict        # (i, j) -> dimension, zeros omitted
     max_i: int
     max_j: int

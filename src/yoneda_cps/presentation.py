@@ -12,12 +12,12 @@ accepts any sequence of names, so a plain string spells a word over a
 one-character alphabet, which keeps tests readable.
 """
 
-from dataclasses import dataclass
 import json
 
 __all__ = [
     "Presentation",
     "PresentationError",
+    "Record",
     "format_word",
     "parse_presentation",
     "serialize_presentation",
@@ -49,8 +49,84 @@ def format_word(letters):
     return "*".join(letters)
 
 
-@dataclass(frozen=True)
-class Presentation:
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields as annotations, in order; a class
+    attribute of the same name is that field's default.  A record is
+    built by position or keyword, compares and hashes by its field
+    values, prints as `Name(field=value, ...)` and refuses assignment.
+    A subclass's `__post_init__` runs once the fields are set and may
+    normalise one with `object.__setattr__`.  The fields are read once,
+    when the subclass is created.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__}
+        cls._post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        i = 0
+        for name in fields:    # an index, not zip: records are built in bulk
+            _setattr(self, name, args[i])
+            i += 1
+        if self._post_init is not None:
+            self._post_init()
+
+    def _bind(self, args, kwargs):
+        """The field values, in order, of a call with keywords or defaults."""
+        cls, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls}() takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        given = dict(zip(fields, args))
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{cls}() got an unexpected keyword "
+                                f"argument {name!r}")
+            if name in given:
+                raise TypeError(f"{cls}() got multiple values for "
+                                f"argument {name!r}")
+        values = {**self._defaults, **given, **kwargs}
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls}() missing required arguments: "
+                            + ", ".join(missing))
+        return [values[name] for name in fields]
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Presentation(Record):
     generator_names: tuple  # in index order
     relations: tuple        # letter tuples, sorted by (degree, index sequence)
 

@@ -8,8 +8,9 @@ constant is 1, which Fatou's lemma guarantees for an integer sequence
 with a rational generating function.
 """
 
-from dataclasses import dataclass
 from math import gcd
+
+from .presentation import Record
 
 __all__ = [
     "RationalFunction",
@@ -70,8 +71,7 @@ def shortest_recurrence(seq):
     return trim(conn)
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(Record):
     numerator: tuple
     denominator: tuple
 

@@ -13,10 +13,9 @@ that annihilates the previous vertex.
 """
 
 import os
-from dataclasses import dataclass
 
 from .monomial import left_min_annihilating_suffix
-from .presentation import format_word
+from .presentation import Record, format_word
 
 __all__ = [
     "AnchoredWalk",
@@ -61,8 +60,7 @@ def walk_cap():
     return cap
 
 
-@dataclass(frozen=True)
-class AnchoredWalk:
+class AnchoredWalk(Record):
     vertices: tuple  # letter tuples, the first one a generator
 
     @property
@@ -223,8 +221,7 @@ def enumerate_anchored(g, max_length, cap=None):
         layer = [vs + (t,) for vs in layer for t in g.out[vs[-1]]]
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicWalk:
+class EventuallyPeriodicWalk(Record):
     """An infinite walk given as a finite prefix plus a repeating cycle.
 
     The prefix runs p_0 .. p_a; the cycle c_0 .. c_L is closed and

@@ -168,14 +168,15 @@ X = fixture_path("x_square")
     (None, ["validate", "--max-j", "-1", X], "--max-j must be >= 0"),
     (None, ["ext-basis", "--max-degree", "-1", X], "--max-degree must be >= 0"),
     (None, ["series", "--truncate", "-1", X], "--truncate must be >= 0"),
-    (None, ["--jobs", "2", "validate", X],
-     "argument command: invalid choice: '2'"),
+    # an unknown option before the verb is named, not its value
+    (None, ["--jobs", "2", "validate", X], "unrecognized arguments: --jobs"),
     ("abc", ["decide-fg", X], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
     ("0", ["decide-fg", X], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
     ("-5", ["analyze", X], "YONEDA_CPS_MAX_WALK_CAP must be a positive"),
     (None, ["analyze"], "the following arguments are required: presentation"),
     (None, ["frobnicate", X], "argument command: invalid choice: 'frobnicate'"),
     (None, ["validate", "--max-i", "x", X], "argument --max-i: invalid int"),
+    (None, ["--bogus", "analyze", X], "unrecognized arguments: --bogus"),
 ])
 def test_out_of_range_arguments(monkeypatch, capsys, env, argv, message):
     # usage errors the argument parser finds exit 1 as well, not 2

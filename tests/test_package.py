@@ -2,13 +2,25 @@ import ast
 import contextlib
 import inspect
 import io
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import yoneda_cps
-from conftest import ALL, fixture_path
+from conftest import ALL, fixture_path, graph, load
 from yoneda_cps import cli
+from yoneda_cps.decide import (GLDIM_NOTE, FgVerdict, GlobalDimensionResult,
+                               NoetherianVerdict, analyze)
+from yoneda_cps.ext import generators_up_to, hilbert_series, poincare_table
+from yoneda_cps.oracle import minimal_resolution
+from yoneda_cps.walks import EventuallyPeriodicWalk
+
+SRC = Path(yoneda_cps.__file__).resolve().parent.parent
 
 
 def test_all_lists_resolvable_names_and_no_modules():
@@ -102,3 +114,158 @@ def test_nothing_recurses():
                         callee.value.id in ("self", "cls"):
                     recursive.add(fn.name)
     assert recursive == set()
+
+
+def _fresh(code):
+    """What `code`, run in a new interpreter that imports the package
+    from this checkout, prints as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_start_up_loads_only_what_runs():
+    """The package loads no module until a name is used, records need
+    no dataclasses, and a verb loads only the modules it runs."""
+    loaded = _fresh(f"""if True:
+        import contextlib, io, json, sys
+        def ours():
+            return sorted(m for m in sys.modules if m.startswith("yoneda_cps."))
+        import yoneda_cps
+        after_package = ours()
+        import yoneda_cps.cli
+        dataclasses = "dataclasses" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = yoneda_cps.cli.main(["graph", {fixture_path("abc_cdab")!r}])
+        print(json.dumps([after_package, dataclasses, code, ours()]))
+        """)
+    after_package, dataclasses, code, after_graph = loaded
+    assert after_package == []
+    assert dataclasses is False
+    assert code == 0
+    assert after_graph == ["yoneda_cps.cli", "yoneda_cps.graph",
+                           "yoneda_cps.monomial", "yoneda_cps.presentation",
+                           "yoneda_cps.walks"]
+
+
+def test_every_public_name_resolves_lazily():
+    by_getattr = _fresh("""if True:
+        import json, yoneda_cps
+        print(json.dumps([name for name in yoneda_cps.__all__
+                          if getattr(yoneda_cps, name, None) is None]))
+        """)
+    by_star = _fresh("""if True:
+        import json
+        from yoneda_cps import *
+        import yoneda_cps
+        print(json.dumps([name for name in yoneda_cps.__all__
+                          if name not in globals()]))
+        """)
+    assert by_getattr == [] and by_star == []
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        getattr(yoneda_cps, "nonesuch")
+
+
+RECORD_FIELDS = {
+    "Presentation": ("generator_names", "relations"),
+    "CpsGraph": ("ideal", "vertices", "g0", "edges", "admissible",
+                 "edge_word", "out", "inc"),
+    "GraphParams": ("edge_count", "max_edge_class", "max_leading_path",
+                    "bound_N", "weak_bound", "l_defaulted"),
+    "CircuitSummary": ("sccs", "cyclic", "circuits", "shared_vertex"),
+    "AnchoredWalk": ("vertices",),
+    "EventuallyPeriodicWalk": ("prefix", "cycle"),
+    "ExtClass": ("walk",),
+    "BigradedTable": ("entries", "truncation"),
+    "RationalFunction": ("numerator", "denominator"),
+    "GlobalDimensionResult": ("value", "witness", "note"),
+    "FgVerdict": ("value", "method", "bound_n", "checked_lengths",
+                  "generator_degree_bound", "witness_walk",
+                  "witness_circuit", "witness_periodic"),
+    "NoetherianVerdict": ("side", "value", "reason", "witness_vertex",
+                          "witness_edge"),
+    "AnalysisReport": ("graph", "params", "gldim", "gk_dim", "fg",
+                       "noetherian_left", "noetherian_right", "notes"),
+    "BettiTable": ("entries", "max_i", "max_j", "field_char",
+                   "truncation_reached"),
+}
+
+
+def _records(name):
+    g = graph(name)
+    report = analyze(load(name))
+    out = [load(name), g, report.params, g.cycles, report.gldim, report.fg,
+           report.noetherian_left, report.noetherian_right, report,
+           poincare_table(g, 3), hilbert_series(g),
+           minimal_resolution(g.ideal, max_i=2, max_j=4)]
+    classes = generators_up_to(g, 2)
+    out += classes + [c.walk for c in classes]
+    if report.fg.witness_periodic is not None:
+        out.append(report.fg.witness_periodic)
+    return out
+
+
+def _hashable(value):
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_records_behave_as_values(name):
+    """Each record class the fixtures reach: construction by position
+    and by keyword, value equality and hash, repr, and no assignment."""
+    for record in _records(name):
+        cls = type(record)
+        fields = RECORD_FIELDS[cls.__name__]
+        values = [getattr(record, f) for f in fields]
+        twin = cls(*values)
+        assert twin == record and not twin != record
+        assert cls(**dict(zip(fields, values))) == record
+        assert record != values
+        if all(_hashable(v) for v in values):
+            assert hash(twin) == hash(record)
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, f, None)
+            with pytest.raises(AttributeError):
+                delattr(record, f)
+        assert [getattr(record, f) for f in fields] == values
+
+
+def test_fixtures_reach_every_record_class():
+    reached = {type(r).__name__ for name in ALL for r in _records(name)}
+    assert reached == set(RECORD_FIELDS)
+
+
+def test_record_defaults_and_normalisation():
+    fg = FgVerdict(True, "finite_global_dimension")
+    assert fg == FgVerdict(value=True, method="finite_global_dimension",
+                           bound_n=None, checked_lengths=None,
+                           generator_degree_bound=None, witness_walk=None,
+                           witness_circuit=None, witness_periodic=None)
+    noeth = NoetherianVerdict("left", True, "acyclic_graph")
+    assert (noeth.witness_vertex, noeth.witness_edge) == (None, None)
+    assert GlobalDimensionResult(3, None).note == GLDIM_NOTE
+    assert GlobalDimensionResult(3, None, note="n").note == "n"
+    with pytest.raises(TypeError):
+        FgVerdict(True)
+    with pytest.raises(TypeError):
+        FgVerdict(True, "m", method="m")
+    with pytest.raises(TypeError):
+        FgVerdict(True, "m", bogus=1)
+    w = EventuallyPeriodicWalk(["ab"], ["ab", "cd", "ab"])
+    assert w.prefix == (("a", "b"),) and w.cycle[1] == ("c", "d")
+    with pytest.raises(ValueError, match="closed"):
+        EventuallyPeriodicWalk(["ab"], ["ab", "cd"])
+    g = graph("abc_cdab")
+    assert g.cycles is g.cycles
