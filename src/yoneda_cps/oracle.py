@@ -11,18 +11,35 @@ overlaps; everything else has contractible complex.
 Whether a part [a, b) of a word lies in the ideal depends only on the
 least end of a relation occurrence starting at or past a.  The complex
 of a word is therefore fixed by its length and that array of least
-ends, min_end, and `minimal_resolution` reduces one complex per
+ends, min_end, and `minimal_resolution` resolves one complex per
 distinct (length, min_end) key, not one per chain word.
 
-Each complex is shrunk before any rank is taken, from its incidences
-alone.  If a cell a is the only face of a cell c, then d c = +-a and
-d a = +-d d c = 0, so a and c span an acyclic subcomplex; the incidence
-+-1 is a unit in every field.  The quotient by it has the same homology,
-and its differential is the old one with a and c struck out, so nothing
-fills in.  Only splittings of at most max_i + 1 parts are listed.  They
-form a subcomplex whose homology is the true one in degrees <= max_i:
-its top layer is only a source of boundaries, and cancelling inside it
-keeps that.
+A key's complex splits at its forced cuts: the internal positions v
+that no normal part straddles.  The shortest part straddling v is
+[v - 1, v + 1), and min_end never decreases, so v is forced exactly
+when min_end[v - 1] <= v + 1, that is when a relation of degree 1 or 2
+lies inside [v - 1, v + 1).  Every splitting cuts at every forced cut,
+and no face deletes one, since the part it merges would straddle the
+cut.  So the complex is the tensor product of the complexes of the
+factors between forced cuts: a splitting is one splitting of each
+factor, and the parts add up.  If x has p parts, the t-th cut of y is
+cut p + t of x (x) y, and its sign (-1)^(p + t + 1) is the Koszul sign
+of d(x (x) y) = dx (x) y + (-1)^p x (x) dy.  Over a field the Kunneth
+formula then gives H_n(x (x) y) as the sum over p + q = n of
+H_p(x) H_q(y), so one complex is reduced per distinct factor.
+
+Each factor's complex is shrunk before any rank is taken, from its
+incidences alone.  If a cell a is the only face of a cell c, then
+d c = +-a and d a = +-d d c = 0, so a and c span an acyclic subcomplex;
+the incidence +-1 is a unit in every field.  The quotient by it has the
+same homology, and its differential is the old one with a and c struck
+out, so nothing fills in.  Only splittings of at most max_i + 1 parts
+are listed.  They form a subcomplex whose homology is the true one in
+degrees <= max_i: its top layer is only a source of boundaries, and
+cancelling inside it keeps that.  Every factor's complex sits in
+degrees >= 1, so in a total degree n <= max_i each factor's degree is
+at most n, where its homology is exact; the convolution keeps degrees
+<= max_i only.
 """
 
 from .ext import poincare_table
@@ -88,18 +105,41 @@ def chain_words(ideal, max_len):
     return sorted(words, key=ideal.sort_key), truncated
 
 
-def _min_occurrence_end(ideal, word):
-    """m[a] = least end of a relation occurrence starting at or past a."""
+def _min_occurrence_ends(ideal, words):
+    """For each word, m[a] = least end of a relation occurrence starting
+    at or past a."""
     relations = set(ideal.relations)
     lengths = sorted({len(r) for r in relations})
-    m = [len(word) + 1] * (len(word) + 1)
-    for a in range(len(word) - 1, -1, -1):
-        m[a] = m[a + 1]
-        for k in lengths:
-            if a + k < m[a] and word[a:a + k] in relations:
-                m[a] = a + k
-                break
-    return m
+    out = []
+    for word in words:
+        m = [len(word) + 1] * (len(word) + 1)
+        for a in range(len(word) - 1, -1, -1):
+            m[a] = m[a + 1]
+            for k in lengths:
+                if a + k < m[a] and word[a:a + k] in relations:
+                    m[a] = a + k
+                    break
+        out.append(m)
+    return out
+
+
+def _min_occurrence_end(ideal, word):
+    """m[a] = least end of a relation occurrence starting at or past a."""
+    return _min_occurrence_ends(ideal, [word])[0]
+
+
+def _factor_keys(n_len, min_end):
+    """The (length, min_end) keys of the factors between forced cuts.
+
+    v is a forced cut when min_end[v - 1] <= v + 1; a factor [s, e)
+    keeps min_end[s:e + 1], shifted by s and capped at e + 1.
+    """
+    cuts = [v for v in range(1, n_len) if min_end[v - 1] <= v + 1]
+    out = []
+    for s, e in zip([0] + cuts, cuts + [n_len]):
+        out.append((e - s, tuple([min(m, e + 1) - s
+                                  for m in min_end[s:e + 1]])))
+    return out
 
 
 def _splitting_homology(n_len, min_end, max_i, field_char):
@@ -172,29 +212,60 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
     return out
 
 
+def _factored_homology(n_len, min_end, max_i, field_char, memo):
+    """_splitting_homology of a key, from its factors between forced cuts.
+
+    Each factor's homology is reduced once and kept in memo; the key's
+    is their Kunneth convolution, cut at degree max_i.
+    """
+    total = {0: 1}
+    for factor in _factor_keys(n_len, min_end):
+        h = memo.get(factor)
+        if h is None:
+            h = memo[factor] = _splitting_homology(*factor, max_i, field_char)
+        product = {}
+        for p, a in total.items():
+            for q, b in h.items():
+                if p + q <= max_i:
+                    product[p + q] = product.get(p + q, 0) + a * b
+        total = product
+    return {n: total[n] for n in sorted(total)}
+
+
 def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
                        progress=None):
     """Bigraded dimensions (i, j) -> dim for i <= max_i, j <= max_j.
 
     A word's splitting complex depends on the word only through its
-    length and its least occurrence ends, so one complex is reduced per
+    length and its least occurrence ends, so one complex is resolved per
     distinct (length, min_end) key and its homology is added once for
     every chain word with that key.  This is exact, not a heuristic:
     two words with the same key have the same complex, basis for basis
-    and differential for differential.  Each complex is first shrunk
-    by cancelling unit-incidence pairs, which is exact too (see the
-    module docstring).  progress, if given, receives a line every 50
-    chain words and one at the end.
+    and differential for differential.
+
+    A key's complex is the tensor product of its factors' complexes
+    between forced cuts, the positions v with min_end[v - 1] <= v + 1
+    that every splitting cuts and no face deletes.  Each distinct
+    factor is reduced once per call, its unit-incidence pairs cancelled
+    first, and a key's homology is the Kunneth convolution of its
+    factors' homologies, cut at degree max_i.  Both steps are exact in
+    every field (see the module docstring): each factor sits in degrees
+    >= 1, so its homology is needed only in degrees <= max_i, where it
+    is exact.  progress, if given, receives a line every 50 chain words
+    and one at the end.
     """
     assert field_char >= 2, "field characteristic"
     words, truncated = chain_words(ideal, max_j)
     entries = {(0, 0): 1, (1, 1): len(ideal.presentation.generator_names)}
 
-    keys = [(len(w), tuple(_min_occurrence_end(ideal, w))) for w in words]
+    keys = [(len(w), tuple(m))
+            for w, m in zip(words, _min_occurrence_ends(ideal, words))]
     homology = {}
+    factors = {}    # factor key -> its homology
     for k, key in enumerate(keys):
         if key not in homology:
-            homology[key] = _splitting_homology(*key, max_i, field_char)
+            homology[key] = _factored_homology(*key, max_i, field_char,
+                                               factors)
         if progress and (k + 1) % 50 == 0:
             progress(f"{k + 1}/{len(keys)} words resolved")
     for n_len, min_end in keys:

@@ -8,9 +8,10 @@ from dense_oracle import (minimal_resolution_dense,
                           reference_splitting_homology, word_homology)
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.oracle import (BettiTable, _min_occurrence_end,
-                               _splitting_homology, chain_words,
-                               cross_validate, minimal_resolution)
+from yoneda_cps.oracle import (BettiTable, _factor_keys, _factored_homology,
+                               _min_occurrence_end, _splitting_homology,
+                               chain_words, cross_validate,
+                               minimal_resolution)
 from yoneda_cps.presentation import make_presentation
 
 
@@ -201,6 +202,76 @@ def test_reduction_matches_reference_on_random_complexes(key, max_i,
                                                          field_char):
     assert (_splitting_homology(*key, max_i, field_char)
             == reference_splitting_homology(*key, max_i, field_char))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(min_end_arrays(), st.integers(0, 12), st.sampled_from([2, 3, 32003]))
+def test_factored_homology_matches_reference_on_random_keys(key, max_i,
+                                                            field_char):
+    """Splitting a key at its forced cuts and convolving its factors'
+    homologies gives the homology of the whole complex."""
+    n, min_end = key
+    # v is forced when no normal part [a, b) straddles it
+    forced = [v for v in range(1, n)
+              if all(min_end[a] <= b for a in range(v)
+                     for b in range(v + 1, n + 1))]
+    ends = itertools.accumulate(length for length, _ in _factor_keys(*key))
+    assert list(ends) == forced + [n]
+    assert (_factored_homology(*key, max_i, field_char, {})
+            == reference_splitting_homology(*key, max_i, field_char))
+
+
+def test_factored_homology_at_max_i_0():
+    key = (4, (2, 4, 5, 5, 5))    # relations at [0, 2) and [1, 4)
+    assert _factor_keys(*key) == [(1, (2, 2)), (3, (3, 4, 4, 4))]
+    for field_char in (2, 3):
+        for max_i, expect in [(0, {}), (2, {}), (3, {3: 1})]:
+            assert _factored_homology(*key, max_i, field_char, {}) == expect
+            assert reference_splitting_homology(
+                *key, max_i, field_char) == expect
+
+
+def test_one_letter_relation_is_an_empty_factor():
+    """A relation of degree 1 inside a word makes an empty factor, whose
+    complex has no cell, so the word's homology vanishes."""
+    key = (3, (2, 2, 4, 4))       # a w b with w a relation
+    assert _factor_keys(*key) == [(1, (2, 2)), (1, (1, 2)), (1, (2, 2))]
+    assert _splitting_homology(1, (1, 2), 8, 2) == {}
+    memo = {}
+    assert _factored_homology(*key, 8, 2, memo) == {}
+    assert memo == {(1, (2, 2)): {1: 1}, (1, (1, 2)): {}}
+    assert reference_splitting_homology(*key, 8, 2) == {}
+
+
+def _split_counts(name, max_j):
+    """(keys, distinct factors, keys that are their own single factor)."""
+    a = ideal(name)
+    keys = {_occurrence_key(a, w) for w in chain_words(a, max_j)[0]}
+    factors = {f for key in keys for f in _factor_keys(*key)}
+    whole = sum(_factor_keys(*key) == [key] for key in keys)
+    return len(keys), len(factors), whole
+
+
+def test_forced_cuts_split_sklyanin_leading():
+    assert _split_counts("sklyanin_leading", 12) == (2054, 149, 148)
+
+
+@pytest.mark.parametrize("name", ["abc_cdab", "abc_cdab_bcda", "x2y_family",
+                                  "two_chain_overlap"])
+def test_no_forced_cut_without_degree_2_relations(name):
+    assert min(map(len, load(name).relations)) > 2
+    n_keys, n_factors, whole = _split_counts(name, 16)
+    assert whole == n_factors == n_keys
+
+
+@pytest.mark.parametrize("name", ["x_square", "xy_single"])
+def test_quadratic_relations_split_into_letters(name):
+    """Every position of a chain word of quadratic relations is a forced
+    cut, so every factor is one letter."""
+    a = ideal(name)
+    for w in chain_words(a, 12)[0]:
+        key = _occurrence_key(a, w)
+        assert _factor_keys(*key) == [(1, (2, 2))] * len(w)
 
 
 def test_resolution_progress_counts_chain_words():

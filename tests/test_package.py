@@ -1,4 +1,5 @@
 import ast
+import builtins
 import contextlib
 import inspect
 import io
@@ -114,6 +115,47 @@ def test_nothing_recurses():
                         callee.value.id in ("self", "cls"):
                     recursive.add(fn.name)
     assert recursive == set()
+
+
+def test_oracle_reads_no_walk_calculus():
+    """The oracle is an independent check: only cross_validate may use a
+    name from ext, graph or walks, and the resolution itself reads only
+    the ideal, linalg and its own functions."""
+    tree = ast.parse((SRC / "yoneda_cps" / "oracle.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.name
+    functions = {fn.name: fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef)}
+    resolution = {"chain_words", "_min_occurrence_ends", "_min_occurrence_end",
+                  "_factor_keys", "_factored_homology", "_splitting_homology",
+                  "minimal_resolution"}
+    assert set(functions) == resolution | {"cross_validate"}
+    allowed = (set(dir(builtins)) | resolution | {"BettiTable"}
+               | {name for name, module in imported.items()
+                  if module == "linalg"})
+    for name, fn in functions.items():
+        bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)} - bound
+        assert not any(isinstance(n, (ast.Import, ast.ImportFrom))
+                       for n in ast.walk(fn)), name
+        if name in resolution:
+            assert read <= allowed, (name, sorted(read - allowed))
+    walk_calculus = {name for name, module in imported.items()
+                     if module in ("ext", "graph", "walks")}
+    assert walk_calculus == {"poincare_table"}
+    users = {name for name, fn in functions.items()
+             if walk_calculus & {n.id for n in ast.walk(fn)
+                                 if isinstance(n, ast.Name)}}
+    assert users == {"cross_validate"}
 
 
 def _fresh(code):
