@@ -7,6 +7,10 @@ Hunts:
              printed with the certifying eventually periodic walk
   parity     walks with an admissible even-remainder prefix that fail
              to extend (counterexamples to the naive parity closure)
+  fg-check   presentations on which the automaton of indecomposable
+             walks disagrees with the pruned walk search: on its first
+             walk of length N or N+1, or on finite generation (finite
+             language against the verdict); exits 1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -27,17 +31,32 @@ sys.path.insert(0, str(ROOT / "tests"))
 from propcore import (collect_walks, parity_extension_violations,
                       random_presentation)
 from yoneda_cps.decide import analyze
-from yoneda_cps.graph import build_marked_graph
+from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import serialize_presentation
-from yoneda_cps.walks import WalkCapExceeded
+from yoneda_cps.walks import (WalkAutomaton, WalkCapExceeded,
+                              indecomposable_walks)
+
+
+def fg_disagreement(g, fg_value, cap):
+    """How the automaton disagrees with the pruned search on a cyclic
+    graph, or None."""
+    automaton = WalkAutomaton(g, cap)
+    if (automaton.longest_accepted() is None) == fg_value:
+        return "finite language against the verdict"
+    n = graph_params(g).bound_N
+    searched = next(indecomposable_walks(g, (n, n + 1), cap), None)
+    if automaton.first_accepted((n, n + 1)) != searched:
+        return f"first walk at lengths ({n}, {n + 1})"
+    return None
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--hunt", choices=("fg-false", "parity", "summary"),
+    parser.add_argument("--hunt", choices=("fg-false", "fg-check", "parity",
+                                           "summary"),
                         default="summary")
     parser.add_argument("--max-gens", type=int, default=3)
     parser.add_argument("--max-relations", type=int, default=4)
@@ -74,6 +93,16 @@ def main(argv=None):
             skipped += 1
             continue
         methods[rep.fg.method] = methods.get(rep.fg.method, 0) + 1
+        if args.hunt == "fg-check" and rep.graph.cycles.has_cycle:
+            try:
+                problem = fg_disagreement(rep.graph, rep.fg.value, args.cap)
+            except WalkCapExceeded:
+                skipped += 1
+                continue
+            if problem:
+                hits += 1
+                print(f"# the automaton disagrees: {problem}")
+                print(json.dumps(serialize_presentation(p)))
         if args.hunt == "fg-false" and not rep.fg.value:
             hits += 1
             witness = rep.fg.to_json()["witness"]
@@ -86,7 +115,7 @@ def main(argv=None):
             print(f"{method:32s} {count}")
     else:
         print(f"# {hits} specimens", file=sys.stderr)
-    return 0
+    return 1 if args.hunt == "fg-check" and hits else 0
 
 
 if __name__ == "__main__":

@@ -13,16 +13,16 @@ caller pays only for the modules it runs.
 from importlib import import_module
 
 _HOME = {
-    "presentation": ("Presentation", "PresentationError", "make_presentation",
-                     "parse_presentation", "serialize_presentation"),
+    "presentation": ("Presentation", "PresentationError", "WalkCapExceeded",
+                     "make_presentation", "parse_presentation",
+                     "serialize_presentation"),
     "monomial": ("MonomialIdeal", "PreconditionError",
                  "annihilator_generators", "left_min_annihilating_suffix"),
     "graph": ("CpsGraph", "GraphParams", "build_marked_graph",
               "circuits_and_sccs", "export_dot", "export_json",
               "graph_params"),
-    "walks": ("AnchoredWalk", "EventuallyPeriodicWalk", "WalkCapExceeded",
-              "canonical_anchored", "enumerate_anchored", "is_decomposable",
-              "is_dense", "word_of"),
+    "walks": ("AnchoredWalk", "EventuallyPeriodicWalk", "canonical_anchored",
+              "enumerate_anchored", "is_decomposable", "is_dense", "word_of"),
     "ext": ("BigradedTable", "ExtClass", "ext_class", "generators_up_to",
             "hilbert_series", "poincare_table", "yoneda_mul"),
     "decide": ("INFINITY", "AnalysisReport", "analyze", "finitely_generated",

@@ -8,8 +8,8 @@ failed assertion, or a precondition of the annihilator routines).
 
 The module imports at its top only what every verb runs: parsing, the
 annihilator graph and the walk cap.  Each `cmd_*` imports the modules
-of its own verb, so `graph` never loads the decision procedures, the
-Hilbert series or the resolution oracle.
+of its own verb, so `graph` never loads the walk calculus, the decision
+procedures, the Hilbert series or the resolution oracle.
 """
 
 import argparse
@@ -19,8 +19,8 @@ import sys
 
 from .graph import build_marked_graph, export_dot, export_json
 from .monomial import PreconditionError
-from .presentation import PresentationError, parse_presentation
-from .walks import WalkCapExceeded, parse_display_walk, walk_cap
+from .presentation import (PresentationError, WalkCapExceeded,
+                           parse_presentation, walk_cap)
 
 
 def _load(path):
@@ -75,6 +75,7 @@ def cmd_ext_basis(args):
 
 
 def _parse_walk_arg(g, text, name):
+    from .walks import parse_display_walk
     try:
         items = json.loads(text)
     except json.JSONDecodeError as e:

@@ -4,14 +4,15 @@ All four invariants of the cohomology algebra reduce to properties of
 the annihilator graph.  Global dimension is finite exactly when the
 graph is acyclic.  Growth is the largest number of cycle components met
 by a single walk, infinite when two circuits share a vertex.  Finite
-generation reduces to decomposability of all anchored walks at two
-consecutive bounded lengths, checked by `walks.indecomposable_walks`,
-the pruned search `ext.generators_up_to` also uses; a negative answer
-carries the first walk it finds and, when one of its repeats
-certifies, an eventually periodic walk on which no decomposition
-mechanism fires.  The chain conditions are local: every
-circuit vertex must have unique continuation on the relevant side and
-every circuit edge must be admissible.
+generation is decided by the first of four premises that holds; the
+last reads a finite automaton, `walks.WalkAutomaton`, whose accepted
+paths are the indecomposable anchored walks: the algebra is finitely
+generated when none has length N or N+1, and a negative answer carries
+the first such walk and, when one of its repeats certifies, an
+eventually periodic walk on which no decomposition mechanism fires.
+The chain conditions are local: every circuit vertex must have unique
+continuation on the relevant side and every circuit edge must be
+admissible.
 """
 
 import math
@@ -19,7 +20,7 @@ from itertools import islice
 
 from .graph import build_marked_graph, graph_params
 from .presentation import Record, format_word
-from .walks import EventuallyPeriodicWalk, indecomposable_walks, is_dense
+from .walks import EventuallyPeriodicWalk, WalkAutomaton, is_dense
 
 __all__ = [
     "INFINITY",
@@ -233,9 +234,19 @@ def finitely_generated(g, params=None, cap=None):
     """Finite generation, from the first of four premises that holds:
     an acyclic graph (yes, read without the bound N); every circuit
     meets a degree-1 vertex (yes); a circuit avoids them and every
-    admissible edge leaves one (no, the pumped circuit); else the
-    search at lengths (N, N+1), no on its first walk, yes if none.
-    Only the search reads the walk cap."""
+    admissible edge leaves one (no, the pumped circuit); else an
+    indecomposable walk of length N or N+1 (no, on the first such walk
+    in search order) or none (yes).
+
+    The last premise reads `WalkAutomaton`, whose accepted paths are
+    the indecomposable walks: its search enters only states that can
+    still reach acceptance at length N or N+1.  Two checks hold the
+    verdict to the automaton: the accepted lengths are unbounded
+    exactly when a walk is found, and on a yes none exceeds N.  The
+    premises keep their order because on some inputs an indecomposable
+    walk has length exactly N while an earlier premise rightly says
+    yes.  Only the last premise reads the walk cap.
+    """
     if not g.cycles.has_cycle:
         gd = global_dimension(g)
         return FgVerdict(True, "finite_global_dimension",
@@ -264,8 +275,15 @@ def finitely_generated(g, params=None, cap=None):
                          witness_circuit=circuit,
                          witness_periodic=witness)
     targets = (params.bound_N, params.bound_N + 1)
-    found = next(indecomposable_walks(g, targets, cap), None)
+    automaton = WalkAutomaton(g, cap)
+    found = automaton.first_accepted(targets)
+    longest = automaton.longest_accepted()
+    assert (longest is None) == (found is not None), \
+        "the indecomposable walks must be unbounded exactly when one " \
+        "has length N or N+1"
     if found is None:
+        assert longest <= params.bound_N, \
+            "no indecomposable walk may be longer than N"
         return FgVerdict(True, "no_indecomposables_at_bound",
                          bound_n=params.bound_N, checked_lengths=targets,
                          generator_degree_bound=params.bound_N + 1)

@@ -13,7 +13,6 @@ its denominator is their shortest linear recurrence, with constant term
 
 from .monomial import annihilator_generators
 from .presentation import Record
-from .ratfun import RationalFunction, poly_mul, shortest_recurrence, trim
 from .walks import (AnchoredWalk, canonical_anchored, display_walk,
                     greedy_parse, indecomposable_walks, validate_walk, word_of)
 
@@ -181,6 +180,7 @@ def hilbert_series(g):
     constant term 1.  Any other constant term would be an internal
     invariant violation.
     """
+    from .ratfun import RationalFunction, poly_mul, shortest_recurrence, trim
     n = len(g.vertices)
     h = _walk_counts(g, 3 * n + 1)
     den = shortest_recurrence(h[n + 1:])

@@ -13,11 +13,13 @@ one-character alphabet, which keeps tests readable.
 """
 
 import json
+import os
 
 __all__ = [
     "Presentation",
     "PresentationError",
     "Record",
+    "WalkCapExceeded",
     "format_word",
     "parse_presentation",
     "serialize_presentation",
@@ -38,6 +40,38 @@ class PresentationError(ValueError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+DEFAULT_WALK_CAP = 10 ** 7
+
+
+class WalkCapExceeded(RuntimeError):
+    """A bounded search of the walk layer passed its cap.  `stage` names
+    what was counted."""
+
+    def __init__(self, cap, stage="walk enumeration"):
+        super().__init__(
+            f"{stage} exceeded the cap of {cap}"
+            " (raise YONEDA_CPS_MAX_WALK_CAP to allow more)")
+        self.cap = cap
+
+
+def walk_cap():
+    """The cap of the walk layer's searches, from YONEDA_CPS_MAX_WALK_CAP.
+
+    It lives here, not in `walks`, so that every verb can check it
+    without loading the walk calculus."""
+    raw = os.environ.get("YONEDA_CPS_MAX_WALK_CAP")
+    if not raw:
+        return DEFAULT_WALK_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("YONEDA_CPS_MAX_WALK_CAP must be a positive "
+                         f"integer, got {raw!r}")
+    return cap
 
 
 def format_word(letters):

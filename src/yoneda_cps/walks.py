@@ -12,14 +12,13 @@ word: each step takes the shortest normal suffix of the unconsumed part
 that annihilates the previous vertex.
 """
 
-import os
-
 from .monomial import left_min_annihilating_suffix
-from .presentation import Record, format_word
+from .presentation import Record, WalkCapExceeded, format_word, walk_cap
 
 __all__ = [
     "AnchoredWalk",
     "EventuallyPeriodicWalk",
+    "WalkAutomaton",
     "WalkCapExceeded",
     "vertices_of",
     "word_of",
@@ -34,30 +33,6 @@ __all__ = [
     "parse_display_walk",
     "validate_walk",
 ]
-
-DEFAULT_WALK_CAP = 10 ** 7
-
-
-class WalkCapExceeded(RuntimeError):
-    def __init__(self, cap):
-        super().__init__(
-            f"walk enumeration exceeded the cap of {cap}"
-            " (raise YONEDA_CPS_MAX_WALK_CAP to allow more)")
-        self.cap = cap
-
-
-def walk_cap():
-    raw = os.environ.get("YONEDA_CPS_MAX_WALK_CAP")
-    if not raw:
-        return DEFAULT_WALK_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError("YONEDA_CPS_MAX_WALK_CAP must be a positive "
-                         f"integer, got {raw!r}")
-    return cap
 
 
 class AnchoredWalk(Record):
@@ -320,25 +295,38 @@ def is_dense(g, w, edge_index):
         ell += 2
 
 
-def _carry_chains(g, walk, t, chains):
-    """The partner chains of `walk` extended by `t`, or None when one
-    rejoins at an even offset.  A chain whose carried word falls into
-    the ideal is dropped: no suffix from its edge parses again."""
-    j = len(walk) - 1  # index of the new edge; tail edges start at index 1
-    if j >= 1 and g.admissible[(walk[-1], t)]:
-        pair = greedy_parse(g.ideal, t + walk[-1], 1)
-        assert pair is not None, "admissible edge words always parse"
-        chains = chains + [(j, 1, pair[1])]
+def _chain_step(g, v, chains, t):
+    """The partner chains after the edge v -> t, or None when one
+    rejoins at an even offset.
+
+    Each admissible tail edge carries a chain (steps, r): r is the top
+    vertex of the anchored partner of the edge's odd-length extension,
+    and `steps` says whether the chain advances, by `partner_step`, at
+    this edge; a chain alternates, advancing at every second edge.  A
+    tail edge is one that does not leave the walk's first vertex, which
+    is its only degree-1 vertex since the search cuts at every later
+    one.  A chain whose carried word falls into the ideal is dropped: no
+    suffix from its edge parses again.  The search and the automaton
+    both step by this function alone.
+    """
     advanced = []
-    for pj, ell, r in chains:
-        if pj + ell + 1 == j:  # the new edge completes two more vertices
-            rejoined, r = partner_step(g.ideal, r, walk[-1], t)
-            if rejoined:
-                return None
-            ell += 2
+    for steps, r in chains:
+        if not steps:
+            advanced.append((True, r))
+            continue
+        rejoined, r = partner_step(g.ideal, r, v, t)
+        if rejoined:
+            return None
         if r is not None:
-            advanced.append((pj, ell, r))
-    return advanced
+            advanced.append((False, r))
+    if len(v) > 1 and g.admissible[(v, t)]:
+        pair = greedy_parse(g.ideal, t + v, 1)
+        assert pair is not None, "admissible edge words always parse"
+        advanced.append((False, pair[1]))
+    return frozenset(advanced)
+
+
+_NO_CHAINS = frozenset()
 
 
 def indecomposable_walks(g, lengths, cap=None):
@@ -346,11 +334,10 @@ def indecomposable_walks(g, lengths, cap=None):
     is in `lengths`; walks of one length come in `enumerate_anchored`'s
     order.  A branch is cut when every completion is decomposable: at a
     degree-1 vertex, which starts an anchored suffix, or where a partner
-    chain rejoins at an even offset and so grafts onto any continuation.
-    Each admissible tail edge at j carries its chain (j, ell, r): the
-    anchored partner of the edge's length-ell extension, top vertex r.
-    Survivors at a listed length get the honest decomposability check.
-    Every visited walk counts against the cap; the stack is explicit.
+    chain rejoins at an even offset and so grafts onto any continuation
+    (`_chain_step`).  Survivors at a listed length get the honest
+    decomposability check.  Every visited walk counts against the cap;
+    the stack is explicit.
     """
     if cap is None:
         cap = walk_cap()
@@ -358,7 +345,7 @@ def indecomposable_walks(g, lengths, cap=None):
     horizon = max(lengths, default=0)
     visited = 0
     walk = []
-    stack = [(iter(g.g0), [])]  # per frame: successors left, partner chains
+    stack = [(iter(g.g0), _NO_CHAINS)]  # per frame: successors left, chains
     while stack:
         succ, chains = stack[-1]
         t = next(succ, None)
@@ -370,7 +357,7 @@ def indecomposable_walks(g, lengths, cap=None):
         if walk:
             if len(t) == 1:
                 continue  # anchored suffix in every completion
-            chains = _carry_chains(g, walk, t, chains)
+            chains = _chain_step(g, walk[-1], chains, t)
             if chains is None:
                 continue
         walk.append(t)
@@ -384,3 +371,175 @@ def indecomposable_walks(g, lengths, cap=None):
             stack.append((iter(g.out[t]), chains))
         else:
             walk.pop()
+
+
+class WalkAutomaton:
+    """The pruned search of `indecomposable_walks` as a finite
+    deterministic automaton.
+
+    A walk the search keeps is summed up by its state: its last vertex
+    and the frozenset of its live partner chains.  The last vertex also
+    says whether the walk has an edge yet, since only the first vertex
+    has degree 1.  The next state is a function of the state and the
+    next vertex, `_chain_step`, so the kept walks are exactly the paths
+    from the start states, one per generator.  The automaton is built
+    breadth first from the generators in order; each state keeps the
+    first walk that reached it and accepts when that walk has an edge
+    and is not decomposable.  Then the indecomposable walks are the
+    accepted paths, a regular language, and Ext is finitely generated
+    exactly when that language is finite (Bar-Hillel, Perles and Shamir).
+
+    Acceptance depends only on the state.  Take a kept walk v_0 .. v_n
+    and a tail edge v_j -> v_(j+1), j >= 1.  If the edge is not
+    admissible, no suffix walk from it parses.  If it is, its chain
+    follows the greedy parse of the suffix walks from it.  At an odd
+    offset the partner vertex is r = v_(k+1) u, where v_k = u s and s is
+    the previous partner vertex; r is the whole word the parse has left
+    there, because r s = v_(k+1) v_k lies in the ideal and no proper
+    suffix of r annihilates s: such a suffix is either a proper suffix
+    of v_(k+1) followed by u, against the minimality of v_(k+1) over
+    v_k, or a suffix of u, whose product with s is a factor of the
+    normal word v_k.  Hence, with v = v_n:
+    - a dropped chain: its word r lies in the ideal, so no suffix from
+      its edge that reaches v_(k+1) parses;
+    - a live chain that started or stepped at the last edge (steps
+      False): the suffix ending at v parses, with last partner vertex r;
+    - a live chain that did not (steps True): the suffix ending at v
+      parses exactly when the shortest suffix of v annihilating r is v
+      itself, the rejoin that `partner_step` reports at the next edge.
+    So the walk is indecomposable exactly when it has an edge and every
+    live chain has steps True and no rejoin pending at v: a condition on
+    v and the live chains alone, which the first walk of the state
+    decides for all.  The suite checks it too: accepted paths and
+    indecomposable walks have equal counts at each length on the
+    fixtures and random draws.
+
+    The states count against the walk cap, and so do the steps of
+    `first_accepted`.
+    """
+
+    def __init__(self, g, cap=None):
+        self.cap = walk_cap() if cap is None else cap
+        self.states = [(v, _NO_CHAINS) for v in g.g0]
+        self.walks = [(v,) for v in g.g0]   # first walk to reach each state
+        self.succ = []  # per state: the next states, in g.out order
+        index = {state: i for i, state in enumerate(self.states)}
+        for (v, chains), walk in zip(self.states, self.walks):  # grows
+            row = []
+            for t in g.out[v]:
+                if len(t) == 1:
+                    continue  # anchored suffix in every completion
+                after = _chain_step(g, v, chains, t)
+                if after is None:
+                    continue
+                state = (t, after)
+                i = index.get(state)
+                if i is None:
+                    i = index[state] = len(self.states)
+                    if i >= self.cap:
+                        raise WalkCapExceeded(self.cap, "the fg automaton's "
+                                              "state count")
+                    self.states.append(state)
+                    self.walks.append(walk + (t,))
+                row.append(i)
+            self.succ.append(tuple(row))
+        self.accepting = [len(w) > 1 and not is_decomposable(g, w)
+                          for w in self.walks]
+        self.starts = range(len(g.g0))
+
+    def _reach(self, horizon):
+        """reach(k): the bitmask of states with an accepted path of
+        exactly k more edges, for k <= horizon.  The masks follow one
+        another by a fixed map, so they are listed until one repeats and
+        read periodically after that."""
+        into = [0] * len(self.states)  # state -> bitmask of its sources
+        for s, row in enumerate(self.succ):
+            for c in row:
+                into[c] |= 1 << s
+        mask = sum(1 << s for s, yes in enumerate(self.accepting) if yes)
+        masks, first = [], {}
+        while mask not in first and len(masks) <= horizon:
+            first[mask] = len(masks)
+            masks.append(mask)
+            before = 0
+            while mask:
+                low = mask & -mask
+                before |= into[low.bit_length() - 1]
+                mask ^= low
+            mask = before
+        start = first.get(mask, len(masks))   # where the cycle starts
+
+        def reach(k):
+            if k < len(masks):
+                return masks[k]
+            return masks[start + (k - start) % (len(masks) - start)]
+        return reach
+
+    def first_accepted(self, lengths):
+        """The first accepted walk whose length is in `lengths`, in the
+        order `indecomposable_walks` yields them, or None.
+
+        A depth-first search enters only the states that still have an
+        accepted path to a listed length, so it never backs out of a
+        dead branch.
+        """
+        lengths = sorted(set(lengths))
+        reach = self._reach(lengths[-1])
+        steps = 0
+        path = []   # the states of the walk so far
+        stack = [iter(self.starts)]
+        while stack:
+            s = next(stack[-1], None)
+            if s is None:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            depth = len(path)
+            if not any(reach(n - depth) >> s & 1
+                       for n in lengths if n >= depth):
+                continue
+            steps += 1
+            if steps > self.cap:
+                raise WalkCapExceeded(self.cap, "the fg automaton's search")
+            path.append(s)
+            if depth in lengths and self.accepting[s]:
+                return tuple(self.states[i][0] for i in path)
+            stack.append(iter(self.succ[s]))
+        return None
+
+    def longest_accepted(self):
+        """The length of the longest accepted walk, 0 when there is none,
+        or None when they have no bound.  The lengths are bounded exactly
+        when no cycle runs through a state with an accepted path; those
+        states are sorted topologically, sources first."""
+        n = len(self.states)
+        into = [[] for _ in range(n)]
+        for s, row in enumerate(self.succ):
+            for c in row:
+                into[c].append(s)
+        live = [s for s in range(n) if self.accepting[s]]
+        alive = set(live)
+        for c in live:   # grows: every state with an accepted path
+            for s in into[c]:
+                if s not in alive:
+                    alive.add(s)
+                    live.append(s)
+        pending = [0] * n   # live predecessors not yet sorted
+        for s in alive:
+            for c in self.succ[s]:
+                if c in alive:
+                    pending[c] += 1
+        # a live state's predecessors are live, so the sources are starts
+        order = [s for s in alive if not pending[s]]
+        depth = [0] * n
+        for s in order:   # grows
+            for c in self.succ[s]:
+                if c in alive:
+                    depth[c] = max(depth[c], depth[s] + 1)
+                    pending[c] -= 1
+                    if not pending[c]:
+                        order.append(c)
+        if len(order) < len(alive):
+            return None
+        return max((depth[s] for s in alive if self.accepting[s]), default=0)

@@ -1,0 +1,124 @@
+"""The automaton of indecomposable walks against the pruned search and
+the recursive reference route."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from conftest import ALL, graph
+from propcore import random_presentation, reference_search_indecomposable
+from yoneda_cps.decide import finitely_generated
+from yoneda_cps.graph import build_marked_graph, graph_params
+from yoneda_cps.monomial import left_min_annihilating_suffix
+from yoneda_cps.presentation import make_presentation
+from yoneda_cps.walks import (WalkAutomaton, WalkCapExceeded,
+                              indecomposable_walks)
+
+COUNTED_LENGTHS = range(1, 12)
+
+
+def accepted_counts(automaton, lengths):
+    """The number of accepted paths of each length, by a layer DP from
+    the start states."""
+    layer = Counter(automaton.starts)
+    counts = {}
+    for n in range(max(lengths) + 1):
+        if n in lengths:
+            counts[n] = sum(c for s, c in layer.items()
+                            if automaton.accepting[s])
+        step = Counter()
+        for s, c in layer.items():
+            for t in automaton.succ[s]:
+                step[t] += c
+        layer = step
+    return counts
+
+
+def _deep_fg_graph():
+    # x2y_family plus 150 cycles a_i -> a_i a_i -> a_i: bound_N is 1240
+    gens = ["x", "y"] + [f"a{i}" for i in range(150)]
+    rels = [["x", "x", "y"], ["x", "y", "y"], ["y", "y", "y"],
+            ["x", "x", "x", "x"]] + [[f"a{i}"] * 3 for i in range(150)]
+    return build_marked_graph(make_presentation(gens, rels))
+
+
+def _accepts_by_the_proof(g, state):
+    """The condition on a state that the WalkAutomaton docstring proves
+    equivalent to indecomposability: the walk has an edge, and every
+    live chain waits for its step with no rejoin pending."""
+    v, chains = state
+    return len(v) > 1 and all(
+        steps and left_min_annihilating_suffix(g.ideal, v, r) != v
+        for steps, r in chains)
+
+
+def _check_against_the_search(g):
+    automaton = WalkAutomaton(g)
+    assert automaton.accepting == [_accepts_by_the_proof(g, state)
+                                   for state in automaton.states]
+    n = graph_params(g).bound_N
+    for targets in ((n, n + 1), (3, 4), (7, 8)):
+        first = automaton.first_accepted(targets)
+        assert first == next(indecomposable_walks(g, targets), None), targets
+        assert first == reference_search_indecomposable(g, targets, 10 ** 7)
+    searched = Counter(len(w) - 1
+                       for w in indecomposable_walks(g, COUNTED_LENGTHS))
+    assert accepted_counts(automaton, COUNTED_LENGTHS) == \
+        {n: searched[n] for n in COUNTED_LENGTHS}
+    if g.cycles.has_cycle:
+        # whichever premise decides
+        finite = automaton.longest_accepted() is not None
+        assert finite == finitely_generated(g).value
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_automaton_matches_the_search(name):
+    _check_against_the_search(graph(name))
+
+
+def test_automaton_matches_the_search_on_random_presentations():
+    rng = random.Random(13)
+    for _ in range(300):
+        p = random_presentation(rng, max_gens=4, max_relations=6, max_degree=5)
+        _check_against_the_search(build_marked_graph(p))
+
+
+def test_state_counts():
+    assert len(WalkAutomaton(graph("two_chain_overlap")).states) == 56
+    deep = WalkAutomaton(_deep_fg_graph())
+    assert len(deep.states) == 308
+    assert deep.longest_accepted() == 1
+
+
+def test_longest_accepted():
+    assert WalkAutomaton(graph("abc_cdab")).longest_accepted() == 2
+    assert WalkAutomaton(graph("x2y_family")).longest_accepted() == 1
+    assert WalkAutomaton(graph("two_chain_overlap")).longest_accepted() is None
+    assert WalkAutomaton(graph("xy_single")).longest_accepted() == 0
+
+
+def test_an_indecomposable_walk_of_length_n_under_a_yes():
+    """Why the premise order stays: y -> xxz -> zx is indecomposable and
+    has length N = 2, yet Ext is finitely generated, as the earlier
+    premise says.  No indecomposable walk is longer than N."""
+    g = build_marked_graph(make_presentation(
+        "xyz", [("z", "z"), ("z", "x", "x"), ("x", "x", "z", "y")]))
+    assert graph_params(g).bound_N == 2
+    automaton = WalkAutomaton(g)
+    walk = (("y",), ("x", "x", "z"), ("z", "x"))
+    assert automaton.first_accepted((2, 3)) == walk
+    assert automaton.longest_accepted() == 2
+    out = finitely_generated(g)
+    assert out.value and out.method == "all_circuits_meet_generators"
+
+
+def test_the_cap_bounds_states_and_steps():
+    g = graph("abc_cdab_bcda")
+    with pytest.raises(WalkCapExceeded, match="state count"):
+        WalkAutomaton(g, cap=5)
+    automaton = WalkAutomaton(g, cap=9)
+    assert len(automaton.states) == 9
+    with pytest.raises(WalkCapExceeded, match="search"):
+        automaton.first_accepted((18, 19))
+    assert automaton.first_accepted((3, 4)) is not None

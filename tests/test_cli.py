@@ -142,6 +142,16 @@ def test_walk_cap_from_environment(monkeypatch, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap,stage", [("5", "state count"),
+                                       ("9", "search")])
+def test_a_tripped_fg_cap_names_its_stage(monkeypatch, capsys, cap, stage):
+    # the automaton of abc_cdab_bcda has 9 states, and N is 18
+    monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", cap)
+    code, out, err = run(capsys, "decide-fg", fixture_path("abc_cdab_bcda"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the fg automaton's " + stage)
+
+
 @pytest.mark.parametrize("window", [("4", "8"), ("8", "16")])
 def test_counting_never_trips_the_walk_cap(monkeypatch, capsys, window):
     monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", "10")
@@ -187,6 +197,18 @@ def test_out_of_range_arguments(monkeypatch, capsys, env, argv, message):
     assert out == ""
     assert err.startswith("error: " + message)
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", X], ["graph", X], ["ext-basis", X], ["decide-fg", X],
+    ["decide-noetherian", "--side", "left", X], ["series", X],
+    ["validate", X], ["multiply", "--left", '["x"]', "--right", '["x"]', X],
+])
+def test_a_bad_walk_cap_exits_1_on_every_verb(monkeypatch, capsys, argv):
+    monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: YONEDA_CPS_MAX_WALK_CAP must be a positive")
 
 
 def test_precondition_error_is_an_internal_fault(monkeypatch, capsys):

@@ -188,8 +188,27 @@ def test_start_up_loads_only_what_runs():
     assert dataclasses is False
     assert code == 0
     assert after_graph == ["yoneda_cps.cli", "yoneda_cps.graph",
-                           "yoneda_cps.monomial", "yoneda_cps.presentation",
-                           "yoneda_cps.walks"]
+                           "yoneda_cps.monomial", "yoneda_cps.presentation"]
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["graph"], ["yoneda_cps.ratfun", "yoneda_cps.walks"]),
+    (["ext-basis", "--max-degree", "4"], ["yoneda_cps.ratfun"]),
+])
+def test_verbs_skip_the_walk_calculus_and_series_they_do_not_run(argv,
+                                                                  absent):
+    """`graph` walks nothing, and `ext-basis` reads no Hilbert series."""
+    argv = argv + [fixture_path("two_chain_overlap")]
+    loaded = _fresh(f"""if True:
+        import contextlib, io, json, sys
+        import yoneda_cps.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = yoneda_cps.cli.main({argv!r})
+        print(json.dumps([code, sorted(sys.modules)]))
+        """)
+    code, modules = loaded
+    assert code == 0
+    assert [m for m in absent if m in modules] == []
 
 
 def test_every_public_name_resolves_lazily():
