@@ -8,9 +8,12 @@ Hunts:
   parity     walks with an admissible even-remainder prefix that fail
              to extend (counterexamples to the naive parity closure)
   fg-check   presentations on which the automaton of indecomposable
-             walks disagrees with the pruned walk search: on its first
-             walk of length N or N+1, or on finite generation (finite
-             language against the verdict); exits 1 if there is one
+             walks disagrees with the reference routes of
+             tests/propcore.py: on the generators up to degree 8
+             (against the listing of every anchored walk), on finite
+             generation (finite language against the verdict), or on
+             its first walk of length N or N+1 (against the pruned walk
+             search); exits 1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -28,25 +31,31 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from propcore import (collect_walks, parity_extension_violations,
-                      random_presentation)
+from propcore import (collect_walks, indecomposable_walks,
+                      parity_extension_violations, random_presentation,
+                      reference_generators)
 from yoneda_cps.decide import analyze
+from yoneda_cps.ext import generators_up_to
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import serialize_presentation
-from yoneda_cps.walks import (WalkAutomaton, WalkCapExceeded,
-                              indecomposable_walks)
+from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
 
 
 def fg_disagreement(g, fg_value, cap):
-    """How the automaton disagrees with the pruned search on a cyclic
-    graph, or None."""
+    """How the automaton disagrees with the reference routes, or None:
+    on the generators up to degree 8 and, on a cyclic graph, on finite
+    generation and on the first walk at lengths N and N+1."""
+    if generators_up_to(g, 8) != reference_generators(g, 8, cap):
+        return "generators up to degree 8"
+    if not g.cycles.has_cycle:
+        return None
     automaton = WalkAutomaton(g, cap)
     if (automaton.longest_accepted() is None) == fg_value:
         return "finite language against the verdict"
     n = graph_params(g).bound_N
     searched = next(indecomposable_walks(g, (n, n + 1), cap), None)
-    if automaton.first_accepted((n, n + 1)) != searched:
+    if next(automaton.accepted((n, n + 1)), None) != searched:
         return f"first walk at lengths ({n}, {n + 1})"
     return None
 
@@ -93,7 +102,7 @@ def main(argv=None):
             skipped += 1
             continue
         methods[rep.fg.method] = methods.get(rep.fg.method, 0) + 1
-        if args.hunt == "fg-check" and rep.graph.cycles.has_cycle:
+        if args.hunt == "fg-check":
             try:
                 problem = fg_disagreement(rep.graph, rep.fg.value, args.cap)
             except WalkCapExceeded:

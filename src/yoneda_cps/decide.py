@@ -6,10 +6,11 @@ graph is acyclic.  Growth is the largest number of cycle components met
 by a single walk, infinite when two circuits share a vertex.  Finite
 generation is decided by the first of four premises that holds; the
 last reads a finite automaton, `walks.WalkAutomaton`, whose accepted
-paths are the indecomposable anchored walks: the algebra is finitely
-generated when none has length N or N+1, and a negative answer carries
-the first such walk and, when one of its repeats certifies, an
-eventually periodic walk on which no decomposition mechanism fires.
+paths are the indecomposable anchored walks, the ones that
+`ext.generators_up_to` lists: the algebra is finitely generated when
+none has length N or N+1, and a negative answer carries the first such
+walk and, when one of its repeats certifies, an eventually periodic
+walk on which no decomposition mechanism fires.
 The chain conditions are local: every circuit vertex must have unique
 continuation on the relevant side and every circuit edge must be
 admissible.
@@ -238,14 +239,14 @@ def finitely_generated(g, params=None, cap=None):
     indecomposable walk of length N or N+1 (no, on the first such walk
     in search order) or none (yes).
 
-    The last premise reads `WalkAutomaton`, whose accepted paths are
-    the indecomposable walks: its search enters only states that can
-    still reach acceptance at length N or N+1.  Two checks hold the
-    verdict to the automaton: the accepted lengths are unbounded
-    exactly when a walk is found, and on a yes none exceeds N.  The
-    premises keep their order because on some inputs an indecomposable
-    walk has length exactly N while an earlier premise rightly says
-    yes.  Only the last premise reads the walk cap.
+    The last premise takes the first accepted walk of `WalkAutomaton`,
+    whose accepted paths are the indecomposable walks, at length N or
+    N+1: its search enters only states that can still reach acceptance
+    there.  Two checks hold the verdict to the automaton: the accepted
+    lengths are unbounded exactly when a walk is found, and on a yes
+    none exceeds N.  The premises keep their order because on some
+    inputs an indecomposable walk has length exactly N while an earlier
+    premise rightly says yes.  Only the last premise reads the walk cap.
     """
     if not g.cycles.has_cycle:
         gd = global_dimension(g)
@@ -276,7 +277,7 @@ def finitely_generated(g, params=None, cap=None):
                          witness_periodic=witness)
     targets = (params.bound_N, params.bound_N + 1)
     automaton = WalkAutomaton(g, cap)
-    found = automaton.first_accepted(targets)
+    found = next(automaton.accepted(targets), None)
     longest = automaton.longest_accepted()
     assert (longest is None) == (found is not None), \
         "the indecomposable walks must be unbounded exactly when one " \

@@ -13,8 +13,8 @@ its denominator is their shortest linear recurrence, with constant term
 
 from .monomial import annihilator_generators
 from .presentation import Record
-from .walks import (AnchoredWalk, canonical_anchored, display_walk,
-                    greedy_parse, indecomposable_walks, validate_walk, word_of)
+from .walks import (AnchoredWalk, WalkAutomaton, canonical_anchored,
+                    display_walk, greedy_parse, validate_walk, word_of)
 
 __all__ = [
     "ExtClass",
@@ -91,12 +91,14 @@ def yoneda_mul(g, p, q):
 
 def generators_up_to(g, max_cohomological_degree):
     """Indecomposable basis classes of degree <= the bound, by degree:
-    the generators, then the walks with no admissible proper suffix,
-    from the pruned search that also decides finite generation."""
+    the generators, then the accepted walks of `WalkAutomaton`, the
+    automaton whose language also decides finite generation."""
     if max_cohomological_degree < 1:
         return []
-    found = indecomposable_walks(g, range(1, max_cohomological_degree))
-    walks = [(v,) for v in g.g0] + sorted(found, key=len)
+    walks = [(v,) for v in g.g0]
+    if max_cohomological_degree > 1:
+        found = WalkAutomaton(g).accepted(range(1, max_cohomological_degree))
+        walks += sorted(found, key=len)
     return [ExtClass(AnchoredWalk(w)) for w in walks]
 
 

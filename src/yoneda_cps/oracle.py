@@ -80,7 +80,8 @@ def chain_words(ideal, max_len):
     Starting from each relation, extend by any relation that starts
     inside the word, matches the overlap, and runs past the end.  Words
     not coverable this way have contractible complexes: any uncrossed
-    internal position splits them.  Returns (words, truncated).
+    internal position splits them.  Returns (words, truncated), the
+    words in the order they are found.
     """
     relations = ideal.relations
     rests = {}    # proper prefix p of a relation p + q -> the rests q
@@ -89,12 +90,12 @@ def chain_words(ideal, max_len):
             rests.setdefault(r[:k], []).append(r[k:])
     stack = [r for r in relations if len(r) <= max_len]
     truncated = len(stack) < len(relations)
-    words = set()
+    words = {}    # an ordered set, so the order never depends on hashing
     while stack:
         w = stack.pop()
         if w in words:
             continue
-        words.add(w)
+        words[w] = None
         for k in range(1, len(w)):
             for rest in rests.get(w[-k:], ()):
                 new = w + rest
@@ -102,7 +103,7 @@ def chain_words(ideal, max_len):
                     truncated = True
                 elif new not in words:
                     stack.append(new)
-    return sorted(words, key=ideal.sort_key), truncated
+    return list(words), truncated
 
 
 def _min_occurrence_ends(ideal, words):

@@ -10,6 +10,12 @@ A walk is admissible when an equivalent anchored walk exists.  That
 partner is unique and is found by a greedy right-to-left parse of the
 word: each step takes the shortest normal suffix of the unconsumed part
 that annihilates the previous vertex.
+
+An anchored walk is decomposable when its class is a product of lower
+ones.  The indecomposable walks of positive length, which with the
+generators generate the algebra, are the accepted paths of one finite
+automaton, `WalkAutomaton`: `ext-basis` lists them and the finite
+generation verdict asks whether they are finitely many.
 """
 
 from .monomial import left_min_annihilating_suffix
@@ -26,7 +32,6 @@ __all__ = [
     "canonical_anchored",
     "is_decomposable",
     "enumerate_anchored",
-    "indecomposable_walks",
     "is_dense",
     "partner_step",
     "display_walk",
@@ -304,10 +309,10 @@ def _chain_step(g, v, chains, t):
     and `steps` says whether the chain advances, by `partner_step`, at
     this edge; a chain alternates, advancing at every second edge.  A
     tail edge is one that does not leave the walk's first vertex, which
-    is its only degree-1 vertex since the search cuts at every later
+    is its only degree-1 vertex since the automaton cuts at every later
     one.  A chain whose carried word falls into the ideal is dropped: no
-    suffix from its edge parses again.  The search and the automaton
-    both step by this function alone.
+    suffix from its edge parses again.  This is the automaton's one step
+    function.
     """
     advanced = []
     for steps, r in chains:
@@ -329,65 +334,26 @@ def _chain_step(g, v, chains, t):
 _NO_CHAINS = frozenset()
 
 
-def indecomposable_walks(g, lengths, cap=None):
-    """Yield, depth first, the indecomposable anchored walks whose length
-    is in `lengths`; walks of one length come in `enumerate_anchored`'s
-    order.  A branch is cut when every completion is decomposable: at a
-    degree-1 vertex, which starts an anchored suffix, or where a partner
-    chain rejoins at an even offset and so grafts onto any continuation
-    (`_chain_step`).  Survivors at a listed length get the honest
-    decomposability check.  Every visited walk counts against the cap;
-    the stack is explicit.
-    """
-    if cap is None:
-        cap = walk_cap()
-    lengths = set(lengths)
-    horizon = max(lengths, default=0)
-    visited = 0
-    walk = []
-    stack = [(iter(g.g0), _NO_CHAINS)]  # per frame: successors left, chains
-    while stack:
-        succ, chains = stack[-1]
-        t = next(succ, None)
-        if t is None:
-            stack.pop()
-            if walk:
-                walk.pop()
-            continue
-        if walk:
-            if len(t) == 1:
-                continue  # anchored suffix in every completion
-            chains = _chain_step(g, walk[-1], chains, t)
-            if chains is None:
-                continue
-        walk.append(t)
-        visited += 1
-        if visited > cap:
-            raise WalkCapExceeded(cap)
-        n = len(walk) - 1
-        if n in lengths and not is_decomposable(g, walk):
-            yield tuple(walk)
-        if n < horizon:
-            stack.append((iter(g.out[t]), chains))
-        else:
-            walk.pop()
-
-
 class WalkAutomaton:
-    """The pruned search of `indecomposable_walks` as a finite
-    deterministic automaton.
+    """The indecomposable anchored walks as the accepted paths of a
+    finite deterministic automaton.
 
-    A walk the search keeps is summed up by its state: its last vertex
-    and the frozenset of its live partner chains.  The last vertex also
-    says whether the walk has an edge yet, since only the first vertex
-    has degree 1.  The next state is a function of the state and the
-    next vertex, `_chain_step`, so the kept walks are exactly the paths
-    from the start states, one per generator.  The automaton is built
-    breadth first from the generators in order; each state keeps the
-    first walk that reached it and accepts when that walk has an edge
-    and is not decomposable.  Then the indecomposable walks are the
-    accepted paths, a regular language, and Ext is finitely generated
-    exactly when that language is finite (Bar-Hillel, Perles and Shamir).
+    Grown vertex by vertex from a generator, a walk is cut once every
+    completion is decomposable: at a degree-1 vertex, which starts an
+    anchored suffix, or where a partner chain rejoins at an even offset
+    and so grafts onto any continuation (`_chain_step`).  A walk that is
+    kept is summed up by its state: its last vertex and the frozenset of
+    its live partner chains.  The last vertex also says whether the walk
+    has an edge yet, since only the first vertex has degree 1.  The next
+    state is a function of the state and the next vertex, `_chain_step`,
+    so the kept walks are exactly the paths from the start states, one
+    per generator.  The automaton is built breadth first from the
+    generators in order; each state keeps the first walk that reached it
+    and accepts when that walk has an edge and is not decomposable.
+    Then the indecomposable walks are the accepted paths, a regular
+    language: `accepted` lists them for `ext.generators_up_to`, and Ext
+    is finitely generated exactly when the language is finite
+    (Bar-Hillel, Perles and Shamir).
 
     Acceptance depends only on the state.  Take a kept walk v_0 .. v_n
     and a tail edge v_j -> v_(j+1), j >= 1.  If the edge is not
@@ -415,7 +381,7 @@ class WalkAutomaton:
     fixtures and random draws.
 
     The states count against the walk cap, and so do the steps of
-    `first_accepted`.
+    `accepted`.
     """
 
     def __init__(self, g, cap=None):
@@ -437,7 +403,7 @@ class WalkAutomaton:
                 if i is None:
                     i = index[state] = len(self.states)
                     if i >= self.cap:
-                        raise WalkCapExceeded(self.cap, "the fg automaton's "
+                        raise WalkCapExceeded(self.cap, "the walk automaton's "
                                               "state count")
                     self.states.append(state)
                     self.walks.append(walk + (t,))
@@ -475,13 +441,13 @@ class WalkAutomaton:
             return masks[start + (k - start) % (len(masks) - start)]
         return reach
 
-    def first_accepted(self, lengths):
-        """The first accepted walk whose length is in `lengths`, in the
-        order `indecomposable_walks` yields them, or None.
+    def accepted(self, lengths):
+        """Yield the accepted walks whose length is in `lengths`, depth
+        first in `g.out` order, so walks of one length come in
+        `enumerate_anchored`'s order.
 
-        A depth-first search enters only the states that still have an
-        accepted path to a listed length, so it never backs out of a
-        dead branch.
+        The search enters only the states that still have an accepted
+        path to a listed length, so it never backs out of a dead branch.
         """
         lengths = sorted(set(lengths))
         reach = self._reach(lengths[-1])
@@ -501,12 +467,11 @@ class WalkAutomaton:
                 continue
             steps += 1
             if steps > self.cap:
-                raise WalkCapExceeded(self.cap, "the fg automaton's search")
+                raise WalkCapExceeded(self.cap, "the walk automaton's search")
             path.append(s)
             if depth in lengths and self.accepting[s]:
-                return tuple(self.states[i][0] for i in path)
+                yield tuple(self.states[i][0] for i in path)
             stack.append(iter(self.succ[s]))
-        return None
 
     def longest_accepted(self):
         """The length of the longest accepted walk, 0 when there is none,

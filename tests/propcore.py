@@ -13,9 +13,10 @@ from yoneda_cps.decide import WITNESS_ATTEMPTS, check_tail_conditions
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.presentation import make_presentation
+from yoneda_cps.presentation import make_presentation, walk_cap
 from yoneda_cps.ratfun import RationalFunction
-from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkCapExceeded,
+from yoneda_cps.walks import (_NO_CHAINS, EventuallyPeriodicWalk,
+                              WalkCapExceeded, _chain_step,
                               canonical_anchored, enumerate_anchored,
                               greedy_parse, is_decomposable, partner_step,
                               word_of)
@@ -264,9 +265,55 @@ def reference_generators(g, max_cohomological_degree, cap=None):
     return out
 
 
+def indecomposable_walks(g, lengths, cap=None):
+    """Reference route for `WalkAutomaton.accepted`: the pruned search
+    the automaton was built from.  Yield, depth first, the
+    indecomposable anchored walks whose length is in `lengths`; walks of
+    one length come in `enumerate_anchored`'s order.  A branch is cut
+    when every completion is decomposable: at a degree-1 vertex, which
+    starts an anchored suffix, or where a partner chain rejoins at an
+    even offset and so grafts onto any continuation (`_chain_step`).
+    Survivors at a listed length get the honest decomposability check,
+    walk by walk, where the automaton reads acceptance off the state.
+    Every visited walk counts against the cap; the stack is explicit.
+    """
+    if cap is None:
+        cap = walk_cap()
+    lengths = set(lengths)
+    horizon = max(lengths, default=0)
+    visited = 0
+    walk = []
+    stack = [(iter(g.g0), _NO_CHAINS)]  # per frame: successors left, chains
+    while stack:
+        succ, chains = stack[-1]
+        t = next(succ, None)
+        if t is None:
+            stack.pop()
+            if walk:
+                walk.pop()
+            continue
+        if walk:
+            if len(t) == 1:
+                continue  # anchored suffix in every completion
+            chains = _chain_step(g, walk[-1], chains, t)
+            if chains is None:
+                continue
+        walk.append(t)
+        visited += 1
+        if visited > cap:
+            raise WalkCapExceeded(cap)
+        n = len(walk) - 1
+        if n in lengths and not is_decomposable(g, walk):
+            yield tuple(walk)
+        if n < horizon:
+            stack.append((iter(g.out[t]), chains))
+        else:
+            walk.pop()
+
+
 def reference_search_indecomposable(g, targets, cap):
-    """Reference route for the first walk of indecomposable_walks: the
-    former recursive search of finitely_generated.  A branch is cut when
+    """Reference route for the first walk of `WalkAutomaton.accepted`:
+    the former recursive search of finitely_generated.  A branch is cut when
     every completion is certainly decomposable: a degree-1 vertex would
     leave an anchored suffix in every completion, and a rejoined partner
     chain grafts onto any continuation, keeping the suffix at its edge

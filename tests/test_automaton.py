@@ -1,5 +1,5 @@
-"""The automaton of indecomposable walks against the pruned search and
-the recursive reference route."""
+"""The automaton of indecomposable walks against the pruned search it
+was built from and the recursive reference route."""
 
 import random
 from collections import Counter
@@ -7,13 +7,13 @@ from collections import Counter
 import pytest
 
 from conftest import ALL, graph
-from propcore import random_presentation, reference_search_indecomposable
+from propcore import (indecomposable_walks, random_presentation,
+                      reference_search_indecomposable)
 from yoneda_cps.decide import finitely_generated
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import left_min_annihilating_suffix
 from yoneda_cps.presentation import make_presentation
-from yoneda_cps.walks import (WalkAutomaton, WalkCapExceeded,
-                              indecomposable_walks)
+from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
 
 COUNTED_LENGTHS = range(1, 12)
 
@@ -59,11 +59,12 @@ def _check_against_the_search(g):
                                    for state in automaton.states]
     n = graph_params(g).bound_N
     for targets in ((n, n + 1), (3, 4), (7, 8)):
-        first = automaton.first_accepted(targets)
+        first = next(automaton.accepted(targets), None)
         assert first == next(indecomposable_walks(g, targets), None), targets
         assert first == reference_search_indecomposable(g, targets, 10 ** 7)
-    searched = Counter(len(w) - 1
-                       for w in indecomposable_walks(g, COUNTED_LENGTHS))
+    listed = list(indecomposable_walks(g, COUNTED_LENGTHS))
+    assert list(automaton.accepted(COUNTED_LENGTHS)) == listed
+    searched = Counter(len(w) - 1 for w in listed)
     assert accepted_counts(automaton, COUNTED_LENGTHS) == \
         {n: searched[n] for n in COUNTED_LENGTHS}
     if g.cycles.has_cycle:
@@ -107,7 +108,7 @@ def test_an_indecomposable_walk_of_length_n_under_a_yes():
     assert graph_params(g).bound_N == 2
     automaton = WalkAutomaton(g)
     walk = (("y",), ("x", "x", "z"), ("z", "x"))
-    assert automaton.first_accepted((2, 3)) == walk
+    assert next(automaton.accepted((2, 3))) == walk
     assert automaton.longest_accepted() == 2
     out = finitely_generated(g)
     assert out.value and out.method == "all_circuits_meet_generators"
@@ -120,5 +121,5 @@ def test_the_cap_bounds_states_and_steps():
     automaton = WalkAutomaton(g, cap=9)
     assert len(automaton.states) == 9
     with pytest.raises(WalkCapExceeded, match="search"):
-        automaton.first_accepted((18, 19))
-    assert automaton.first_accepted((3, 4)) is not None
+        next(automaton.accepted((18, 19)))
+    assert next(automaton.accepted((3, 4)), None) is not None

@@ -145,11 +145,13 @@ def test_walk_cap_from_environment(monkeypatch, capsys):
 @pytest.mark.parametrize("cap,stage", [("5", "state count"),
                                        ("9", "search")])
 def test_a_tripped_fg_cap_names_its_stage(monkeypatch, capsys, cap, stage):
-    # the automaton of abc_cdab_bcda has 9 states, and N is 18
+    # the automaton of abc_cdab_bcda has 9 states, and N is 18; ext-basis
+    # at degree 20 lists its accepted walks of up to 19 edges
     monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", cap)
-    code, out, err = run(capsys, "decide-fg", fixture_path("abc_cdab_bcda"))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: the fg automaton's " + stage)
+    for verb in (["decide-fg"], ["ext-basis", "--max-degree", "20"]):
+        code, out, err = run(capsys, *verb, fixture_path("abc_cdab_bcda"))
+        assert (code, out) == (1, ""), verb
+        assert err.startswith("error: the walk automaton's " + stage), verb
 
 
 @pytest.mark.parametrize("window", [("4", "8"), ("8", "16")])

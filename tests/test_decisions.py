@@ -16,8 +16,8 @@ from yoneda_cps.ext import generators_up_to
 from yoneda_cps.graph import CpsGraph, build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
-from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkCapExceeded,
-                              enumerate_anchored, indecomposable_walks,
+from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkAutomaton,
+                              WalkCapExceeded, enumerate_anchored,
                               is_decomposable)
 
 
@@ -148,12 +148,13 @@ def test_fg_survives_mixed_relation_degrees():
     assert out.method == "all_circuits_meet_generators"
     # the verdict no longer needs the search here, but the search must
     # still terminate on this family (suffix death inside the scan)
-    assert next(indecomposable_walks(g, (14, 15), 10 ** 7), None) is None
+    assert next(WalkAutomaton(g, 10 ** 7).accepted((14, 15)), None) is None
 
 
 def test_fg_search_needs_no_recursion():
     # walks of 1,201 edges, past Python's default recursion limit
-    assert next(indecomposable_walks(graph("x2y_family"), (1200, 1201)), None) is None
+    automaton = WalkAutomaton(graph("x2y_family"))
+    assert next(automaton.accepted((1200, 1201)), None) is None
 
 
 def test_circuit_search_needs_no_recursion():
@@ -176,7 +177,7 @@ def _check_against_reference_routes(g, degrees):
     if g.cycles.has_cycle:
         n = graph_params(g).bound_N
         targets = (n, n + 1)
-        assert next(indecomposable_walks(g, targets), None) == \
+        assert next(WalkAutomaton(g).accepted(targets), None) == \
             reference_search_indecomposable(g, targets, 10 ** 7)
 
 
