@@ -11,9 +11,9 @@ Hunts:
              walks disagrees with the reference routes of
              tests/propcore.py: on the generators up to degree 8
              (against the listing of every anchored walk), on finite
-             generation (finite language against the verdict), or on
-             its first walk of length N or N+1 (against the pruned walk
-             search); exits 1 if there is one
+             generation (against the premise chain), or on its first
+             walk of length N or N+1 (against the pruned walk search);
+             exits 1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -33,7 +33,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from propcore import (collect_walks, indecomposable_walks,
                       parity_extension_violations, random_presentation,
-                      reference_generators)
+                      reference_finitely_generated, reference_generators)
 from yoneda_cps.decide import analyze
 from yoneda_cps.ext import generators_up_to
 from yoneda_cps.graph import build_marked_graph, graph_params
@@ -44,18 +44,17 @@ from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
 
 def fg_disagreement(g, fg_value, cap):
     """How the automaton disagrees with the reference routes, or None:
-    on the generators up to degree 8 and, on a cyclic graph, on finite
-    generation and on the first walk at lengths N and N+1."""
+    on the generators up to degree 8, on finite generation and, on a
+    cyclic graph, on the first walk at lengths N and N+1."""
     if generators_up_to(g, 8) != reference_generators(g, 8, cap):
         return "generators up to degree 8"
+    if reference_finitely_generated(g, cap).value != fg_value:
+        return "the verdict against the premise chain"
     if not g.cycles.has_cycle:
         return None
-    automaton = WalkAutomaton(g, cap)
-    if (automaton.longest_accepted() is None) == fg_value:
-        return "finite language against the verdict"
     n = graph_params(g).bound_N
     searched = next(indecomposable_walks(g, (n, n + 1), cap), None)
-    if next(automaton.accepted((n, n + 1)), None) != searched:
+    if next(WalkAutomaton(g, cap).accepted((n, n + 1)), None) != searched:
         return f"first walk at lengths ({n}, {n + 1})"
     return None
 

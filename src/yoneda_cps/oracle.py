@@ -124,11 +124,6 @@ def _min_occurrence_ends(ideal, words):
     return out
 
 
-def _min_occurrence_end(ideal, word):
-    """m[a] = least end of a relation occurrence starting at or past a."""
-    return _min_occurrence_ends(ideal, [word])[0]
-
-
 def _factor_keys(n_len, min_end):
     """The (length, min_end) keys of the factors between forced cuts.
 

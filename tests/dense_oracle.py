@@ -14,14 +14,14 @@ memo by (length, min_end) key.
 """
 
 from yoneda_cps.linalg import gf2_rank, gfp_rank
-from yoneda_cps.oracle import (BettiTable, _min_occurrence_end,
+from yoneda_cps.oracle import (BettiTable, _min_occurrence_ends,
                                _splitting_homology)
 
 
 def word_homology(ideal, word, max_i, field_char):
     """Homology dimensions {n: dim} of one word's splitting complex."""
-    return _splitting_homology(len(word), _min_occurrence_end(ideal, word),
-                               max_i, field_char)
+    min_end = _min_occurrence_ends(ideal, [word])[0]
+    return _splitting_homology(len(word), min_end, max_i, field_char)
 
 
 def reference_splitting_homology(n_len, min_end, max_i, field_char):

@@ -7,11 +7,13 @@ reference routes carry their own integer polynomial arithmetic, so a
 fault in the package's arithmetic cannot pass both sides of a check.
 """
 
+from collections import deque
 from math import gcd
 
-from yoneda_cps.decide import WITNESS_ATTEMPTS, check_tail_conditions
+from yoneda_cps.decide import (WITNESS_ATTEMPTS, FgVerdict,
+                               check_tail_conditions, global_dimension)
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
-from yoneda_cps.graph import build_marked_graph
+from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation, walk_cap
 from yoneda_cps.ratfun import RationalFunction
@@ -377,6 +379,106 @@ def reference_search_indecomposable(g, targets, cap):
         if found is not None:
             return found
     return None
+
+
+def circuit_avoiding_generators(g):
+    """A closed cycle through no degree-1 vertex, or None: the first back
+    edge of a depth-first search from the vertices in sorted order.  The
+    stack is explicit, so a cycle of any length is found."""
+    path, index, done = [], {}, set()  # index: vertex -> position on path
+    stack = [iter(g.vertices)]
+    while stack:
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            if path:
+                v = path.pop()
+                del index[v]
+                done.add(v)
+        elif t in index:
+            return tuple(path[index[t]:]) + (t,)
+        elif len(t) > 1 and t not in done:
+            index[t] = len(path)
+            path.append(t)
+            stack.append(iter(g.out[t]))
+    return None
+
+
+def _access_path(g, targets):
+    """Shortest path from a degree-1 vertex to `targets`, no interior
+    degree-1 vertices."""
+    targets = set(targets)
+    parent = {}
+    queue = deque()
+    for v in g.g0:
+        parent.setdefault(v, None)
+        queue.append(v)
+    while queue:
+        v = queue.popleft()
+        if v in targets:
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return tuple(reversed(path))
+        for t in g.out[v]:
+            if len(t) == 1 or t in parent:
+                continue
+            parent[t] = v
+            queue.append(t)
+    raise AssertionError("every vertex is reachable from the generators")
+
+
+def _pump(g, circuit):
+    """Eventually periodic walk entering the circuit and looping forever."""
+    path = _access_path(g, set(circuit))
+    entry = path[-1]
+    k = circuit.index(entry)
+    cycle = circuit[k:] + circuit[1:k + 1] if k else circuit
+    return EventuallyPeriodicWalk(path, cycle)
+
+
+def reference_finitely_generated(g, cap=None):
+    """Reference route for decide.finitely_generated: the former premise
+    chain, which reads the bound N of graph_params and no automaton.
+    The first of four premises that holds decides: an acyclic graph
+    (yes); every circuit meets a degree-1 vertex (yes); a circuit avoids
+    them and every admissible edge leaves one (no, the pumped circuit);
+    else an indecomposable walk of length N or N+1 (no, on the first
+    such walk of `indecomposable_walks`) or none (yes).  The premises
+    keep their order because on some inputs an indecomposable walk has
+    length exactly N while an earlier premise rightly says yes.  The
+    verdict fills `bound_n` and, on the third premise, `witness_circuit`.
+    """
+    if not g.cycles.has_cycle:
+        return FgVerdict(True, "finite_global_dimension",
+                         generator_degree_bound=global_dimension(g).value)
+    n = graph_params(g).bound_N
+    circuit = circuit_avoiding_generators(g)
+    if circuit is None:
+        # Every tail of every infinite walk revisits a degree-1 vertex,
+        # and edges leaving degree-1 vertices are admissible and dense.
+        return FgVerdict(True, "all_circuits_meet_generators", bound_n=n,
+                         generator_degree_bound=n + 1)
+    # Pumping the circuit certifies failure only when every admissible
+    # edge leaves a degree-1 vertex: then the pumped tail has none.  The
+    # simple-path statistic L cannot stand in for this premise, since an
+    # admissible edge on a circuit can be invisible to simple paths (the
+    # single relation xyxy puts an admissible loop on xy while L = 1).
+    if all(len(src) == 1 for (src, dst) in g.edges
+           if g.admissible[(src, dst)]):
+        witness = _pump(g, circuit)
+        assert check_tail_conditions(g, witness), \
+            "pumped circuit witness must defeat both mechanisms"
+        return FgVerdict(False, "circuit_avoiding_generators", bound_n=n,
+                         witness_circuit=circuit, witness_periodic=witness)
+    found = next(indecomposable_walks(g, (n, n + 1), cap), None)
+    if found is None:
+        return FgVerdict(True, "no_indecomposables_at_bound", bound_n=n,
+                         generator_degree_bound=n + 1)
+    return FgVerdict(False, "indecomposable_at_bound", bound_n=n,
+                     witness_walk=found,
+                     witness_periodic=reference_periodic_witness(g, found))
+
 
 def list_walks(g, length):
     """Reference lister: every walk, from any start vertex, of exactly

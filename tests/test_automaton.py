@@ -1,5 +1,6 @@
 """The automaton of indecomposable walks against the pruned search it
-was built from and the recursive reference route."""
+was built from and the recursive reference route, and the verdict it
+decides against the reference premise chain."""
 
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import ALL, graph
 from propcore import (indecomposable_walks, random_presentation,
+                      reference_finitely_generated,
                       reference_search_indecomposable)
 from yoneda_cps.decide import finitely_generated
 from yoneda_cps.graph import build_marked_graph, graph_params
@@ -67,10 +69,11 @@ def _check_against_the_search(g):
     searched = Counter(len(w) - 1 for w in listed)
     assert accepted_counts(automaton, COUNTED_LENGTHS) == \
         {n: searched[n] for n in COUNTED_LENGTHS}
-    if g.cycles.has_cycle:
-        # whichever premise decides
-        finite = automaton.longest_accepted() is not None
-        assert finite == finitely_generated(g).value
+    # the verdict against the premise chain, whichever premise decides
+    verdict, reference = finitely_generated(g), reference_finitely_generated(g)
+    assert verdict.value == reference.value
+    assert (verdict.witness_periodic is None) == \
+        (reference.witness_periodic is None)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -100,9 +103,10 @@ def test_longest_accepted():
 
 
 def test_an_indecomposable_walk_of_length_n_under_a_yes():
-    """Why the premise order stays: y -> xxz -> zx is indecomposable and
-    has length N = 2, yet Ext is finitely generated, as the earlier
-    premise says.  No indecomposable walk is longer than N."""
+    """Why the premise chain keeps its order: y -> xxz -> zx is
+    indecomposable and has length N = 2, yet Ext is finitely generated,
+    as its earlier premise says.  The automaton reads the exact top
+    generator degree, 3."""
     g = build_marked_graph(make_presentation(
         "xyz", [("z", "z"), ("z", "x", "x"), ("x", "x", "z", "y")]))
     assert graph_params(g).bound_N == 2
@@ -111,7 +115,9 @@ def test_an_indecomposable_walk_of_length_n_under_a_yes():
     assert next(automaton.accepted((2, 3))) == walk
     assert automaton.longest_accepted() == 2
     out = finitely_generated(g)
-    assert out.value and out.method == "all_circuits_meet_generators"
+    assert out.value and out.generator_degree_bound == 3
+    assert reference_finitely_generated(g).method == \
+        "all_circuits_meet_generators"
 
 
 def test_the_cap_bounds_states_and_steps():

@@ -80,10 +80,11 @@ def test_multiply_zero(capsys):
     assert js["left"] == {"walk": ["b", "cda"], "i": 2, "j": 4}
 
 
-def test_decide_fg(capsys):
+def test_decide_fg(monkeypatch, capsys):
+    _forbid_graph_params(monkeypatch)
     js = run_json(capsys, "decide-fg", fixture_path("abc_cdab_bcda"))
     assert js["value"] is False
-    assert js["method"] == "indecomposable_at_bound"
+    assert js["method"] == "infinitely_many_indecomposables"
     assert js["witness"]["periodic_walk"] == {"prefix": ["c", "ab"],
                                               "cycle": ["ab", "cd", "ab"]}
 
@@ -145,8 +146,9 @@ def test_walk_cap_from_environment(monkeypatch, capsys):
 @pytest.mark.parametrize("cap,stage", [("5", "state count"),
                                        ("9", "search")])
 def test_a_tripped_fg_cap_names_its_stage(monkeypatch, capsys, cap, stage):
-    # the automaton of abc_cdab_bcda has 9 states, and N is 18; ext-basis
-    # at degree 20 lists its accepted walks of up to 19 edges
+    # the automaton of abc_cdab_bcda has 9 states, and its witness walk
+    # has 9 edges at least; ext-basis at degree 20 lists its accepted
+    # walks of up to 19 edges
     monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", cap)
     for verb in (["decide-fg"], ["ext-basis", "--max-degree", "20"]):
         code, out, err = run(capsys, *verb, fixture_path("abc_cdab_bcda"))
@@ -254,21 +256,25 @@ def test_deep_input_answers(tmp_path, capsys):
     assert js["params"] == {"edge_count": 5491, "max_edge_class": 2,
                             "max_leading_path": 1099, "bound_N": 12082,
                             "weak_bound": 60307654}
-    assert js["finitely_generated"]["method"] == "all_circuits_meet_generators"
+    # walks of 1,099 edges from a0 up the chain are indecomposable, so
+    # the top generator has degree 1100
+    assert js["finitely_generated"] == {
+        "value": True, "method": "finitely_many_indecomposables",
+        "generator_degree_bound": 1100, "witness": None}
 
 
-def test_deep_fg_search_answers(tmp_path, capsys):
-    # x2y_family plus 150 cycles a_i -> a_i a_i -> a_i puts bound_N at
-    # 1240, a search deeper than the interpreter's recursion limit.
+def test_deep_fg_search_answers(tmp_path, monkeypatch, capsys):
+    # x2y_family plus 150 cycles a_i -> a_i a_i -> a_i: bound_N is 1240,
+    # but the verdict reads neither it nor L.
+    _forbid_graph_params(monkeypatch)
     gens = ["x", "y"] + [f"a{i}" for i in range(150)]
     rels = [["x", "x", "y"], ["x", "y", "y"], ["y", "y", "y"],
             ["x", "x", "x", "x"]] + [[f"a{i}"] * 3 for i in range(150)]
     deep = tmp_path / "deep_fg.json"
     deep.write_text(json.dumps({"generators": gens, "relations": rels}))
     js = run_json(capsys, "decide-fg", str(deep))
-    assert js["value"] is True
-    assert js["method"] == "no_indecomposables_at_bound"
-    assert js["checked_lengths"] == [1240, 1241]
+    assert js == {"value": True, "method": "finitely_many_indecomposables",
+                  "generator_degree_bound": 2, "witness": None}
 
 
 def _forbid_graph_params(monkeypatch):

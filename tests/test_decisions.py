@@ -4,11 +4,11 @@ import random
 import pytest
 
 from conftest import ALL, W, graph, load
-from propcore import (random_presentation, reference_generators,
+from propcore import (circuit_avoiding_generators, random_presentation,
+                      reference_finitely_generated, reference_generators,
                       reference_periodic_witness,
                       reference_search_indecomposable)
-from yoneda_cps.decide import (INFINITY, _circuit_avoiding_generators,
-                               _periodic_witness, analyze,
+from yoneda_cps.decide import (INFINITY, _periodic_witness, analyze,
                                check_tail_conditions,
                                finitely_generated, gk_dimension,
                                global_dimension, noetherian, report_to_json)
@@ -72,7 +72,7 @@ def test_gk_dimension(name, expect):
     assert gk_dimension(graph(name)) == expect
 
 
-@pytest.mark.parametrize("name,value,method", [
+@pytest.mark.parametrize("name,value,premise", [
     ("x_square", True, "all_circuits_meet_generators"),
     ("xy_single", True, "finite_global_dimension"),
     ("abc_cdab", True, "no_indecomposables_at_bound"),
@@ -81,19 +81,88 @@ def test_gk_dimension(name, expect):
     ("two_chain_overlap", False, "indecomposable_at_bound"),
     ("sklyanin_leading", False, "indecomposable_at_bound"),
 ])
-def test_finitely_generated_verdicts(name, value, method):
-    out = finitely_generated(graph(name))
+def test_finitely_generated_verdicts(name, value, premise):
+    """The verdict, and the premise of the reference chain that decides
+    the same verdict."""
+    g = graph(name)
+    out = finitely_generated(g)
     assert out.value is value
-    assert out.method == method
+    if premise == "finite_global_dimension":
+        assert out.method == premise
+    else:
+        assert out.method == ("finitely_many_indecomposables" if value
+                              else "infinitely_many_indecomposables")
+    assert (out.bound_n, out.witness_circuit) == (None, None)
+    reference = reference_finitely_generated(g)
+    assert (reference.value, reference.method) == (value, premise)
+
+
+# Presentation 129 of perfbench/pool.json: all circuits meet a degree-1
+# vertex and N = 2, yet d -> bcaa -> aef -> cfa is indecomposable.
+POOL_129 = ("aefb bff cfaa cd bcaad dedc cc acdebc aebd edea effd ed ccc "
+            "afbb ebfd accd")
+
+
+def _pool_129():
+    rels = [tuple(r) for r in POOL_129.split()]
+    return build_marked_graph(make_presentation("abcdef", rels))
+
+
+@pytest.mark.parametrize("name,degree", [
+    ("x_square", 1), ("abc_cdab", 3), ("x2y_family", 2),
+])
+def test_fg_generator_degree_is_exact(name, degree):
+    assert finitely_generated(graph(name)).generator_degree_bound == degree
+
+
+def test_fg_generator_degree_past_the_bound_n():
+    g = _pool_129()
+    assert graph_params(g).bound_N == 2
+    out = finitely_generated(g)
+    assert (out.value, out.generator_degree_bound) == (True, 4)
+    top = [c.walk.vertices for c in reference_generators(g, 6)
+           if c.walk.cohomological_degree == 4]
+    assert W("d", "bcaa", "aef", "cfa") in top
+    assert all(not is_decomposable(g, w) for w in top)
+
+
+def _draws(seed, count):
+    rng = random.Random(seed)
+    return [build_marked_graph(random_presentation(
+        rng, max_gens=4, max_relations=6, max_degree=5)) for _ in range(count)]
+
+
+def test_fg_generator_degree_matches_the_listing():
+    """On a cyclic graph the reported degree is the top degree among the
+    generators that the listing of every anchored walk finds up to two
+    degrees above it."""
+    checked = 0
+    for g in [graph(name) for name in ALL] + [_pool_129()] + _draws(11, 300):
+        out = finitely_generated(g)
+        if not (out.value and g.cycles.has_cycle):
+            continue
+        bound = out.generator_degree_bound
+        top = max(c.walk.cohomological_degree
+                  for c in reference_generators(g, bound + 2))
+        assert top == bound, g.ideal.relations
+        checked += 1
+    assert checked >= 100
 
 
 def test_fg_search_window():
-    out = finitely_generated(graph("abc_cdab"))
-    assert out.bound_n == 14
-    assert out.checked_lengths == (14, 15)
-    out = finitely_generated(graph("abc_cdab_bcda"))
-    assert out.bound_n == 18
-    assert out.checked_lengths == (18, 19)
+    """A "no" carries an indecomposable walk of length in [V, V+S), V
+    the vertex count and S the automaton's state count."""
+    witnesses = 0
+    for g in [graph(name) for name in ALL] + _draws(12, 300):
+        out = finitely_generated(g)
+        if out.value:
+            continue
+        v, s = len(g.vertices), len(WalkAutomaton(g).states)
+        walk = out.witness_walk
+        assert v <= len(walk) - 1 < v + s, g.ideal.relations
+        assert not is_decomposable(g, walk), g.ideal.relations
+        witnesses += 1
+    assert witnesses >= 50
 
 
 def test_fg_negative_witnesses_certify():
@@ -110,16 +179,19 @@ def test_fg_negative_witnesses_certify():
         assert not out.value
         assert not is_decomposable(g, out.witness_walk)
         assert out.witness_periodic.to_json() == periodic
+        assert out.witness_periodic == \
+            reference_finitely_generated(g).witness_periodic
         assert check_tail_conditions(g, out.witness_periodic)
 
 
 def test_fg_verdict_json_round():
     out = finitely_generated(graph("abc_cdab_bcda")).to_json()
     assert out["value"] is False
-    assert out["method"] == "indecomposable_at_bound"
+    assert out["method"] == "infinitely_many_indecomposables"
     assert out["witness"]["periodic_walk"] == \
         {"prefix": ["c", "ab"], "cycle": ["ab", "cd", "ab"]}
-    assert len(out["witness"]["indecomposable_walk"]) == 20
+    assert len(out["witness"]["indecomposable_walk"]) == 10
+    assert set(out) == {"value", "method", "witness"}
 
 
 def test_periodic_witness_matches_the_eager_candidate_list():
@@ -131,7 +203,7 @@ def test_periodic_witness_matches_the_eager_candidate_list():
     walks = 0
     for g in [graph(name) for name in ALL] + draws:
         out = finitely_generated(g)
-        if out.method == "indecomposable_at_bound":
+        if not out.value:
             walks += 1
             assert _periodic_witness(g, out.witness_walk) == \
                 reference_periodic_witness(g, out.witness_walk), \
@@ -145,9 +217,11 @@ def test_fg_survives_mixed_relation_degrees():
     g = build_marked_graph(MonomialIdeal(p))
     out = finitely_generated(g)
     assert out.value
-    assert out.method == "all_circuits_meet_generators"
-    # the verdict no longer needs the search here, but the search must
-    # still terminate on this family (suffix death inside the scan)
+    assert out.method == "finitely_many_indecomposables"
+    assert reference_finitely_generated(g).method == \
+        "all_circuits_meet_generators"
+    # the search must terminate on this family past the reference
+    # route's window too (suffix death inside the scan)
     assert next(WalkAutomaton(g, 10 ** 7).accepted((14, 15)), None) is None
 
 
@@ -168,7 +242,7 @@ def test_circuit_search_needs_no_recursion():
     out[ring[0]] = (gen, ring[1])
     ideal = MonomialIdeal(make_presentation("xy", [("x", "x")]))
     g = CpsGraph(ideal, (gen,) + ring, (gen,), (), {}, {}, out, {})
-    assert _circuit_avoiding_generators(g) == ring + ring[:1]
+    assert circuit_avoiding_generators(g) == ring + ring[:1]
 
 
 def _check_against_reference_routes(g, degrees):
@@ -206,15 +280,18 @@ def test_indecomposable_walks_match_reference_routes_on_random_presentations():
 def test_fg_admissible_loop_off_generators():
     """A circuit may dodge the degree-1 vertices yet carry an admissible
     edge that no simple path reaches.  Pumping such a circuit proves
-    nothing, so the verdict must come from the bounded search."""
+    nothing, so the premise chain must decide by its bounded search."""
     p = make_presentation("xy", [("x", "y", "x", "y")])
     g = build_marked_graph(MonomialIdeal(p))
     loop = (("x", "y"), ("x", "y"))
     assert loop in g.edges and g.admissible[loop]
     out = finitely_generated(g)
     assert out.value
-    assert out.method == "no_indecomposables_at_bound"
-    assert out.bound_n == 8
+    assert out.method == "finitely_many_indecomposables"
+    reference = reference_finitely_generated(g)
+    assert reference.value
+    assert reference.method == "no_indecomposables_at_bound"
+    assert reference.bound_n == 8
 
 
 def test_fg_honors_walk_cap():
@@ -236,11 +313,12 @@ def test_check_tail_conditions():
 
 
 def test_no_indecomposables_near_the_bound_when_fg():
-    """Brute confirmation well past the decision window."""
+    """Brute confirmation of the top generator degree d: the walks of
+    length d to d+3, in degree d+1 and up, all decompose."""
     for name in ("abc_cdab", "x_square"):
         g = graph(name)
         out = finitely_generated(g)
-        lo = out.bound_n
+        lo = out.generator_degree_bound
         seen = 0
         for w in enumerate_anchored(g, lo + 3):
             if lo <= w.length <= lo + 3:
@@ -315,8 +393,7 @@ def test_analyze_cross_checks_on_random_presentations():
             assert rep.fg.value
         if not rep.fg.value:
             assert rep.gldim.value is INFINITY
-            assert rep.fg.witness_walk is not None or \
-                rep.fg.witness_circuit is not None
+            assert rep.fg.witness_walk is not None
 
 
 def test_infinity_constant():

@@ -9,7 +9,7 @@ from dense_oracle import (minimal_resolution_dense,
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (BettiTable, _factor_keys, _factored_homology,
-                               _min_occurrence_end, _splitting_homology,
+                               _min_occurrence_ends, _splitting_homology,
                                chain_words, cross_validate,
                                minimal_resolution)
 from yoneda_cps.presentation import make_presentation
@@ -157,8 +157,8 @@ def test_resolution_memo_is_exact(name, n_words, n_keys, field_char):
     words, _ = chain_words(a, 16)
     assert len(words) == n_words
     assert len({_occurrence_key(a, w) for w in words}) == n_keys
-    assert all(_occurrence_key(a, w) == (len(w), tuple(_min_occurrence_end(a, w)))
-               for w in words)
+    assert all(_occurrence_key(a, w) ==
+               (len(w), tuple(_min_occurrence_ends(a, [w])[0])) for w in words)
     expect = {(0, 0): 1, (1, 1): len(a.presentation.generator_names)}
     for w in words:
         for n, dim in word_homology(a, w, 8, field_char).items():

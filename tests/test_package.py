@@ -132,8 +132,8 @@ def test_oracle_reads_no_walk_calculus():
                 imported[alias.asname or alias.name] = alias.name
     functions = {fn.name: fn for fn in tree.body
                  if isinstance(fn, ast.FunctionDef)}
-    resolution = {"chain_words", "_min_occurrence_ends", "_min_occurrence_end",
-                  "_factor_keys", "_factored_homology", "_splitting_homology",
+    resolution = {"chain_words", "_min_occurrence_ends", "_factor_keys",
+                  "_factored_homology", "_splitting_homology",
                   "minimal_resolution"}
     assert set(functions) == resolution | {"cross_validate"}
     allowed = (set(dir(builtins)) | resolution | {"BettiTable"}
@@ -242,9 +242,8 @@ RECORD_FIELDS = {
     "BigradedTable": ("entries", "truncation"),
     "RationalFunction": ("numerator", "denominator"),
     "GlobalDimensionResult": ("value", "witness", "note"),
-    "FgVerdict": ("value", "method", "bound_n", "checked_lengths",
-                  "generator_degree_bound", "witness_walk",
-                  "witness_circuit", "witness_periodic"),
+    "FgVerdict": ("value", "method", "bound_n", "generator_degree_bound",
+                  "witness_walk", "witness_circuit", "witness_periodic"),
     "NoetherianVerdict": ("side", "value", "reason", "witness_vertex",
                           "witness_edge"),
     "AnalysisReport": ("graph", "params", "gldim", "gk_dim", "fg",
@@ -311,8 +310,8 @@ def test_fixtures_reach_every_record_class():
 def test_record_defaults_and_normalisation():
     fg = FgVerdict(True, "finite_global_dimension")
     assert fg == FgVerdict(value=True, method="finite_global_dimension",
-                           bound_n=None, checked_lengths=None,
-                           generator_degree_bound=None, witness_walk=None,
+                           bound_n=None, generator_degree_bound=None,
+                           witness_walk=None,
                            witness_circuit=None, witness_periodic=None)
     noeth = NoetherianVerdict("left", True, "acyclic_graph")
     assert (noeth.witness_vertex, noeth.witness_edge) == (None, None)
