@@ -14,6 +14,12 @@ Hunts:
              generation (against the premise chain), or on its first
              walk of length N or N+1 (against the pruned walk search);
              exits 1 if there is one
+  oracle-check
+             presentations on which the resolution oracle's sum over
+             factor sequences disagrees with the per-chain-word route
+             of tests/dense_oracle.py, on the table or the truncation
+             flag, in GF(2) at (i, j) <= (8, 10) or in GF(3) at
+             (4, 9); exits 1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -31,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
+from dense_oracle import minimal_resolution_by_words
 from propcore import (collect_walks, indecomposable_walks,
                       parity_extension_violations, random_presentation,
                       reference_finitely_generated, reference_generators)
@@ -38,6 +45,7 @@ from yoneda_cps.decide import analyze
 from yoneda_cps.ext import generators_up_to
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
+from yoneda_cps.oracle import minimal_resolution
 from yoneda_cps.presentation import serialize_presentation
 from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
 
@@ -59,11 +67,27 @@ def fg_disagreement(g, fg_value, cap):
     return None
 
 
+ORACLE_WINDOWS = ((2, 8, 10), (3, 4, 9))   # (field, max_i, max_j)
+
+
+def oracle_disagreement(ideal):
+    """The first window where the factor route and the per-chain-word
+    route of the resolution oracle differ, or None."""
+    for window in ORACLE_WINDOWS:
+        by_factors = minimal_resolution(ideal, *window)
+        by_words = minimal_resolution_by_words(ideal, *window)
+        if (by_factors.entries != by_words.entries or
+                by_factors.truncation_reached != by_words.truncation_reached):
+            return "GF({}) at ({}, {})".format(*window)
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--hunt", choices=("fg-false", "fg-check", "parity",
+    parser.add_argument("--hunt", choices=("fg-false", "fg-check",
+                                           "oracle-check", "parity",
                                            "summary"),
                         default="summary")
     parser.add_argument("--max-gens", type=int, default=3)
@@ -95,6 +119,13 @@ def main(argv=None):
                 print(f"# walk {walk} inadmissible, prefix n={n} admissible")
                 print(json.dumps(serialize_presentation(p)))
             continue
+        if args.hunt == "oracle-check":
+            problem = oracle_disagreement(MonomialIdeal(p))
+            if problem:
+                hits += 1
+                print(f"# the oracle's routes disagree: {problem}")
+                print(json.dumps(serialize_presentation(p)))
+            continue
         try:
             rep = analyze(p, cap=args.cap)
         except WalkCapExceeded:
@@ -123,7 +154,7 @@ def main(argv=None):
             print(f"{method:32s} {count}")
     else:
         print(f"# {hits} specimens", file=sys.stderr)
-    return 1 if args.hunt == "fg-check" and hits else 0
+    return 1 if args.hunt in ("fg-check", "oracle-check") and hits else 0
 
 
 if __name__ == "__main__":

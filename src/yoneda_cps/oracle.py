@@ -10,9 +10,10 @@ overlaps; everything else has contractible complex.
 
 Whether a part [a, b) of a word lies in the ideal depends only on the
 least end of a relation occurrence starting at or past a.  The complex
-of a word is therefore fixed by its length and that array of least
-ends, min_end, and `minimal_resolution` resolves one complex per
-distinct (length, min_end) key, not one per chain word.
+of a word is therefore fixed by its key: its length and that array of
+least ends, min_end.  Two words with the same key have the same
+complex, basis for basis and differential for differential, so one
+complex is reduced per distinct key.
 
 A key's complex splits at its forced cuts: the internal positions v
 that no normal part straddles.  The shortest part straddling v is
@@ -27,6 +28,58 @@ cut p + t of x (x) y, and its sign (-1)^(p + t + 1) is the Koszul sign
 of d(x (x) y) = dx (x) y + (-1)^p x (x) dy.  Over a field the Kunneth
 formula then gives H_n(x (x) y) as the sum over p + q = n of
 H_p(x) H_q(y), so one complex is reduced per distinct factor.
+
+Chain words are not listed; they are counted by their factors.
+Relations are minimal, none a factor of another, and have degree >= 2,
+so the forced cuts of a chain word w are the v with w[v - 1:v + 1] a
+relation.  An occurrence straddling a forced cut v contains
+w[v - 1:v + 1], so it is that occurrence.  Hence an occurrence
+straddling a position between consecutive forced cuts v < v' starts at
+or past v and ends by v': otherwise it would straddle v or v', and the
+degree-2 occurrence there straddles nothing between them.  So if w has
+the forced cuts v_1 < ... < v_m, and v_0 = 0, each
+u_k = w[v_(k-1):v_k + 1] is a chain word whose only degree-2
+occurrence is its last two letters, a middle word, and w[v_m:] is a
+chain word with no degree-2 occurrence, a last word, or the lone letter
+w[-1].  Conversely, middle words, each starting with the last letter of
+the one before, then a last word or the lone letter starting with the
+last shared letter, glue into a chain word whose forced cuts are the
+glue points: any two adjacent letters lie in one factor, so the
+degree-2 occurrences are the middle words' last two letters.  The chain
+words of length n are thus the factor sequences whose lengths sum to
+n, each shared letter counted once.
+
+Each factor's key is read from its factor word alone, since an
+occurrence of w that starts at or past v_(k-1) and ends by v_k + 1 lies
+in u_k.  The factor between v_(k-1) and v_k has the key
+(len(u_k) - 1, min_end of u_k, cut to len(u_k) entries and capped at
+len(u_k)); the last factor has the last word's own key, and the lone
+letter's complex is one cell in degree 1.  So a Betti number in
+(i, n) is the sum, over the factor sequences of total length n, of the
+degree-i coefficients of the Kunneth products of their factors'
+homologies.  `minimal_resolution` sums it by a transfer matrix
+(Stanley, EC1 4.7) over the states (L, c): L letters placed before
+the shared letter c.  The factor words are listed by the
+overlap-extension step of `chain_words` without extending a middle
+word.  Every factor word is still reached: the prefixes along the
+chain of occurrences covering it have no degree-2 occurrence, so they
+are last words, and extending a last word by a relation of degree >= 3
+adds no degree-2 occurrence, which would lie inside that relation.
+
+The truncation flag says whether some chain word is longer than max_j.
+`chain_words` flags when a relation or an extension runs past max_j,
+and that is the same: a chain word is reached through the prefixes
+along the chain of occurrences covering it, and its longest such
+prefix within max_j, or its first relation, runs past max_j at the
+next step.  `minimal_resolution` flags when its listing runs past
+max_j, or a step out of a reachable state does: a middle word after
+which even the lone letter would pass max_j, or a last word that
+passes it.  Each names a chain word longer than max_j, since factor
+words are chain words.  Conversely, if a chain word is longer than
+max_j, either one of its factors is, and the listing runs past max_j on
+the way to it, or its factor sequence takes a step out of the last
+state it reaches within max_j that runs past max_j.  A state counts as
+reached whether or not its polynomial vanishes below max_i.
 
 Each factor's complex is shrunk before any rank is taken, from its
 incidences alone.  If a cell a is the only face of a cell c, then
@@ -77,11 +130,24 @@ class BettiTable(Record):
 def chain_words(ideal, max_len):
     """Words coverable by an overlapping chain of relation occurrences.
 
+    Words not coverable this way have contractible complexes: any
+    uncrossed internal position splits them.  Returns (words,
+    truncated), the words in the order they are found; truncated says
+    whether some chain word is longer than max_len.  Only the benchmark
+    and the tests read it: `minimal_resolution` lists factor words.
+    """
+    return _overlap_words(ideal, max_len, ())
+
+
+def _overlap_words(ideal, max_len, final):
+    """The words reached from the relations by the overlap-extension
+    step, never extending a word whose last two letters are in final.
+
     Starting from each relation, extend by any relation that starts
-    inside the word, matches the overlap, and runs past the end.  Words
-    not coverable this way have contractible complexes: any uncrossed
-    internal position splits them.  Returns (words, truncated), the
-    words in the order they are found.
+    inside the word, matches the overlap, and runs past the end.
+    Returns (words, truncated): the words of length <= max_len in the
+    order they are found, and whether a relation or an extension ran
+    past max_len.
     """
     relations = ideal.relations
     rests = {}    # proper prefix p of a relation p + q -> the rests q
@@ -96,6 +162,8 @@ def chain_words(ideal, max_len):
         if w in words:
             continue
         words[w] = None
+        if w[-2:] in final:
+            continue
         for k in range(1, len(w)):
             for rest in rests.get(w[-k:], ()):
                 new = w + rest
@@ -121,20 +189,6 @@ def _min_occurrence_ends(ideal, words):
                     m[a] = a + k
                     break
         out.append(m)
-    return out
-
-
-def _factor_keys(n_len, min_end):
-    """The (length, min_end) keys of the factors between forced cuts.
-
-    v is a forced cut when min_end[v - 1] <= v + 1; a factor [s, e)
-    keeps min_end[s:e + 1], shifted by s and capped at e + 1.
-    """
-    cuts = [v for v in range(1, n_len) if min_end[v - 1] <= v + 1]
-    out = []
-    for s, e in zip([0] + cuts, cuts + [n_len]):
-        out.append((e - s, tuple([min(m, e + 1) - s
-                                  for m in min_end[s:e + 1]])))
     return out
 
 
@@ -208,67 +262,99 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
     return out
 
 
-def _factored_homology(n_len, min_end, max_i, field_char, memo):
-    """_splitting_homology of a key, from its factors between forced cuts.
+def _kunneth(a, b, max_i):
+    """The product of two homology polynomials {degree: dim}, cut at
+    degree max_i."""
+    out = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            if p + q <= max_i:
+                out[p + q] = out.get(p + q, 0) + x * y
+    return out
 
-    Each factor's homology is reduced once and kept in memo; the key's
-    is their Kunneth convolution, cut at degree max_i.
-    """
-    total = {0: 1}
-    for factor in _factor_keys(n_len, min_end):
-        h = memo.get(factor)
-        if h is None:
-            h = memo[factor] = _splitting_homology(*factor, max_i, field_char)
-        product = {}
-        for p, a in total.items():
-            for q, b in h.items():
-                if p + q <= max_i:
-                    product[p + q] = product.get(p + q, 0) + a * b
-        total = product
-    return {n: total[n] for n in sorted(total)}
+
+def _add_into(total, poly):
+    for n, dim in poly.items():
+        total[n] = total.get(n, 0) + dim
 
 
 def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
                        progress=None):
     """Bigraded dimensions (i, j) -> dim for i <= max_i, j <= max_j.
 
-    A word's splitting complex depends on the word only through its
-    length and its least occurrence ends, so one complex is resolved per
-    distinct (length, min_end) key and its homology is added once for
-    every chain word with that key.  This is exact, not a heuristic:
-    two words with the same key have the same complex, basis for basis
-    and differential for differential.
+    A chain word is a sequence of factor words glued on one shared
+    letter: middle words, each ending in its only degree-2 relation,
+    then a last word, with no degree-2 relation, or the lone shared
+    letter.  Its splitting complex is the tensor product of its
+    factors' complexes, so its homology is the Kunneth product of
+    theirs, and each Betti number is a sum over factor sequences (see
+    the module docstring for both proofs).  No chain word is listed.
+    The factor words are listed by the overlap-extension step of
+    `chain_words`, which stops at each middle word.  Each factor word
+    gives one (length, min_end) key read from that word alone; each
+    distinct key is reduced once, its unit-incidence pairs cancelled
+    first, with its homology needed only in degrees <= max_i, where it
+    is exact, since every factor sits in degrees >= 1.
 
-    A key's complex is the tensor product of its factors' complexes
-    between forced cuts, the positions v with min_end[v - 1] <= v + 1
-    that every splitting cuts and no face deletes.  Each distinct
-    factor is reduced once per call, its unit-incidence pairs cancelled
-    first, and a key's homology is the Kunneth convolution of its
-    factors' homologies, cut at degree max_i.  Both steps are exact in
-    every field (see the module docstring): each factor sits in degrees
-    >= 1, so its homology is needed only in degrees <= max_i, where it
-    is exact.  progress, if given, receives a line every 50 chain words
-    and one at the end.
+    The sum runs as a transfer matrix over states (L, c): L letters
+    placed before the shared letter c.  A state holds the summed
+    Kunneth products of the middle-word sequences that reach it, cut at
+    max_i; it steps by a middle word starting with c, or ends the word
+    with a last word starting with c or with the lone letter, whose
+    homology is {1: 1}.  truncation_reached is set when the listing or
+    a step out of a reachable state passes max_j, which happens exactly
+    when some chain word is longer than max_j.  progress, if given,
+    receives a line every 50 factor words and one at the end.
     """
     assert field_char >= 2, "field characteristic"
-    words, truncated = chain_words(ideal, max_j)
+    quadratic = {r for r in ideal.relations if len(r) == 2}
+    words, truncated = _overlap_words(ideal, max_j, quadratic)
     entries = {(0, 0): 1, (1, 1): len(ideal.presentation.generator_names)}
 
-    keys = [(len(w), tuple(m))
-            for w, m in zip(words, _min_occurrence_ends(ideal, words))]
-    homology = {}
-    factors = {}    # factor key -> its homology
-    for k, key in enumerate(keys):
+    homology = {}   # factor key -> its homology
+    # the summed homologies of the factor words starting with c:
+    steps = {}      # c -> {(letters placed, last letter): middle words}
+    endings = {}    # c -> {length: last words}
+    for k, (w, min_end) in enumerate(
+            zip(words, _min_occurrence_ends(ideal, words))):
+        if w[-2:] in quadratic:   # its factor ends before the last letter
+            key = (len(w) - 1,
+                   tuple([min(m, len(w)) for m in min_end[:len(w)]]))
+            into = steps.setdefault(w[0], {}).setdefault(
+                (len(w) - 1, w[-1]), {})
+        else:
+            key = (len(w), tuple(min_end))
+            into = endings.setdefault(w[0], {}).setdefault(len(w), {})
         if key not in homology:
-            homology[key] = _factored_homology(*key, max_i, field_char,
-                                               factors)
+            homology[key] = _splitting_homology(*key, max_i, field_char)
+        _add_into(into, homology[key])
         if progress and (k + 1) % 50 == 0:
-            progress(f"{k + 1}/{len(keys)} words resolved")
-    for n_len, min_end in keys:
-        for n, dim in homology[n_len, min_end].items():
-            entries[n, n_len] = entries.get((n, n_len), 0) + dim
+            progress(f"{k + 1}/{len(words)} words resolved")
+
+    # layers[L]: shared letter -> polynomial; nothing is placed at L = 0
+    layers = [{} for _ in range(max_j + 1)]
+    layers[0] = {w[0]: {0: 1} for w in words}
+    betti = [{} for _ in range(max_j + 1)]    # j -> polynomial
+    for placed in range(max_j):
+        for c, poly in layers[placed].items():
+            if placed:    # the lone letter ends the word
+                _add_into(betti[placed + 1], _kunneth(poly, {1: 1}, max_i))
+            for n_len, h in endings.get(c, {}).items():
+                if placed + n_len > max_j:
+                    truncated = True
+                else:
+                    _add_into(betti[placed + n_len], _kunneth(poly, h, max_i))
+            for (n_len, last), h in steps.get(c, {}).items():
+                if placed + n_len >= max_j:   # even the lone letter passes
+                    truncated = True
+                else:
+                    _add_into(layers[placed + n_len].setdefault(last, {}),
+                              _kunneth(poly, h, max_i))
+    for j, poly in enumerate(betti):
+        for n, dim in poly.items():
+            entries[n, j] = entries.get((n, j), 0) + dim
     if progress:
-        progress(f"{len(keys)} words resolved")
+        progress(f"{len(words)} words resolved")
     return BettiTable(entries, max_i, max_j, field_char, truncated)
 
 

@@ -348,12 +348,11 @@ class WalkAutomaton:
     state is a function of the state and the next vertex, `_chain_step`,
     so the kept walks are exactly the paths from the start states, one
     per generator.  The automaton is built breadth first from the
-    generators in order; each state keeps the first walk that reached it
-    and accepts when that walk has an edge and is not decomposable.
-    Then the indecomposable walks are the accepted paths, a regular
-    language: `accepted` lists them for `ext.generators_up_to`, and Ext
-    is finitely generated exactly when the language is finite
-    (Bar-Hillel, Perles and Shamir).
+    generators in order, and a state accepts by the closed condition
+    proved below.  Then the indecomposable walks are the accepted
+    paths, a regular language: `accepted` lists them for
+    `ext.generators_up_to`, and Ext is finitely generated exactly when
+    the language is finite (Bar-Hillel, Perles and Shamir).
 
     Acceptance depends only on the state.  Take a kept walk v_0 .. v_n
     and a tail edge v_j -> v_(j+1), j >= 1.  If the edge is not
@@ -374,10 +373,12 @@ class WalkAutomaton:
       parses exactly when the shortest suffix of v annihilating r is v
       itself, the rejoin that `partner_step` reports at the next edge.
     So the walk is indecomposable exactly when it has an edge and every
-    live chain has steps True and no rejoin pending at v: a condition on
-    v and the live chains alone, which the first walk of the state
-    decides for all.  The suite checks it too: accepted paths and
-    indecomposable walks have equal counts at each length on the
+    live chain has steps True and no rejoin pending at v, that is
+    `left_min_annihilating_suffix(ideal, v, r) != v`: a condition on v
+    and the live chains alone, which the automaton reads off each
+    state.  The suite checks it too: acceptance agrees with
+    `is_decomposable` on each state's first walk, and accepted paths
+    and indecomposable walks have equal counts at each length on the
     fixtures and random draws.
 
     The states count against the walk cap, and so do the steps of
@@ -387,10 +388,9 @@ class WalkAutomaton:
     def __init__(self, g, cap=None):
         self.cap = walk_cap() if cap is None else cap
         self.states = [(v, _NO_CHAINS) for v in g.g0]
-        self.walks = [(v,) for v in g.g0]   # first walk to reach each state
         self.succ = []  # per state: the next states, in g.out order
         index = {state: i for i, state in enumerate(self.states)}
-        for (v, chains), walk in zip(self.states, self.walks):  # grows
+        for v, chains in self.states:  # grows
             row = []
             for t in g.out[v]:
                 if len(t) == 1:
@@ -406,11 +406,13 @@ class WalkAutomaton:
                         raise WalkCapExceeded(self.cap, "the walk automaton's "
                                               "state count")
                     self.states.append(state)
-                    self.walks.append(walk + (t,))
                 row.append(i)
             self.succ.append(tuple(row))
-        self.accepting = [len(w) > 1 and not is_decomposable(g, w)
-                          for w in self.walks]
+        self.accepting = [
+            len(v) > 1 and all(
+                steps and left_min_annihilating_suffix(g.ideal, v, r) != v
+                for steps, r in chains)
+            for v, chains in self.states]
         self.starts = range(len(g.g0))
 
     def _reach(self, horizon):

@@ -11,17 +11,76 @@ cancellation first, listing its cells by recursion: the route that
 
 `word_homology` reduces one chain word's complex on its own, with no
 memo by (length, min_end) key.
+
+`minimal_resolution_by_words` is the per-chain-word route that
+`oracle.minimal_resolution` replaced: it lists every chain word, keys
+each by its length and least-end array, and convolves the homologies of
+the key's factors between forced cuts (`factor_keys`,
+`factored_homology`).
 """
 
 from yoneda_cps.linalg import gf2_rank, gfp_rank
 from yoneda_cps.oracle import (BettiTable, _min_occurrence_ends,
-                               _splitting_homology)
+                               _splitting_homology, chain_words)
 
 
 def word_homology(ideal, word, max_i, field_char):
     """Homology dimensions {n: dim} of one word's splitting complex."""
     min_end = _min_occurrence_ends(ideal, [word])[0]
     return _splitting_homology(len(word), min_end, max_i, field_char)
+
+
+def factor_keys(n_len, min_end):
+    """The (length, min_end) keys of the factors between forced cuts.
+
+    v is a forced cut when min_end[v - 1] <= v + 1; a factor [s, e)
+    keeps min_end[s:e + 1], shifted by s and capped at e + 1.
+    """
+    cuts = [v for v in range(1, n_len) if min_end[v - 1] <= v + 1]
+    out = []
+    for s, e in zip([0] + cuts, cuts + [n_len]):
+        out.append((e - s, tuple([min(m, e + 1) - s
+                                  for m in min_end[s:e + 1]])))
+    return out
+
+
+def factored_homology(n_len, min_end, max_i, field_char, memo):
+    """_splitting_homology of a key, from its factors between forced cuts.
+
+    Each factor's homology is reduced once and kept in memo; the key's
+    is their Kunneth convolution, cut at degree max_i.
+    """
+    total = {0: 1}
+    for factor in factor_keys(n_len, min_end):
+        h = memo.get(factor)
+        if h is None:
+            h = memo[factor] = _splitting_homology(*factor, max_i, field_char)
+        product = {}
+        for p, a in total.items():
+            for q, b in h.items():
+                if p + q <= max_i:
+                    product[p + q] = product.get(p + q, 0) + a * b
+        total = product
+    return {n: total[n] for n in sorted(total)}
+
+
+def minimal_resolution_by_words(ideal, field_char=2, max_i=8, max_j=16):
+    """The Betti table of `oracle.minimal_resolution`, one chain word at
+    a time: every chain word of length <= max_j adds the homology of its
+    (length, min_end) key, each key reduced once by its factors."""
+    words, truncated = chain_words(ideal, max_j)
+    entries = {(0, 0): 1, (1, 1): len(ideal.presentation.generator_names)}
+    keys = [(len(w), tuple(m))
+            for w, m in zip(words, _min_occurrence_ends(ideal, words))]
+    homology = {}
+    factors = {}    # factor key -> its homology
+    for key in keys:
+        if key not in homology:
+            homology[key] = factored_homology(*key, max_i, field_char,
+                                              factors)
+        for n, dim in homology[key].items():
+            entries[n, key[0]] = entries.get((n, key[0]), 0) + dim
+    return BettiTable(entries, max_i, max_j, field_char, truncated)
 
 
 def reference_splitting_homology(n_len, min_end, max_i, field_char):

@@ -13,9 +13,8 @@ from propcore import (indecomposable_walks, random_presentation,
                       reference_search_indecomposable)
 from yoneda_cps.decide import finitely_generated
 from yoneda_cps.graph import build_marked_graph, graph_params
-from yoneda_cps.monomial import left_min_annihilating_suffix
 from yoneda_cps.presentation import make_presentation
-from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
+from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded, is_decomposable
 
 COUNTED_LENGTHS = range(1, 12)
 
@@ -45,20 +44,21 @@ def _deep_fg_graph():
     return build_marked_graph(make_presentation(gens, rels))
 
 
-def _accepts_by_the_proof(g, state):
-    """The condition on a state that the WalkAutomaton docstring proves
-    equivalent to indecomposability: the walk has an edge, and every
-    live chain waits for its step with no rejoin pending."""
-    v, chains = state
-    return len(v) > 1 and all(
-        steps and left_min_annihilating_suffix(g.ideal, v, r) != v
-        for steps, r in chains)
+def first_walks(automaton):
+    """The first walk to reach each state, rebuilt breadth first from
+    the start states along `succ`, in the order the automaton grew."""
+    walks = {s: (automaton.states[s][0],) for s in automaton.starts}
+    for s, row in enumerate(automaton.succ):
+        for t in row:
+            walks.setdefault(t, walks[s] + (automaton.states[t][0],))
+    return [walks[s] for s in range(len(automaton.states))]
 
 
 def _check_against_the_search(g):
     automaton = WalkAutomaton(g)
-    assert automaton.accepting == [_accepts_by_the_proof(g, state)
-                                   for state in automaton.states]
+    # the closed condition on the state against is_decomposable on a walk
+    assert automaton.accepting == [len(w) > 1 and not is_decomposable(g, w)
+                                   for w in first_walks(automaton)]
     n = graph_params(g).bound_N
     for targets in ((n, n + 1), (3, 4), (7, 8)):
         first = next(automaton.accepted(targets), None)

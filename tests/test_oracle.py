@@ -1,17 +1,20 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL, W, graph, load
-from dense_oracle import (minimal_resolution_dense,
+from dense_oracle import (factor_keys, factored_homology,
+                          minimal_resolution_by_words,
+                          minimal_resolution_dense,
                           reference_splitting_homology, word_homology)
+from propcore import random_presentation
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.oracle import (BettiTable, _factor_keys, _factored_homology,
-                               _min_occurrence_ends, _splitting_homology,
-                               chain_words, cross_validate,
-                               minimal_resolution)
+from yoneda_cps.oracle import (BettiTable, _min_occurrence_ends,
+                               _splitting_homology, chain_words,
+                               cross_validate, minimal_resolution)
 from yoneda_cps.presentation import make_presentation
 
 
@@ -216,18 +219,18 @@ def test_factored_homology_matches_reference_on_random_keys(key, max_i,
     forced = [v for v in range(1, n)
               if all(min_end[a] <= b for a in range(v)
                      for b in range(v + 1, n + 1))]
-    ends = itertools.accumulate(length for length, _ in _factor_keys(*key))
+    ends = itertools.accumulate(length for length, _ in factor_keys(*key))
     assert list(ends) == forced + [n]
-    assert (_factored_homology(*key, max_i, field_char, {})
+    assert (factored_homology(*key, max_i, field_char, {})
             == reference_splitting_homology(*key, max_i, field_char))
 
 
 def test_factored_homology_at_max_i_0():
     key = (4, (2, 4, 5, 5, 5))    # relations at [0, 2) and [1, 4)
-    assert _factor_keys(*key) == [(1, (2, 2)), (3, (3, 4, 4, 4))]
+    assert factor_keys(*key) == [(1, (2, 2)), (3, (3, 4, 4, 4))]
     for field_char in (2, 3):
         for max_i, expect in [(0, {}), (2, {}), (3, {3: 1})]:
-            assert _factored_homology(*key, max_i, field_char, {}) == expect
+            assert factored_homology(*key, max_i, field_char, {}) == expect
             assert reference_splitting_homology(
                 *key, max_i, field_char) == expect
 
@@ -236,10 +239,10 @@ def test_one_letter_relation_is_an_empty_factor():
     """A relation of degree 1 inside a word makes an empty factor, whose
     complex has no cell, so the word's homology vanishes."""
     key = (3, (2, 2, 4, 4))       # a w b with w a relation
-    assert _factor_keys(*key) == [(1, (2, 2)), (1, (1, 2)), (1, (2, 2))]
+    assert factor_keys(*key) == [(1, (2, 2)), (1, (1, 2)), (1, (2, 2))]
     assert _splitting_homology(1, (1, 2), 8, 2) == {}
     memo = {}
-    assert _factored_homology(*key, 8, 2, memo) == {}
+    assert factored_homology(*key, 8, 2, memo) == {}
     assert memo == {(1, (2, 2)): {1: 1}, (1, (1, 2)): {}}
     assert reference_splitting_homology(*key, 8, 2) == {}
 
@@ -248,8 +251,8 @@ def _split_counts(name, max_j):
     """(keys, distinct factors, keys that are their own single factor)."""
     a = ideal(name)
     keys = {_occurrence_key(a, w) for w in chain_words(a, max_j)[0]}
-    factors = {f for key in keys for f in _factor_keys(*key)}
-    whole = sum(_factor_keys(*key) == [key] for key in keys)
+    factors = {f for key in keys for f in factor_keys(*key)}
+    whole = sum(factor_keys(*key) == [key] for key in keys)
     return len(keys), len(factors), whole
 
 
@@ -272,7 +275,7 @@ def test_quadratic_relations_split_into_letters(name):
     a = ideal(name)
     for w in chain_words(a, 12)[0]:
         key = _occurrence_key(a, w)
-        assert _factor_keys(*key) == [(1, (2, 2))] * len(w)
+        assert factor_keys(*key) == [(1, (2, 2))] * len(w)
 
 
 def test_resolution_progress_counts_chain_words():
@@ -280,3 +283,51 @@ def test_resolution_progress_counts_chain_words():
     minimal_resolution(ideal("x2y_family"), 2, 8, 16, progress=lines.append)
     assert lines == ["50/133 words resolved", "100/133 words resolved",
                      "133 words resolved"]
+
+
+def test_resolution_progress_counts_factor_words():
+    """Chain words factor at their degree-2 relations, so the oracle
+    lists 566 factor words for sklyanin_leading's 6,037 chain words."""
+    lines = []
+    a = ideal("sklyanin_leading")
+    minimal_resolution(a, 2, 8, 12, progress=lines.append)
+    assert lines[-1] == "566 words resolved"
+    assert len(chain_words(a, 12)[0]) == 6037
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_truncation_flag_is_a_chain_word_past_max_j(name):
+    """The factor route flags truncation exactly when some chain word is
+    longer than max_j, as chain_words does; x_square's only factor word
+    is xx, so there the flag comes from the transfer steps alone."""
+    a = ideal(name)
+    for max_j in range(17 if name == "x_square" else 13):
+        table = minimal_resolution(a, 2, 2, max_j)
+        assert table.truncation_reached == chain_words(a, max_j)[1], max_j
+
+
+def _same_table(ideal_, field_char, max_i, max_j):
+    by_factors = minimal_resolution(ideal_, field_char, max_i, max_j)
+    by_words = minimal_resolution_by_words(ideal_, field_char, max_i, max_j)
+    assert by_factors.entries == by_words.entries
+    assert by_factors.truncation_reached == by_words.truncation_reached
+
+
+@pytest.mark.parametrize("field_char,max_i,max_j", [(2, 8, 16), (32003, 8, 16),
+                                                    (3, 6, 12)])
+@pytest.mark.parametrize("name", ALL)
+def test_factor_sequences_match_the_chain_words(name, field_char, max_i,
+                                                max_j):
+    """The transfer-matrix sum over factor sequences gives the table of
+    the per-chain-word route."""
+    if name == "sklyanin_leading":
+        max_j = min(max_j, 12)
+    _same_table(ideal(name), field_char, max_i, max_j)
+
+
+def test_factor_sequences_match_the_chain_words_on_random_presentations():
+    rng = random.Random(5)
+    for _ in range(300):
+        a = MonomialIdeal(random_presentation(rng))
+        _same_table(a, 2, 8, 10)
+        _same_table(a, 3, 4, 9)

@@ -132,8 +132,8 @@ def test_oracle_reads_no_walk_calculus():
                 imported[alias.asname or alias.name] = alias.name
     functions = {fn.name: fn for fn in tree.body
                  if isinstance(fn, ast.FunctionDef)}
-    resolution = {"chain_words", "_min_occurrence_ends", "_factor_keys",
-                  "_factored_homology", "_splitting_homology",
+    resolution = {"chain_words", "_overlap_words", "_min_occurrence_ends",
+                  "_splitting_homology", "_kunneth", "_add_into",
                   "minimal_resolution"}
     assert set(functions) == resolution | {"cross_validate"}
     allowed = (set(dir(builtins)) | resolution | {"BettiTable"}
