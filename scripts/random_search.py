@@ -11,9 +11,10 @@ Hunts:
              walks disagrees with the reference routes of
              tests/propcore.py: on the generators up to degree 8
              (against the listing of every anchored walk), on finite
-             generation (against the premise chain), or on its first
-             walk of length N or N+1 (against the pruned walk search);
-             exits 1 if there is one
+             generation (against the premise chain), on the top
+             generator degree of a yes (against the listing one degree
+             past it), or on its first walk of length N or N+1
+             (against the pruned walk search); exits 1 if there is one
   oracle-check
              presentations on which the resolution oracle's sum over
              factor sequences disagrees with the per-chain-word route
@@ -50,14 +51,21 @@ from yoneda_cps.presentation import serialize_presentation
 from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
 
 
-def fg_disagreement(g, fg_value, cap):
+def fg_disagreement(g, fg, cap):
     """How the automaton disagrees with the reference routes, or None:
-    on the generators up to degree 8, on finite generation and, on a
-    cyclic graph, on the first walk at lengths N and N+1."""
+    on the generators up to degree 8, on finite generation, on the top
+    generator degree of a yes and, on a cyclic graph, on the first walk
+    at lengths N and N+1."""
     if generators_up_to(g, 8) != reference_generators(g, 8, cap):
         return "generators up to degree 8"
-    if reference_finitely_generated(g, cap).value != fg_value:
+    if reference_finitely_generated(g, cap).value != fg.value:
         return "the verdict against the premise chain"
+    if fg.value:
+        bound = fg.generator_degree_bound
+        top = max(c.walk.cohomological_degree
+                  for c in reference_generators(g, bound + 1, cap))
+        if top != bound:
+            return f"top generator degree {bound}, listed {top}"
     if not g.cycles.has_cycle:
         return None
     n = graph_params(g).bound_N
@@ -134,7 +142,7 @@ def main(argv=None):
         methods[rep.fg.method] = methods.get(rep.fg.method, 0) + 1
         if args.hunt == "fg-check":
             try:
-                problem = fg_disagreement(rep.graph, rep.fg.value, args.cap)
+                problem = fg_disagreement(rep.graph, rep.fg, args.cap)
             except WalkCapExceeded:
                 skipped += 1
                 continue

@@ -4,13 +4,13 @@ All four invariants of the cohomology algebra reduce to properties of
 the annihilator graph.  Global dimension is finite exactly when the
 graph is acyclic.  Growth is the largest number of cycle components met
 by a single walk, infinite when two circuits share a vertex.  Finite
-generation holds on an acyclic graph; on any other it is read off a
-finite automaton, `walks.WalkAutomaton`, whose accepted paths are the
-indecomposable anchored walks, the ones that `ext.generators_up_to`
-lists: the algebra is finitely generated exactly when they are finitely
-many, and a negative answer carries one of them and, when one of its
-repeats certifies, an eventually periodic walk on which no
-decomposition mechanism fires.
+generation is read off one finite automaton, `walks.WalkAutomaton`, on
+every graph.  Its accepted paths are the indecomposable anchored walks,
+the ones that `ext.generators_up_to` lists: the algebra is finitely
+generated exactly when they are finitely many, a positive answer gives
+the exact top generator degree, and a negative answer carries one of
+them and, when one of its repeats certifies, an eventually periodic walk
+on which no decomposition mechanism fires.
 The chain conditions are local: every circuit vertex must have unique
 continuation on the relevant side and every circuit edge must be
 admissible.
@@ -105,9 +105,10 @@ def gk_dimension(g):
 
 
 class FgVerdict(Record):
-    """The finite generation verdict.  `finitely_generated` leaves
-    `bound_n` and `witness_circuit` None, and the JSON omits them; the
-    test suite's reference premise chain fills them."""
+    """The finite generation verdict.  On a yes, `generator_degree_bound`
+    is the exact top degree of a generator, an int.  `finitely_generated`
+    leaves `bound_n` and `witness_circuit` None, and the JSON omits them;
+    the test suite's reference premise chain fills them."""
     value: bool
     method: str
     bound_n: int | None = None
@@ -119,7 +120,7 @@ class FgVerdict(Record):
     def to_json(self):
         out = {"value": self.value, "method": self.method}
         if self.generator_degree_bound is not None:
-            out["generator_degree_bound"] = _fmt_dim(self.generator_degree_bound)
+            out["generator_degree_bound"] = self.generator_degree_bound
         witness = {}
         if self.witness_walk is not None:
             witness["indecomposable_walk"] = [format_word(v) for v in self.witness_walk]
@@ -172,14 +173,11 @@ def _periodic_witness(g, q):
 
 
 def finitely_generated(g, cap=None):
-    """Finite generation, from one of two premises.
-
-    An acyclic graph has finite global dimension, so the algebra is
-    finitely generated, by classes of degree at most that dimension.
-    Any other graph is decided by `WalkAutomaton`, whose accepted paths
-    are the indecomposable walks: the algebra is finitely generated
-    exactly when they are finitely many, and then the longest, of length
-    n, puts the top generator in degree n+1 exactly.
+    """Finite generation, read off `WalkAutomaton` on every graph: its
+    accepted paths are the indecomposable walks, so the algebra is
+    finitely generated exactly when they are finitely many, as on every
+    acyclic graph, and then the longest, of length n, puts the top
+    generator in degree n+1 exactly.
 
     Otherwise the witness is the first accepted walk, in search order,
     whose length lies in [V, V+S), for V vertices and S states.  One
@@ -193,10 +191,6 @@ def finitely_generated(g, cap=None):
     vertex repeats, and `_periodic_witness` has candidates.  The walk
     cap bounds the states and the witness search.
     """
-    if not g.cycles.has_cycle:
-        gd = global_dimension(g)
-        return FgVerdict(True, "finite_global_dimension",
-                         generator_degree_bound=gd.value)
     automaton = WalkAutomaton(g, cap)
     longest = automaton.longest_accepted()
     if longest is not None:
@@ -281,9 +275,8 @@ def analyze(presentation, cap=None):
     if noeth_l.value or noeth_r.value:
         assert gk != INFINITY and gk <= 1, "chain conditions force linear growth"
     if gldim.value != INFINITY:
-        assert fg.value, "finite global dimension forces finite generation"
-    if not fg.value:
-        assert gldim.value == INFINITY
+        assert fg.value and fg.generator_degree_bound <= gldim.value, \
+            "Ext vanishes above the global dimension, so no generator does"
 
     notes = [GLDIM_NOTE]
     if params.l_defaulted:

@@ -309,7 +309,9 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
     assert field_char >= 2, "field characteristic"
     quadratic = {r for r in ideal.relations if len(r) == 2}
     words, truncated = _overlap_words(ideal, max_j, quadratic)
-    entries = {(0, 0): 1, (1, 1): len(ideal.presentation.generator_names)}
+    entries = {(0, 0): 1}
+    if max_i >= 1 and max_j >= 1:
+        entries[1, 1] = len(ideal.presentation.generator_names)
 
     homology = {}   # factor key -> its homology
     # the summed homologies of the factor words starting with c:

@@ -207,13 +207,26 @@ def make_presentation(generator_names, relation_letter_tuples):
 
     Deduplicates, prunes non-minimal relations, and sorts by
     (degree, index sequence).  Raises PresentationError on an empty
-    alphabet, unknown generator tokens, or relations of degree < 2.
+    alphabet, unknown generator tokens, relations of degree < 2, a name
+    containing `*`, or a name of two or more characters spelled by
+    one-character names.  Refusing the last two gives distinct nonempty
+    words distinct `format_word` displays: words of one-character names
+    show their joins, words with a longer name `*`-joins that split back
+    at each `*`, and a join of one-character names has no `*`, so it
+    could equal only a single longer name.
     """
     names = list(generator_names)
     if not names:
         raise PresentationError("empty alphabet")
     if len(set(names)) != len(names):
         raise PresentationError("duplicate generator names")
+    letters = {name for name in names if len(name) == 1}
+    for name in names:
+        if "*" in name:
+            raise PresentationError(f"generator name {name!r} contains '*'")
+        if len(name) > 1 and set(name) <= letters:
+            raise PresentationError(f"generator name {name!r} is spelled by "
+                                    "one-character generator names")
     index = _index_map(names)
 
     cleaned = []

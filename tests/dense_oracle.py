@@ -69,7 +69,9 @@ def minimal_resolution_by_words(ideal, field_char=2, max_i=8, max_j=16):
     a time: every chain word of length <= max_j adds the homology of its
     (length, min_end) key, each key reduced once by its factors."""
     words, truncated = chain_words(ideal, max_j)
-    entries = {(0, 0): 1, (1, 1): len(ideal.presentation.generator_names)}
+    entries = {(0, 0): 1}
+    if max_i >= 1 and max_j >= 1:
+        entries[1, 1] = len(ideal.presentation.generator_names)
     keys = [(len(w), tuple(m))
             for w, m in zip(words, _min_occurrence_ends(ideal, words))]
     homology = {}

@@ -114,6 +114,28 @@ def test_validate(capsys):
     assert js["betti"]["field_char"] == 2
 
 
+@pytest.mark.parametrize("window", [("0", "16"), ("8", "0")])
+def test_validate_window_with_a_zero_bound(capsys, window):
+    # the generator count sits at (1, 1), outside both windows
+    js = run_json(capsys, "validate", "--max-i", window[0],
+                  "--max-j", window[1], fixture_path("x_square"))
+    assert js["betti"]["entries"] == [{"dim": 1, "i": 0, "j": 0}]
+    assert js["mismatches"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph"], ["multiply", "--left", '["ab"]', "--right", '["ab"]'],
+])
+def test_names_that_would_share_a_display_exit_1(tmp_path, capsys, argv):
+    # the word a*b and the generator ab would both display as ab
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"generators": ["a", "b", "ab"],
+                                "relations": [["a", "b", "a"], ["ab", "ab"]]}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: generator name 'ab' is spelled by")
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "analyze", "no_such_file.json")
     assert code == 1
@@ -286,15 +308,28 @@ def _forbid_graph_params(monkeypatch):
 
 def test_acyclic_decide_fg_skips_the_l_search(tmp_path, monkeypatch, capsys):
     # The chain of test_deep_input_answers without its x x x cycle:
-    # acyclic, so the verdict needs neither L nor bound_N.
+    # acyclic, and the walk automaton reads neither L nor bound_N.
     _forbid_graph_params(monkeypatch)
     gens = [f"a{i}" for i in range(1100)]
     rels = [[f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}"] for i in range(1099)]
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"generators": gens, "relations": rels}))
     js = run_json(capsys, "decide-fg", str(chain))
-    assert js["value"] is True
-    assert js["method"] == "finite_global_dimension"
+    # walks of 1,099 edges from a0 up the chain are indecomposable
+    assert js == {"value": True, "method": "finitely_many_indecomposables",
+                  "generator_degree_bound": 1100, "witness": None}
+
+
+def test_acyclic_decide_fg_names_a_tripped_cap(tmp_path, monkeypatch, capsys):
+    # the automaton of a five-generator chain has 16 states
+    monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", "10")
+    gens = [f"a{i}" for i in range(5)]
+    rels = [[f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}"] for i in range(4)]
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"generators": gens, "relations": rels}))
+    code, out, err = run(capsys, "decide-fg", str(chain))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the walk automaton's state count")
 
 
 def test_validate_skips_the_l_search(monkeypatch, capsys):

@@ -87,11 +87,8 @@ def test_finitely_generated_verdicts(name, value, premise):
     g = graph(name)
     out = finitely_generated(g)
     assert out.value is value
-    if premise == "finite_global_dimension":
-        assert out.method == premise
-    else:
-        assert out.method == ("finitely_many_indecomposables" if value
-                              else "infinitely_many_indecomposables")
+    assert out.method == ("finitely_many_indecomposables" if value
+                          else "infinitely_many_indecomposables")
     assert (out.bound_n, out.witness_circuit) == (None, None)
     reference = reference_finitely_generated(g)
     assert (reference.value, reference.method) == (value, premise)
@@ -109,10 +106,33 @@ def _pool_129():
 
 
 @pytest.mark.parametrize("name,degree", [
-    ("x_square", 1), ("abc_cdab", 3), ("x2y_family", 2),
+    ("x_square", 1), ("xy_single", 1), ("abc_cdab", 3), ("x2y_family", 2),
 ])
 def test_fg_generator_degree_is_exact(name, degree):
     assert finitely_generated(graph(name)).generator_degree_bound == degree
+
+
+def test_fg_generator_degree_is_exact_on_acyclic_graphs():
+    """On an acyclic graph the verdict is yes, and its degree is the top
+    degree of the generators, which Ext's vanishing above the global
+    dimension puts at or below it."""
+    rng = random.Random(13)
+    draws = [build_marked_graph(MonomialIdeal(random_presentation(rng)))
+             for _ in range(500)]
+    checked = below = 0
+    for g in [graph(name) for name in ALL] + draws:
+        if g.cycles.has_cycle:
+            continue
+        gldim = global_dimension(g).value
+        out = finitely_generated(g)
+        assert (out.value, out.method) == \
+            (True, "finitely_many_indecomposables"), g.ideal.relations
+        top = max(c.walk.cohomological_degree
+                  for c in reference_generators(g, gldim + 1))
+        assert out.generator_degree_bound == top <= gldim, g.ideal.relations
+        checked += 1
+        below += top < gldim
+    assert checked >= 80 and below >= 40
 
 
 def test_fg_generator_degree_past_the_bound_n():

@@ -80,6 +80,17 @@ def test_dense_route_x_square_diagonal():
     assert t.entries == {(i, i): 1 for i in range(5)}
 
 
+@pytest.mark.parametrize("max_i,max_j", [(0, 0), (0, 5), (3, 0), (1, 1)])
+@pytest.mark.parametrize("name", ALL)
+def test_small_windows_hold_only_their_entries(name, max_i, max_j):
+    """The generator count (1, 1) lies outside a window with a zero
+    bound, so neither route may report it there."""
+    a = ideal(name)
+    dense = minimal_resolution_dense(a, 2, max_i, max_j).entries
+    assert minimal_resolution(a, 2, max_i, max_j).entries == dense
+    assert minimal_resolution_by_words(a, 2, max_i, max_j).entries == dense
+
+
 @pytest.mark.parametrize("name", ["x_square", "xy_single", "abc_cdab",
                                   "x2y_family"])
 def test_field_independence(name):

@@ -1,10 +1,11 @@
+import itertools
 import json
 
 import pytest
 
 from conftest import load
-from yoneda_cps.presentation import (PresentationError, make_presentation,
-                                     parse_presentation,
+from yoneda_cps.presentation import (PresentationError, format_word,
+                                     make_presentation, parse_presentation,
                                      serialize_presentation)
 
 
@@ -57,11 +58,28 @@ def test_syntax_error_carries_position():
     ('{"generators": ["a"], "relations": [], "generator_order": ["a", 1]}',
      "permutation"),
     ('{"generators": ["a"], "relations": [[["a"], "a"]]}', "token arrays"),
+    # names that would give two words one display
+    ('{"generators": ["a", "b", "ab"], "relations": []}',
+     "'ab' is spelled by one-character generator names"),
+    ('{"generators": ["a", "aaa"], "relations": []}',
+     "'aaa' is spelled by one-character generator names"),
+    ('{"generators": ["x*y"], "relations": []}', "'x*y' contains '*'"),
+    ('{"generators": ["*", "x"], "relations": []}', "'*' contains '*'"),
 ])
 def test_structural_errors(text, fragment):
     with pytest.raises(PresentationError) as e:
         parse_presentation(text)
     assert fragment in str(e.value)
+
+
+@pytest.mark.parametrize("names", [
+    ["a", "ab", "ba"], ["x1", "x2", "x"], ["ab", "b"], ["", "x", "y"],
+])
+def test_accepted_names_give_distinct_displays(names):
+    p = make_presentation(names, [])
+    words = [w for n in range(1, 4)
+             for w in itertools.product(p.generator_names, repeat=n)]
+    assert len({format_word(w) for w in words}) == len(words)
 
 
 def test_generator_order_overrides_listing_order():
