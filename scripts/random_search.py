@@ -21,6 +21,11 @@ Hunts:
              of tests/dense_oracle.py, on the table or the truncation
              flag, in GF(2) at (i, j) <= (8, 10) or in GF(3) at
              (4, 9); exits 1 if there is one
+  series-check
+             presentations on which the Hilbert series or the L search
+             disagrees with its reference route of tests/propcore.py:
+             the bordered determinants of Cramer's rule, or the search
+             over whole paths; exits 1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -39,11 +44,12 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from dense_oracle import minimal_resolution_by_words
-from propcore import (collect_walks, indecomposable_walks,
-                      parity_extension_violations, random_presentation,
-                      reference_finitely_generated, reference_generators)
+from propcore import (bordered_hilbert_series, collect_walks,
+                      indecomposable_walks, parity_extension_violations,
+                      random_presentation, reference_finitely_generated,
+                      reference_generators, reference_leading_path)
 from yoneda_cps.decide import analyze
-from yoneda_cps.ext import generators_up_to
+from yoneda_cps.ext import generators_up_to, hilbert_series
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import minimal_resolution
@@ -90,13 +96,28 @@ def oracle_disagreement(ideal):
     return None
 
 
+def series_disagreement(g):
+    """Which of the Hilbert series and L differs from its reference
+    route, or None.  A series that trips its own invariant counts."""
+    try:
+        series = hilbert_series(g)
+    except AssertionError as e:
+        return f"the Hilbert series: {e}"
+    if series != bordered_hilbert_series(g):
+        return "the Hilbert series against the bordered determinants"
+    p = graph_params(g)
+    if (p.max_leading_path, p.l_defaulted) != reference_leading_path(g):
+        return "L against the search over whole paths"
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--hunt", choices=("fg-false", "fg-check",
                                            "oracle-check", "parity",
-                                           "summary"),
+                                           "series-check", "summary"),
                         default="summary")
     parser.add_argument("--max-gens", type=int, default=3)
     parser.add_argument("--max-relations", type=int, default=4)
@@ -134,6 +155,13 @@ def main(argv=None):
                 print(f"# the oracle's routes disagree: {problem}")
                 print(json.dumps(serialize_presentation(p)))
             continue
+        if args.hunt == "series-check":
+            problem = series_disagreement(build_marked_graph(MonomialIdeal(p)))
+            if problem:
+                hits += 1
+                print(f"# the routes disagree: {problem}")
+                print(json.dumps(serialize_presentation(p)))
+            continue
         try:
             rep = analyze(p, cap=args.cap)
         except WalkCapExceeded:
@@ -162,7 +190,8 @@ def main(argv=None):
             print(f"{method:32s} {count}")
     else:
         print(f"# {hits} specimens", file=sys.stderr)
-    return 1 if args.hunt in ("fg-check", "oracle-check") and hits else 0
+    checks = ("fg-check", "oracle-check", "series-check")
+    return 1 if args.hunt in checks and hits else 0
 
 
 if __name__ == "__main__":

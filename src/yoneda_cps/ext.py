@@ -144,14 +144,17 @@ def poincare_table(g, max_i, cap=None):
 def _walk_counts(g, length):
     """The first `length` coefficients of 1 + sum_k w_k y^(k+1), where
     w_k counts the walks of k edges that start at a generator."""
-    counts = dict.fromkeys(g.g0, 1)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    succ = [[index[t] for t in g.out[v]] for v in g.vertices]
+    counts = [int(len(v) == 1) for v in g.vertices]    # the generators
     h = [1]
-    while len(h) < length and counts:
-        h.append(sum(counts.values()))
-        step = {}
-        for v, c in counts.items():
-            for t in g.out[v]:
-                step[t] = step.get(t, 0) + c
+    while len(h) < length and any(counts):
+        h.append(sum(counts))
+        step = [0] * len(succ)
+        for v, c in enumerate(counts):
+            if c:
+                for t in succ[v]:
+                    step[t] += c
         counts = step
     return h + [0] * (length - len(h))
 
@@ -166,15 +169,20 @@ def hilbert_series(g):
     determinant of I - yA bordered by a column of ones and the row u
     with a zero corner.  Each term of B takes one constant from the
     border row and another from the border column, so y B, like
-    det(I - yA), has degree at most n, the vertex count.
+    det(I - yA), has degree at most n, the vertex count.  Ordered by
+    strongly connected components, I - yA is block triangular, and a
+    component with no cycle is a block (1); so det(I - yA) has degree
+    at most n_cyc, the vertex count of the cyclic components (Stanley,
+    EC1 4.7).
 
-    So H = N / D in lowest terms with deg N, deg D <= n and D(0) != 0,
-    D dividing det(I - yA).  If P is H truncated to degree n, then
-    D (H - P) = N - D P is divisible by y^(n+1) and has degree at most
-    n + deg D, so the tail y^-(n+1) (H - P) is M / D with deg M < deg D;
-    and M is coprime to D, since a common factor would divide N.  The
-    shortest recurrence of the tail is therefore D itself, of length
-    deg D <= n, and 2n terms of the tail determine it.  H has integer
+    So H = N / D in lowest terms with deg N <= n, deg D <= n_cyc and
+    D(0) != 0, D dividing det(I - yA).  If P is H truncated to degree n,
+    then D (H - P) = N - D P is divisible by y^(n+1) and has degree at
+    most n + deg D, so the tail y^-(n+1) (H - P) is M / D with
+    deg M < deg D; and M is coprime to D, since a common factor would
+    divide N.  The shortest recurrence of the tail is therefore D itself,
+    of length deg D <= n_cyc, and 2 n_cyc terms of the tail determine it
+    (Massey 1969): none on an acyclic graph, where D = 1.  H has integer
     coefficients, so by Fatou's lemma D is integral once D(0) = 1; being
     primitive, it is then the recurrence exactly as shortest_recurrence
     returns it, and N = D H truncated to degree n is integral too.  This
@@ -184,7 +192,8 @@ def hilbert_series(g):
     """
     from .ratfun import RationalFunction, poly_mul, shortest_recurrence, trim
     n = len(g.vertices)
-    h = _walk_counts(g, 3 * n + 1)
+    n_cyc = sum(len(c) for c in g.cycles.cyclic)
+    h = _walk_counts(g, n + 1 + 2 * n_cyc)
     den = shortest_recurrence(h[n + 1:])
     assert den[0] == 1, \
         "the reduced denominator of an integer series must be integral"

@@ -43,39 +43,40 @@ class CpsGraph(Record):
         return circuits_and_sccs(self)
 
 
+
 def build_marked_graph(ideal):
     """The graph of a MonomialIdeal or a Presentation, every edge marked.
 
     A worklist adds each new vertex's annihilator set as its out-edges;
     it ends since annihilator words are shorter than the longest relation.
+    Each set comes sorted by `sort_key`, the vertex order, so listing
+    them in vertex order gives the edges sorted with no sort.
     """
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(ideal)
     relations = set(ideal.relations)
     g0 = tuple((name,) for name in ideal.presentation.generator_names)
-    seen = set(g0)
-    admissible = {}
+    seen, out = set(g0), {}
     todo = list(g0)
     while todo:
         m = todo.pop()
-        for w in annihilator_generators(ideal, m):
-            admissible[(m, w)] = w + m in relations
+        out[m] = annihilator_generators(ideal, m)
+        for w in out[m]:
             # Edges leaving a generator always straddle a whole relation.
-            assert admissible[(m, w)] or len(m) > 1, \
+            assert len(m) > 1 or w + m in relations, \
                 f"generator edge {format_word(m)}->{format_word(w)} must be admissible"
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
 
-    vertices = tuple(sorted(seen, key=ideal.sort_key))
-    edges = tuple(sorted(admissible, key=lambda e: (ideal.sort_key(e[0]), ideal.sort_key(e[1]))))
+    vertices = tuple(sorted(out, key=ideal.sort_key))
+    out = {v: out[v] for v in vertices}
+    edges = tuple((s, t) for s in vertices for t in out[s])
     edge_word = {(s, t): t + s for s, t in edges}
-    out = {v: [] for v in vertices}
+    admissible = {e: w in relations for e, w in edge_word.items()}
     inc = {v: [] for v in vertices}
     for s, t in edges:
-        out[s].append(t)
         inc[t].append(s)
-    out = {v: tuple(ts) for v, ts in out.items()}
     inc = {v: tuple(ss) for v, ss in inc.items()}
     return CpsGraph(ideal, vertices, g0, edges, admissible, edge_word, out, inc)
 
@@ -142,6 +143,13 @@ def graph_params(g):
                 reach |= rel[t]
         for v in comp:
             rel[v] = reach
+    # Plain steps as (t, 1 << t), inside v's component or out of it.
+    # Inside, rel[t] = rel[v] already holds the mask, so the step is
+    # (t, mask | 1 << t).
+    inside = [[(t, 1 << t) for t in ts if comp_of[t] == comp_of[v]]
+              for v, ts in enumerate(plain)]
+    leave = [[(t, 1 << t) for t in ts if comp_of[t] != comp_of[v]]
+             for v, ts in enumerate(plain)]
 
     best = 0
     entry = [{} for _ in comps]
@@ -158,14 +166,19 @@ def graph_params(g):
         while layer:
             step = {}
             for (v, mask), k in layer.items():
-                if adm[v] & ~mask:
-                    best = max(best, k + 1)
-                for t in plain[v]:
-                    if not mask >> t & 1:
-                        state = (t, (mask | 1 << t) & rel[t])
-                        into = step if comp_of[t] == c else entry[comp_of[t]]
-                        if into.get(state, 0) <= k:
-                            into[state] = k + 1
+                k1 = k + 1
+                if k1 > best and adm[v] & ~mask:
+                    best = k1
+                for t, bit in inside[v]:
+                    if not mask & bit:
+                        state = (t, mask | bit)
+                        if step.get(state, 0) < k1:
+                            step[state] = k1
+                for t, bit in leave[v]:
+                    if not mask & bit:
+                        state = (t, (mask | bit) & rel[t])
+                        if entry[comp_of[t]].get(state, 0) < k1:
+                            entry[comp_of[t]][state] = k1
             layer = step
 
     l_defaulted = best == 0

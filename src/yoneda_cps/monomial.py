@@ -168,10 +168,13 @@ def annihilator_generators(ideal, m):
     Every w tensor m in the ideal (w normal) contains a relation
     straddling the w/m boundary, so each candidate is the left part of
     a relation split r = u tensor v with v a nonempty prefix of m, read
-    from the ideal's index of relation suffixes.  The candidates are
-    then filtered by the defining conditions: u normal and no proper
-    suffix of u already annihilates m.  For each proper suffix s of u,
-    s tensor m is a suffix of u[1:] tensor m, so u[1:] alone is tested.
+    from the ideal's index of relation suffixes.  Each such u is normal:
+    a relation inside u would be a proper factor of r, and relations are
+    minimal (`make_presentation`, the one constructor of a Presentation,
+    prunes the others).  So the candidates are filtered by the other
+    defining condition alone: no proper suffix of u already annihilates
+    m.  For each proper suffix s of u, s tensor m is a suffix of u[1:]
+    tensor m, so u[1:] alone is tested.
     """
     m = tuple(m)
     if ideal.contains(m):
@@ -180,9 +183,7 @@ def annihilator_generators(ideal, m):
     for split in range(1, min(len(m), ideal.max_relation_degree - 1) + 1):
         # v = m[:split] must be a proper suffix of the relation u (x) v
         for u in ideal._left_parts.get(m[:split], ()):
-            if u in found or ideal.contains(u):
-                continue
-            if not ideal.contains(u[1:] + m):
+            if u not in found and not ideal.contains(u[1:] + m):
                 found.add(u)
     for u in found:
         # Each annihilator sits inside a single straddling relation, so

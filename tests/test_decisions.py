@@ -146,6 +146,40 @@ def test_fg_generator_degree_past_the_bound_n():
     assert all(not is_decomposable(g, w) for w in top)
 
 
+# The fg inputs with an indecomposable walk of length N or N + 1, among
+# the fixtures, the 210 pool presentations, 3,000 draws of
+# random_presentation(Random(7)) and 1,000 draws of Random(9) with
+# max_gens=4, max_relations=6, max_degree=5 (draws counted from 0):
+# (generators, relations, origin).
+FG_WALKS_AT_N = [
+    ("abcdef", POOL_129, "pool presentation 129"),
+    ("xyz", "yzx zxxy", "Random(7) draw 1073"),
+    ("xyz", "zz zxx xxzy", "Random(7) draw 1715"),
+    ("xyz", "xzy zyzx", "Random(7) draw 2187"),
+    ("xyzw", "zz xzw yyx", "Random(9) draw 566"),
+    ("xyzw", "zz yzwz wyzx xyxxz", "Random(9) draw 572"),
+    ("xyz", "zz yyxz xxzxy", "Random(9) draw 590"),
+    ("xyz", "zz xxz yzx", "Random(9) draw 744"),
+]
+
+
+@pytest.mark.parametrize("gens,rels,origin", FG_WALKS_AT_N,
+                         ids=[origin for _, _, origin in FG_WALKS_AT_N])
+def test_fg_inputs_with_an_indecomposable_walk_at_n(gens, rels, origin):
+    """Every non-fg input of those sets has an indecomposable walk of
+    length N or N + 1, and so do these eight fg ones: the window
+    (N, N + 1) does not decide fg, and no verdict reads bound_N.  All
+    eight have M = 1, an exact L = 1 and N = 2."""
+    g = build_marked_graph(make_presentation(
+        gens, [tuple(r) for r in rels.split()]))
+    p = graph_params(g)
+    assert (p.max_edge_class, p.max_leading_path, p.l_defaulted,
+            p.bound_N) == (1, 1, False, 2)
+    assert finitely_generated(g).value is True
+    walk = next(WalkAutomaton(g).accepted((2, 3)), None)
+    assert walk is not None and not is_decomposable(g, walk)
+
+
 def _draws(seed, count):
     rng = random.Random(seed)
     return [build_marked_graph(random_presentation(

@@ -4,7 +4,9 @@ import pytest
 
 from conftest import ALL, W, graph
 from propcore import (bareiss_det, bordered_hilbert_series, poly_divexact,
-                      random_presentation, table_of_anchored, transfer_matrix)
+                      random_presentation, reference_sccs, table_of_anchored,
+                      transfer_matrix)
+from yoneda_cps import ext
 from yoneda_cps.ext import (ext_class, generators_up_to, hilbert_series,
                             poincare_table, yoneda_mul)
 from yoneda_cps.graph import build_marked_graph
@@ -214,6 +216,31 @@ def test_hilbert_series_matches_bordered_reference():
         reduced += len(got.denominator) < len(det)
     # some input must cancel a common factor of det(I - yA) and B
     assert reduced > 0
+
+
+def test_hilbert_series_asks_for_n_plus_1_plus_2_n_cyc_terms(monkeypatch):
+    """deg N <= n and deg D <= n_cyc, the vertex count of the cyclic
+    components (read here off the mutual reachability classes), so the
+    series needs the counts up to degree n and 2 n_cyc more."""
+    asked = []
+    counts = ext._walk_counts
+
+    def spy(g, length):
+        asked.append(length)
+        return counts(g, length)
+
+    monkeypatch.setattr(ext, "_walk_counts", spy)
+    acyclic = 0
+    for g in ([graph(name) for name in ALL] + _graphs_with_long_cycles()
+              + _seeded_graphs()):
+        n_cyc = sum(len(c) for c in reference_sccs(g)
+                    if len(c) > 1 or any(v in g.out[v] for v in c))
+        asked.clear()
+        hilbert_series(g)
+        assert asked == [len(g.vertices) + 1 + 2 * n_cyc], g.ideal.relations
+        acyclic += n_cyc == 0
+    # the draws include acyclic graphs, which ask for n + 1 terms
+    assert acyclic > 0
 
 
 def test_series_on_a_long_acyclic_chain():
