@@ -19,8 +19,10 @@ Hunts:
              presentations on which the resolution oracle's sum over
              factor sequences disagrees with the per-chain-word route
              of tests/dense_oracle.py, on the table or the truncation
-             flag, in GF(2) at (i, j) <= (8, 10) or in GF(3) at
-             (4, 9); exits 1 if there is one
+             flag, or the homology of a factor key, which both routes
+             reduce alike, disagrees with the whole-complex ranks of
+             tests/dense_oracle.py, in GF(2) at (i, j) <= (8, 10) or
+             in GF(3) at (4, 9); exits 1 if there is one
   series-check
              presentations on which the Hilbert series or the L search
              disagrees with its reference route of tests/propcore.py:
@@ -43,7 +45,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from dense_oracle import minimal_resolution_by_words
+from dense_oracle import (factor_keys, minimal_resolution_by_words,
+                          reference_splitting_homology)
 from propcore import (bordered_hilbert_series, collect_walks,
                       indecomposable_walks, parity_extension_violations,
                       random_presentation, reference_finitely_generated,
@@ -52,7 +55,8 @@ from yoneda_cps.decide import analyze
 from yoneda_cps.ext import generators_up_to, hilbert_series
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.oracle import minimal_resolution
+from yoneda_cps.oracle import (_min_occurrence_ends, _splitting_homology,
+                               chain_words, minimal_resolution)
 from yoneda_cps.presentation import serialize_presentation
 from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
 
@@ -84,15 +88,31 @@ def fg_disagreement(g, fg, cap):
 ORACLE_WINDOWS = ((2, 8, 10), (3, 4, 9))   # (field, max_i, max_j)
 
 
-def oracle_disagreement(ideal):
+def oracle_disagreement(ideal, checked):
     """The first window where the factor route and the per-chain-word
-    route of the resolution oracle differ, or None."""
+    route of the resolution oracle differ, or where `_splitting_homology`,
+    which both routes share, differs from the whole-complex ranks of
+    `reference_splitting_homology` on a factor key of the window's chain
+    words; or None.  checked holds the (key, window) pairs already
+    compared, and grows by the new ones."""
     for window in ORACLE_WINDOWS:
+        field_char, max_i, max_j = window
         by_factors = minimal_resolution(ideal, *window)
         by_words = minimal_resolution_by_words(ideal, *window)
         if (by_factors.entries != by_words.entries or
                 by_factors.truncation_reached != by_words.truncation_reached):
             return "GF({}) at ({}, {})".format(*window)
+        words = chain_words(ideal, max_j)[0]
+        for w, min_end in zip(words, _min_occurrence_ends(ideal, words)):
+            for key in factor_keys(len(w), min_end):
+                if (key, window) in checked:
+                    continue
+                checked.add((key, window))
+                if (_splitting_homology(*key, max_i, field_char) !=
+                        reference_splitting_homology(*key, max_i,
+                                                     field_char)):
+                    return "factor key {} in GF({}) at ({}, {})".format(
+                        key, *window)
     return None
 
 
@@ -127,6 +147,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
+    checked = set()    # oracle-check: (factor key, window) pairs compared
     methods = {}
     skipped = 0
     hits = 0
@@ -149,7 +170,7 @@ def main(argv=None):
                 print(json.dumps(serialize_presentation(p)))
             continue
         if args.hunt == "oracle-check":
-            problem = oracle_disagreement(MonomialIdeal(p))
+            problem = oracle_disagreement(MonomialIdeal(p), checked)
             if problem:
                 hits += 1
                 print(f"# the oracle's routes disagree: {problem}")
@@ -185,6 +206,10 @@ def main(argv=None):
             print(json.dumps(serialize_presentation(p)))
     print(f"# {args.samples} samples, {skipped} over the cap",
           file=sys.stderr)
+    if args.hunt == "oracle-check":
+        keys = len({key for key, _ in checked})
+        print(f"# {keys} distinct factor keys checked against the "
+              "whole-complex ranks", file=sys.stderr)
     if args.hunt == "summary":
         for method, count in sorted(methods.items(), key=lambda kv: -kv[1]):
             print(f"{method:32s} {count}")

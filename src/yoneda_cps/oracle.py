@@ -81,18 +81,44 @@ the way to it, or its factor sequence takes a step out of the last
 state it reaches within max_j that runs past max_j.  A state counts as
 reached whether or not its polynomial vanishes below max_i.
 
+Each factor's complex C is first cut down to a subcomplex K with the
+same homology, listed on its own: the splittings that cut at 1 and
+whose second part [1, s2) ends at s2 >= min_end[0], with s2 = n if
+there is no second cut, so that [0, s2) lies in the ideal.  Let Y be
+the splittings with no cut at 1.  Y is a subcomplex, since a face only
+removes a cut.  So is K: removing the cut at 1 from a cell of K merges
+[0, s2), which is not normal, so it is no face, and removing a later
+cut only moves s2 to the right.  Adding the cut at 1 is a bijection h
+from Y onto the cells that cut at 1 and lie outside K: any piece of a
+normal part is normal, so [0, 1) and [1, s) are normal when [0, s) is,
+and removing the cut at 1 from a cell outside K leaves the normal part
+[0, s2).  In d h(y) the cut at 1 is the first, so y comes with
+incidence +1.  Every other cut of h(y) is cut t + 1 if it is cut t of
+y, so its sign flips, and its face is h of y's face or lies in K.
+Only the cut at s2 merges a part that differs, [1, s3) in h(y) against
+[0, s3) in y; min_end[0] <= min_end[1], so if [0, s3) is normal so is
+[1, s3), and if only [1, s3) is, that face ends its second part at
+s3 >= min_end[0] and lies in K.  So in C / K, d h(y) = y - h(d y):
+C / K is the cone of the identity of Y, which is acyclic, and the long
+exact sequence of 0 -> K -> C -> C / K -> 0 gives H(K) = H(C) in every
+degree.  The cut at 1 needs n >= 2 and [0, 1) normal: if min_end[0] is
+1 there is no cell at all, and a lone normal letter is one cell in
+degree 1.  Repeating the step on later letters would give the
+Jollenbeck-Welker (Anick) matching, which the oracle leaves out, so as
+to stay apart from the chain calculus it checks.
+
 Each factor's complex is shrunk before any rank is taken, from its
 incidences alone.  If a cell a is the only face of a cell c, then
 d c = +-a and d a = +-d d c = 0, so a and c span an acyclic subcomplex;
 the incidence +-1 is a unit in every field.  The quotient by it has the
 same homology, and its differential is the old one with a and c struck
-out, so nothing fills in.  Only splittings of at most max_i + 1 parts
-are listed.  They form a subcomplex whose homology is the true one in
-degrees <= max_i: its top layer is only a source of boundaries, and
-cancelling inside it keeps that.  Every factor's complex sits in
-degrees >= 1, so in a total degree n <= max_i each factor's degree is
-at most n, where its homology is exact; the convolution keeps degrees
-<= max_i only.
+out, so nothing fills in.  Only the cells of K with at most max_i + 1
+parts are listed.  They form a subcomplex of K whose homology is K's,
+and so C's, in degrees <= max_i: its top layer is only a source of
+boundaries, and cancelling inside it keeps that.  Every factor's
+complex sits in degrees >= 1, so in a total degree n <= max_i each
+factor's degree is at most n, where its homology is exact; the
+convolution keeps degrees <= max_i only.
 """
 
 from .ext import poincare_table
@@ -197,9 +223,21 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
 
     The word enters only through min_end, its least occurrence ends: a
     part [a, b) lies in the ideal exactly when min_end[a] <= b.
+
+    Only the subcomplex K is listed: the splittings that cut at 1 and
+    whose second part [1, s2) ends at s2 >= min_end[0], so that [0, s2)
+    lies in the ideal (s2 = n_len if there is no second cut).  Its
+    homology is the whole complex's; the proof is in the module
+    docstring.  Cutting at 1 needs n_len >= 2 and [0, 1) normal, so a
+    first letter in the ideal leaves no cell, and a lone normal letter
+    is one cell in degree 1.
     """
     if n_len == 0:
         return {0: 1}
+    if min_end[0] == 1:
+        return {}
+    if n_len == 1:
+        return {1: 1} if max_i >= 1 else {}
     max_parts = min(n_len, max_i + 1)
     # need[a]: fewest normal parts covering [a, n_len), above n_len if
     # none do.  Greedy is exact: any piece of a normal part is normal.
@@ -208,7 +246,12 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
         reach = min(min_end[a] - 1, n_len)
         need[a] = need[reach] + 1 if reach > a else n_len + 1
     layers = [[] for _ in range(max_parts + 1)]
-    stack = [(0, (0,), 0)]    # (end, (0, cuts...), bitmask of the cuts)
+    if min_end[0] <= n_len < min_end[1] and max_parts >= 2:
+        layers[2].append(((0, 1, n_len), 2))
+    # (end, (0, cuts...), bitmask of the cuts), seeded with [0, 1)[1, s2)
+    stack = [(b, (0, 1, b), 2 | 1 << b)
+             for b in range(min(min_end[1], n_len) - 1, min_end[0] - 1, -1)
+             if 2 + need[b] <= max_parts]
     while stack:
         a, ext, mask = stack.pop()
         if n_len < min_end[a]:

@@ -5,9 +5,10 @@ minimal resolution over GF(p), structurally different from the
 splitting complexes of `yoneda_cps.oracle`.  It is exponential in
 max_j, so the tests run it on small windows only.
 
-`reference_splitting_homology` ranks a whole splitting complex with no
-cancellation first, listing its cells by recursion: the route that
-`oracle._splitting_homology` replaced.
+`reference_splitting_homology` ranks a whole splitting complex, every
+splitting listed by recursion, with no reduction and no cancellation:
+the route that `oracle._splitting_homology` replaced, which lists only
+the subcomplex that survives its first-letter reduction.
 
 `word_homology` reduces one chain word's complex on its own, with no
 memo by (length, min_end) key.
@@ -89,7 +90,9 @@ def reference_splitting_homology(n_len, min_end, max_i, field_char):
     """Homology of the splitting complex of a word of length n_len.
 
     The word enters only through min_end, its least occurrence ends: a
-    part [a, b) lies in the ideal exactly when min_end[a] <= b.
+    part [a, b) lies in the ideal exactly when min_end[a] <= b.  Every
+    splitting of at most max_i + 1 parts is listed and the whole complex
+    is ranked, with no reduction to a subcomplex and no cancellation.
     """
     if n_len == 0:
         return {0: 1}

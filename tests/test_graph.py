@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,36 @@ def test_graph_params_matches_reference_search_on_dense_draws():
         p = graph_params(g)
         assert (p.max_leading_path, p.l_defaulted) == \
             reference_leading_path(g), g.ideal.relations
+
+
+# Builds the 1,100-generator chain of tests/test_cli.py::
+# test_deep_input_answers in a child process that caps its own address
+# space, and prints the L of graph_params.
+_DEEP_CHAIN_L = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS,
+                   (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from yoneda_cps.graph import build_marked_graph, graph_params
+from yoneda_cps.presentation import make_presentation
+gens = [f"a{i}" for i in range(1100)] + ["x"]
+rels = [(f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}") for i in range(1099)]
+p = make_presentation(gens, rels + [("x", "x", "x")])
+print(graph_params(build_marked_graph(p)).max_leading_path)
+"""
+
+
+def test_l_search_merges_states_within_512_mib():
+    """The L search along the deep chain stays small because its states
+    merge (about 25 MB and 0.03 s): a merge regression fails here as an
+    assertion, in a child under a 512 MiB address-space cap, instead of
+    exhausting the test run's memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _DEEP_CHAIN_L], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.strip() == "1099"
 
 
 def test_circuit_summary_shapes():

@@ -10,7 +10,9 @@ from dense_oracle import (factor_keys, factored_homology,
                           minimal_resolution_dense,
                           reference_splitting_homology, word_homology)
 from propcore import random_presentation
+from yoneda_cps import oracle
 from yoneda_cps.graph import build_marked_graph
+from yoneda_cps.linalg import gf2_rank
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (BettiTable, _min_occurrence_ends,
                                _splitting_homology, chain_words,
@@ -194,6 +196,41 @@ def test_reduction_matches_reference_on_fixture_keys(field_char):
     for key in sorted(keys):
         assert (_splitting_homology(*key, 8, field_char)
                 == reference_splitting_homology(*key, 8, field_char)), key
+
+
+def test_first_letter_base_cases():
+    """The keys where no cut at 1 exists: a first letter in the ideal
+    has no cell, and a lone normal letter is one cell in degree 1."""
+    cases = [((1, (1, 2)), 8, {}), ((1, (2, 2)), 0, {}),
+             ((1, (2, 2)), 1, {1: 1}), ((3, (1, 3, 4, 4)), 8, {})]
+    for field_char in (2, 3):
+        for key, max_i, expect in cases:
+            assert _splitting_homology(*key, max_i, field_char) == expect
+            assert reference_splitting_homology(
+                *key, max_i, field_char) == expect
+
+
+# the windows of the benchmark's oracle-validate workload
+BENCH_WINDOWS = {"x_square": (8, 16), "xy_single": (8, 16),
+                 "abc_cdab": (8, 16), "abc_cdab_bcda": (8, 16),
+                 "x2y_family": (8, 16), "two_chain_overlap": (8, 13),
+                 "sklyanin_leading": (8, 12)}
+
+
+def test_first_letter_reduction_bounds_the_rank_rows(monkeypatch):
+    """Listing only the cells that survive the first-letter reduction
+    sends at most 8,935 rows to gf2_rank over the fixtures at the
+    benchmark windows; listing every splitting sent 57,197."""
+    rows = []
+
+    def counting_rank(matrix):
+        rows.append(len(matrix))
+        return gf2_rank(matrix)
+
+    monkeypatch.setattr(oracle, "gf2_rank", counting_rank)
+    for name, (max_i, max_j) in BENCH_WINDOWS.items():
+        minimal_resolution(ideal(name), 2, max_i, max_j)
+    assert rows and sum(rows) <= 8935
 
 
 @st.composite
