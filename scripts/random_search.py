@@ -4,7 +4,8 @@ Usage: python3 scripts/random_search.py [--samples N] [--seed S] [--hunt KIND]
 
 Hunts:
   fg-false   presentations whose cohomology is not finitely generated,
-             printed with the certifying eventually periodic walk
+             printed with the certifying lasso and, when one passes the
+             tail check, an eventually periodic walk
   parity     walks with an admissible even-remainder prefix that fail
              to extend (counterexamples to the naive parity closure)
   fg-check   presentations on which the automaton of indecomposable
@@ -14,7 +15,14 @@ Hunts:
              generation (against the premise chain), on the top
              generator degree of a yes (against the listing one degree
              past it), or on its first walk of length N or N+1
-             (against the pruned walk search); exits 1 if there is one
+             (against the pruned walk search); or whose "no" carries a
+             lasso (P, C, S) that fails: paths that do not join, a
+             decomposable P . C^k . S for some k <= 8, or no periodic
+             walk where the premise chain has one; exits 1 if there is
+             one
+  n-bound    counterexamples to the two laws observed of the bound N:
+             a "no" with no indecomposable walk of length N or N+1, or
+             a "yes" whose top generator degree exceeds 2E(M-1)+L+3
   oracle-check
              presentations on which the resolution oracle's sum over
              factor sequences disagrees with the per-chain-word route
@@ -58,18 +66,28 @@ from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (_min_occurrence_ends, _splitting_homology,
                                chain_words, minimal_resolution)
 from yoneda_cps.presentation import serialize_presentation
-from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded
+from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded, is_decomposable
 
 
 def fg_disagreement(g, fg, cap):
     """How the automaton disagrees with the reference routes, or None:
     on the generators up to degree 8, on finite generation, on the top
     generator degree of a yes and, on a cyclic graph, on the first walk
-    at lengths N and N+1."""
+    at lengths N and N+1; and on a "no", how its lasso fails."""
     if generators_up_to(g, 8) != reference_generators(g, 8, cap):
         return "generators up to degree 8"
-    if reference_finitely_generated(g, cap).value != fg.value:
+    reference = reference_finitely_generated(g, cap)
+    if reference.value != fg.value:
         return "the verdict against the premise chain"
+    if not fg.value:
+        prefix, cycle, suffix = fg.witness_family
+        if not prefix[-1] == cycle[0] == cycle[-1] == suffix[0]:
+            return "the lasso's paths do not join"
+        for k in range(9):
+            if is_decomposable(g, prefix + cycle[1:] * k + suffix[1:]):
+                return f"the lasso is decomposable at k = {k}"
+        if reference.witness_periodic and not fg.witness_periodic:
+            return "no periodic walk where the premise chain has one"
     if fg.value:
         bound = fg.generator_degree_bound
         top = max(c.walk.cohomological_degree
@@ -82,6 +100,24 @@ def fg_disagreement(g, fg, cap):
     searched = next(indecomposable_walks(g, (n, n + 1), cap), None)
     if next(WalkAutomaton(g, cap).accepted((n, n + 1)), None) != searched:
         return f"first walk at lengths ({n}, {n + 1})"
+    return None
+
+
+def n_bound_counterexample(rep, cap):
+    """Which observed law of the bound N the report breaks, or None: a
+    "no" has an indecomposable walk of length N or N+1, and a "yes" has
+    its top generator in degree at most 2E(M-1)+L+3."""
+    p = rep.params
+    if not rep.fg.value:
+        n = p.bound_N
+        if next(WalkAutomaton(rep.graph, cap).accepted((n, n + 1)),
+                None) is None:
+            return f"a no without an indecomposable walk at N = {n} or N+1"
+        return None
+    law = 2 * p.edge_count * (p.max_edge_class - 1) + p.max_leading_path + 3
+    if rep.fg.generator_degree_bound > law:
+        return (f"a yes with top generator degree "
+                f"{rep.fg.generator_degree_bound} > 2E(M-1)+L+3 = {law}")
     return None
 
 
@@ -136,8 +172,9 @@ def main(argv=None):
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--hunt", choices=("fg-false", "fg-check",
-                                           "oracle-check", "parity",
-                                           "series-check", "summary"),
+                                           "n-bound", "oracle-check",
+                                           "parity", "series-check",
+                                           "summary"),
                         default="summary")
     parser.add_argument("--max-gens", type=int, default=3)
     parser.add_argument("--max-relations", type=int, default=4)
@@ -198,6 +235,16 @@ def main(argv=None):
             if problem:
                 hits += 1
                 print(f"# the automaton disagrees: {problem}")
+                print(json.dumps(serialize_presentation(p)))
+        if args.hunt == "n-bound":
+            try:
+                problem = n_bound_counterexample(rep, args.cap)
+            except WalkCapExceeded:
+                skipped += 1
+                continue
+            if problem:
+                hits += 1
+                print(f"# {problem}")
                 print(json.dumps(serialize_presentation(p)))
         if args.hunt == "fg-false" and not rep.fg.value:
             hits += 1

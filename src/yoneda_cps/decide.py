@@ -8,16 +8,15 @@ generation is read off one finite automaton, `walks.WalkAutomaton`, on
 every graph.  Its accepted paths are the indecomposable anchored walks,
 the ones that `ext.generators_up_to` lists: the algebra is finitely
 generated exactly when they are finitely many, a positive answer gives
-the exact top generator degree, and a negative answer carries one of
-them and, when one of its repeats certifies, an eventually periodic walk
-on which no decomposition mechanism fires.
+the exact top generator degree, and a negative answer carries a pumpable
+family of them and, when its cycle passes the tail check, an eventually
+periodic walk on which no decomposition mechanism fires.
 The chain conditions are local: every circuit vertex must have unique
 continuation on the relevant side and every circuit edge must be
 admissible.
 """
 
 import math
-from itertools import islice
 
 from .graph import build_marked_graph, graph_params
 from .presentation import Record, format_word
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 INFINITY = math.inf
-
-WITNESS_ATTEMPTS = 400  # repeat pairs `_periodic_witness` tries at most
 
 GLDIM_NOTE = ("convention: an acyclic graph whose longest anchored walk has "
               "length n has cohomology vanishing above degree n+1, so the "
@@ -106,7 +103,8 @@ def gk_dimension(g):
 
 class FgVerdict(Record):
     """The finite generation verdict.  On a yes, `generator_degree_bound`
-    is the exact top degree of a generator, an int.  `finitely_generated`
+    is the exact top degree of a generator, an int; on a no,
+    `witness_family` is the lasso that certifies it.  `finitely_generated`
     leaves `bound_n` and `witness_circuit` None, and the JSON omits them;
     the test suite's reference premise chain fills them."""
     value: bool
@@ -116,6 +114,7 @@ class FgVerdict(Record):
     witness_walk: tuple | None = None
     witness_circuit: tuple | None = None
     witness_periodic: EventuallyPeriodicWalk | None = None
+    witness_family: tuple | None = None
 
     def to_json(self):
         out = {"value": self.value, "method": self.method}
@@ -126,6 +125,10 @@ class FgVerdict(Record):
             witness["indecomposable_walk"] = [format_word(v) for v in self.witness_walk]
         if self.witness_periodic is not None:
             witness["periodic_walk"] = self.witness_periodic.to_json()
+        if self.witness_family is not None:
+            witness["family"] = {
+                part: [format_word(v) for v in path] for part, path in
+                zip(("prefix", "cycle", "suffix"), self.witness_family)}
         out["witness"] = witness or None
         return out
 
@@ -149,29 +152,6 @@ def check_tail_conditions(g, w):
     return not any(is_dense(g, w, i) for i in adm)
 
 
-def _periodic_witness(g, q):
-    """Eventually periodic walk certifying the failure, or None.
-
-    Candidates come from repeated vertices of the indecomposable walk:
-    cutting at a repeat closes a cycle the walk already traverses.
-    Repeats an even distance apart are tried first since they keep the
-    parity pattern of admissible edges stable under pumping.  Each
-    candidate must pass the full tail check; a walk whose repeats all
-    fail it yields no certificate.
-    """
-    n = len(q) - 1
-    positions = {}
-    for idx in range(1, n + 1):
-        positions.setdefault(q[idx], []).append(idx)
-    candidates = ((a, b) for parity in (0, 1) for a in range(1, n)
-                  for b in positions[q[a]] if b > a and (b - a) % 2 == parity)
-    for a, b in islice(candidates, WITNESS_ATTEMPTS):
-        w = EventuallyPeriodicWalk(q[:a + 1], q[a:b + 1])
-        if check_tail_conditions(g, w):
-            return w
-    return None
-
-
 def finitely_generated(g, cap=None):
     """Finite generation, read off `WalkAutomaton` on every graph: its
     accepted paths are the indecomposable walks, so the algebra is
@@ -179,30 +159,28 @@ def finitely_generated(g, cap=None):
     acyclic graph, and then the longest, of length n, puts the top
     generator in degree n+1 exactly.
 
-    Otherwise the witness is the first accepted walk, in search order,
-    whose length lies in [V, V+S), for V vertices and S states.  One
-    exists.  The language is infinite, so some accepted path has length
-    at least V+S.  Among its first S+1 states two are equal, and cutting
-    out the state cycle between them removes between 1 and S edges and
-    leaves an accepted path, since the end state stays.  Cutting until
-    the length falls below V+S stops at a length of at least V.  Past
-    its first vertex the walk meets no degree-1 vertex, so there it
-    visits fewer than V distinct vertices in at least V steps: some
-    vertex repeats, and `_periodic_witness` has candidates.  The walk
-    cap bounds the states and the witness search.
+    Otherwise a cycle runs through the states with an accepted path, and
+    the automaton returns it as a lasso (P, C, S): P . C^k . S is an
+    accepted path, so an indecomposable walk, for every k >= 0.  This is
+    regular-language pumping (Bar-Hillel, Perles and Shamir), and the
+    family is the certificate.  The witness walk is P . C . S, and P
+    followed by C forever is the periodic witness when it passes the
+    tail check.  The walk cap bounds the automaton's states.
     """
-    automaton = WalkAutomaton(g, cap)
-    longest = automaton.longest_accepted()
-    if longest is not None:
+    found = WalkAutomaton(g, cap).longest_or_lasso()
+    if isinstance(found, int):
         return FgVerdict(True, "finitely_many_indecomposables",
-                         generator_degree_bound=longest + 1)
-    v = len(g.vertices)
-    walk = next(automaton.accepted(range(v, v + len(automaton.states))))
-    assert not is_decomposable(g, walk), "accepted walks are indecomposable"
-    # best effort: the verdict stands on the indecomposable walk alone
+                         generator_degree_bound=found + 1)
+    prefix, cycle, suffix = found
+    walk = prefix + cycle[1:] + suffix[1:]
+    assert not (is_decomposable(g, prefix + suffix[1:]) or
+                is_decomposable(g, walk)), "pumped lasso paths are accepted"
+    periodic = EventuallyPeriodicWalk(prefix, cycle)
+    # best effort: the verdict stands on the family alone
     return FgVerdict(False, "infinitely_many_indecomposables",
-                     witness_walk=walk,
-                     witness_periodic=_periodic_witness(g, walk))
+                     witness_walk=walk, witness_family=found,
+                     witness_periodic=periodic
+                     if check_tail_conditions(g, periodic) else None)
 
 
 class NoetherianVerdict(Record):

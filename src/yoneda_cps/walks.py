@@ -475,38 +475,56 @@ class WalkAutomaton:
                 yield tuple(self.states[i][0] for i in path)
             stack.append(iter(self.succ[s]))
 
-    def longest_accepted(self):
+    def longest_or_lasso(self):
         """The length of the longest accepted walk, 0 when there is none,
-        or None when they have no bound.  The lengths are bounded exactly
-        when no cycle runs through a state with an accepted path; those
-        states are sorted topologically, sources first."""
+        or, when they have no bound, a lasso of vertex tuples (P, C, S):
+        C is closed, P ends and S starts where it does, and P . C^k . S
+        is accepted for every k >= 0.
+
+        The live states, those with an accepted path, grow backwards from
+        the accepting ones, and `toward[s]` is the successor s was first
+        reached through, so following it is a shortest path to
+        acceptance.  One depth-first pass from the starts, in `succ`
+        order inside the live states, either meets an edge into a state
+        c on its stack, which closes the lasso: P is the stack up to c, C
+        the stack from c back to c, S follows `toward` from c; or it
+        meets none, and then it finishes each state after its
+        successors, so their longest accepted paths are known.
+        """
         n = len(self.states)
         into = [[] for _ in range(n)]
         for s, row in enumerate(self.succ):
             for c in row:
                 into[c].append(s)
-        live = [s for s in range(n) if self.accepting[s]]
-        alive = set(live)
+        toward = {s: None for s in range(n) if self.accepting[s]}
+        live = list(toward)
         for c in live:   # grows: every state with an accepted path
             for s in into[c]:
-                if s not in alive:
-                    alive.add(s)
+                if s not in toward:
+                    toward[s] = c
                     live.append(s)
-        pending = [0] * n   # live predecessors not yet sorted
-        for s in alive:
-            for c in self.succ[s]:
-                if c in alive:
-                    pending[c] += 1
-        # a live state's predecessors are live, so the sources are starts
-        order = [s for s in alive if not pending[s]]
-        depth = [0] * n
-        for s in order:   # grows
-            for c in self.succ[s]:
-                if c in alive:
-                    depth[c] = max(depth[c], depth[s] + 1)
-                    pending[c] -= 1
-                    if not pending[c]:
-                        order.append(c)
-        if len(order) < len(alive):
-            return None
-        return max((depth[s] for s in alive if self.accepting[s]), default=0)
+        depth = {}   # finished live state -> its longest accepted path
+        path, at = [], {}   # the stack, and the place of each state on it
+        rows = [iter(self.starts)]
+        while rows:
+            c = next(rows[-1], None)
+            if c is None:
+                rows.pop()
+                if path:
+                    s = path.pop()
+                    del at[s]
+                    # a live state without live successors accepts
+                    depth[s] = max((depth[t] + 1 for t in self.succ[s]
+                                    if t in toward), default=0)
+            elif c in at:
+                suffix = [c]
+                while toward[suffix[-1]] is not None:
+                    suffix.append(toward[suffix[-1]])
+                return tuple(tuple(self.states[i][0] for i in states)
+                             for states in (path[:at[c] + 1],
+                                            path[at[c]:] + [c], suffix))
+            elif c in toward and c not in depth:
+                at[c] = len(path)
+                path.append(c)
+                rows.append(iter(self.succ[c]))
+        return max((depth[s] for s in self.starts if s in toward), default=0)

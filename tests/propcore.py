@@ -10,8 +10,8 @@ fault in the package's arithmetic cannot pass both sides of a check.
 from collections import deque
 from math import gcd
 
-from yoneda_cps.decide import (WITNESS_ATTEMPTS, FgVerdict,
-                               check_tail_conditions, global_dimension)
+from yoneda_cps.decide import (FgVerdict, check_tail_conditions,
+                               global_dimension)
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
@@ -26,6 +26,7 @@ from yoneda_cps.walks import (_NO_CHAINS, EventuallyPeriodicWalk,
 ALPHABET = "xyzw"
 MAX_LEN = 4
 ENUM_CAP = 20000
+WITNESS_ATTEMPTS = 400  # repeat pairs `reference_periodic_witness` tries
 
 
 def random_presentation(rng, max_gens=3, max_relations=4, max_degree=4):
@@ -236,9 +237,9 @@ def reference_sccs(g):
 
 
 def reference_periodic_witness(g, q):
-    """Reference route for decide._periodic_witness: the former one,
-    which lists every repeat pair of the walk before it keeps the
-    first WITNESS_ATTEMPTS of them."""
+    """The periodic witness of the reference premise chain: the first
+    repeat pair of the walk q, even distances first, whose cut passes
+    the tail check, among the first WITNESS_ATTEMPTS of them."""
     n = len(q) - 1
     positions = {}
     for idx in range(1, n + 1):

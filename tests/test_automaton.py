@@ -92,14 +92,17 @@ def test_state_counts():
     assert len(WalkAutomaton(graph("two_chain_overlap")).states) == 56
     deep = WalkAutomaton(_deep_fg_graph())
     assert len(deep.states) == 308
-    assert deep.longest_accepted() == 1
+    assert deep.longest_or_lasso() == 1
 
 
 def test_longest_accepted():
-    assert WalkAutomaton(graph("abc_cdab")).longest_accepted() == 2
-    assert WalkAutomaton(graph("x2y_family")).longest_accepted() == 1
-    assert WalkAutomaton(graph("two_chain_overlap")).longest_accepted() is None
-    assert WalkAutomaton(graph("xy_single")).longest_accepted() == 0
+    assert WalkAutomaton(graph("abc_cdab")).longest_or_lasso() == 2
+    assert WalkAutomaton(graph("x2y_family")).longest_or_lasso() == 1
+    assert WalkAutomaton(graph("xy_single")).longest_or_lasso() == 0
+    # unbounded: a lasso (prefix, cycle, suffix) instead of a length
+    prefix, cycle, suffix = WalkAutomaton(
+        graph("two_chain_overlap")).longest_or_lasso()
+    assert prefix[-1] == cycle[0] == cycle[-1] == suffix[0]
 
 
 def test_an_indecomposable_walk_of_length_n_under_a_yes():
@@ -113,7 +116,7 @@ def test_an_indecomposable_walk_of_length_n_under_a_yes():
     automaton = WalkAutomaton(g)
     walk = (("y",), ("x", "x", "z"), ("z", "x"))
     assert next(automaton.accepted((2, 3))) == walk
-    assert automaton.longest_accepted() == 2
+    assert automaton.longest_or_lasso() == 2
     out = finitely_generated(g)
     assert out.value and out.generator_degree_bound == 3
     assert reference_finitely_generated(g).method == \

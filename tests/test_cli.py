@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -85,8 +88,11 @@ def test_decide_fg(monkeypatch, capsys):
     js = run_json(capsys, "decide-fg", fixture_path("abc_cdab_bcda"))
     assert js["value"] is False
     assert js["method"] == "infinitely_many_indecomposables"
-    assert js["witness"]["periodic_walk"] == {"prefix": ["c", "ab"],
-                                              "cycle": ["ab", "cd", "ab"]}
+    assert js["witness"]["periodic_walk"] == {"prefix": ["c", "ab", "cd"],
+                                              "cycle": ["cd", "ab", "cd"]}
+    assert js["witness"]["family"] == {"prefix": ["c", "ab", "cd"],
+                                       "cycle": ["cd", "ab", "cd"],
+                                       "suffix": ["cd", "ab"]}
 
 
 def test_decide_noetherian(capsys):
@@ -168,11 +174,17 @@ def test_walk_cap_from_environment(monkeypatch, capsys):
 @pytest.mark.parametrize("cap,stage", [("5", "state count"),
                                        ("9", "search")])
 def test_a_tripped_fg_cap_names_its_stage(monkeypatch, capsys, cap, stage):
-    # the automaton of abc_cdab_bcda has 9 states, and its witness walk
-    # has 9 edges at least; ext-basis at degree 20 lists its accepted
-    # walks of up to 19 edges
+    # the automaton of abc_cdab_bcda has 9 states; ext-basis at degree 20
+    # lists its accepted walks of up to 19 edges, while decide-fg reads
+    # its lasso off the states and runs no search
     monkeypatch.setenv("YONEDA_CPS_MAX_WALK_CAP", cap)
-    for verb in (["decide-fg"], ["ext-basis", "--max-degree", "20"]):
+    tripped = [["ext-basis", "--max-degree", "20"]]
+    if stage == "state count":
+        tripped.append(["decide-fg"])
+    else:
+        js = run_json(capsys, "decide-fg", fixture_path("abc_cdab_bcda"))
+        assert js["value"] is False
+    for verb in tripped:
         code, out, err = run(capsys, *verb, fixture_path("abc_cdab_bcda"))
         assert (code, out) == (1, ""), verb
         assert err.startswith("error: the walk automaton's " + stage), verb
@@ -266,7 +278,32 @@ def test_deep_oracle_window_answers(capsys):
     assert {"dim": 1, "i": 1100, "j": 1100} in js["betti"]["entries"]
 
 
-def test_deep_input_answers(tmp_path, capsys):
+# Runs the console entry point on its arguments in a child process that
+# caps its own address space at 512 MiB, as the L search check of
+# tests/test_graph.py does.
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS,
+                   (512 << 20, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from yoneda_cps.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_json_capped(*argv):
+    """run_json in a child under the 512 MiB cap: a runaway search fails
+    this one test instead of exhausting the test run's memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+    return json.loads(child.stdout)
+
+
+def test_deep_input_answers(tmp_path):
     # The L search of graph_params runs along paths of 1,099 edges on
     # this chain, far past the interpreter's recursion limit.
     gens = [f"a{i}" for i in range(1100)] + ["x"]
@@ -274,7 +311,7 @@ def test_deep_input_answers(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text(json.dumps({"generators": gens,
                                 "relations": rels + [["x", "x", "x"]]}))
-    js = run_json(capsys, "analyze", str(deep))
+    js = run_json_capped("analyze", str(deep))
     assert js["params"] == {"edge_count": 5491, "max_edge_class": 2,
                             "max_leading_path": 1099, "bound_N": 12082,
                             "weak_bound": 60307654}

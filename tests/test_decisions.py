@@ -6,9 +6,8 @@ import pytest
 from conftest import ALL, W, graph, load
 from propcore import (circuit_avoiding_generators, random_presentation,
                       reference_finitely_generated, reference_generators,
-                      reference_periodic_witness,
                       reference_search_indecomposable)
-from yoneda_cps.decide import (INFINITY, _periodic_witness, analyze,
+from yoneda_cps.decide import (INFINITY, analyze,
                                check_tail_conditions,
                                finitely_generated, gk_dimension,
                                global_dimension, noetherian, report_to_json)
@@ -203,38 +202,90 @@ def test_fg_generator_degree_matches_the_listing():
     assert checked >= 100
 
 
-def test_fg_search_window():
-    """A "no" carries an indecomposable walk of length in [V, V+S), V
-    the vertex count and S the automaton's state count."""
-    witnesses = 0
-    for g in [graph(name) for name in ALL] + _draws(12, 300):
+def _family(out, ks):
+    """The walks P . C^k . S of a "no" verdict's lasso, for k in ks."""
+    prefix, cycle, suffix = out.witness_family
+    assert prefix[-1] == cycle[0] == cycle[-1] == suffix[0]
+    return [prefix + cycle[1:] * k + suffix[1:] for k in ks]
+
+
+def test_fg_family_pumps():
+    """A "no" carries a lasso (P, C, S) of the walk automaton: every
+    P . C^k . S is indecomposable, checked at k = 0..40 on the fixtures
+    and k = 0..10 on seeded draws, and the witness walk is P . C . S."""
+    families = 0
+    for g, top in [(graph(name), 40) for name in ALL] + \
+            [(g, 10) for g in _draws(12, 600)]:
         out = finitely_generated(g)
         if out.value:
             continue
-        v, s = len(g.vertices), len(WalkAutomaton(g).states)
-        walk = out.witness_walk
-        assert v <= len(walk) - 1 < v + s, g.ideal.relations
-        assert not is_decomposable(g, walk), g.ideal.relations
-        witnesses += 1
-    assert witnesses >= 50
+        walks = _family(out, range(top + 1))
+        assert out.witness_walk == walks[1]
+        for walk in walks:
+            assert not is_decomposable(g, walk), (g.ideal.relations, walk)
+        families += 1
+    assert families >= 150
+
+
+def test_fg_family_without_a_periodic_walk():
+    """Draw 334 of Random(9) at 4/6/5: one live cycle, a self-loop at
+    xx, so y -> xx^k -> xyx is indecomposable for every k, but the tail
+    xx -> xx -> ... has admissible edges of both parities and no
+    periodic walk passes the tail check.  Only the family certifies."""
+    g = build_marked_graph(make_presentation(
+        "xy", [("x", "x", "y"), ("x", "x", "x", "x"), ("x", "y", "x", "x")]))
+    out = finitely_generated(g)
+    assert not out.value and out.witness_periodic is None
+    assert out.to_json()["witness"] == {
+        "indecomposable_walk": ["y", "xx", "xx", "xx", "xx", "xyx"],
+        "family": {"prefix": ["y", "xx", "xx", "xx"], "cycle": ["xx", "xx"],
+                   "suffix": ["xx", "xyx"]}}
+    assert reference_finitely_generated(g).witness_periodic is None
+    for walk in _family(out, range(41)):
+        assert not is_decomposable(g, walk)
+
+
+# two_chain_overlap's lasso, its prefix ending in pq
+TWO_CHAIN_PREFIX = W("z", "pqwxy", "xyz", "pqw", "WXYZ", "pq")
+
+
+@pytest.mark.parametrize("cycle,suffix", [
+    # pq -> WXYZ -> pq is a cycle of the graph, but after the prefix its
+    # second pq is a state with no accepted path
+    (W("pq", "WXYZ", "pq"), W("pq", "wxyz")),
+    # pq -> wxyz -> pq ends in a live state that does not accept
+    (W("pq", "wxyz", "pq", "WXYZ", "pq"), W("pq", "wxyz", "pq")),
+], ids=["cycle-leaves-the-live-states", "suffix-ends-unaccepted"])
+def test_fg_assertion_catches_a_broken_lasso(monkeypatch, cycle, suffix):
+    g = graph("two_chain_overlap")
+    assert WalkAutomaton(g).longest_or_lasso()[0] == TWO_CHAIN_PREFIX
+    monkeypatch.setattr(WalkAutomaton, "longest_or_lasso",
+                        lambda self: (TWO_CHAIN_PREFIX, cycle, suffix))
+    with pytest.raises(AssertionError, match="lasso"):
+        finitely_generated(g)
 
 
 def test_fg_negative_witnesses_certify():
     expect = {
-        "abc_cdab_bcda": {"prefix": ["c", "ab"], "cycle": ["ab", "cd", "ab"]},
-        "two_chain_overlap": {"prefix": ["z", "pqwxy", "xyz", "pqw", "WXYZ"],
-                              "cycle": ["WXYZ", "pq", "wxyz", "pq", "WXYZ"]},
-        "sklyanin_leading": {"prefix": ["x", "yxx", "yx"],
-                             "cycle": ["yx", "yx", "yx"]},
+        "abc_cdab_bcda": ({"prefix": ["c", "ab", "cd"],
+                           "cycle": ["cd", "ab", "cd"]}, ["cd", "ab"]),
+        "two_chain_overlap": ({"prefix": ["z", "pqwxy", "xyz", "pqw",
+                                          "WXYZ", "pq"],
+                               "cycle": ["pq", "wxyz", "pq", "WXYZ", "pq"]},
+                              ["pq", "wxyz"]),
+        "sklyanin_leading": ({"prefix": ["x", "yxx", "yx"],
+                              "cycle": ["yx", "yx"]}, ["yx"]),
     }
-    for name, periodic in expect.items():
+    for name, (periodic, suffix) in expect.items():
         g = graph(name)
         out = finitely_generated(g)
         assert not out.value
         assert not is_decomposable(g, out.witness_walk)
         assert out.witness_periodic.to_json() == periodic
-        assert out.witness_periodic == \
-            reference_finitely_generated(g).witness_periodic
+        assert out.to_json()["witness"]["family"] == dict(periodic,
+                                                          suffix=suffix)
+        if reference_finitely_generated(g).witness_periodic is not None:
+            assert out.witness_periodic is not None
         assert check_tail_conditions(g, out.witness_periodic)
 
 
@@ -243,26 +294,11 @@ def test_fg_verdict_json_round():
     assert out["value"] is False
     assert out["method"] == "infinitely_many_indecomposables"
     assert out["witness"]["periodic_walk"] == \
-        {"prefix": ["c", "ab"], "cycle": ["ab", "cd", "ab"]}
-    assert len(out["witness"]["indecomposable_walk"]) == 10
+        {"prefix": ["c", "ab", "cd"], "cycle": ["cd", "ab", "cd"]}
+    assert out["witness"]["indecomposable_walk"] == \
+        ["c", "ab", "cd", "ab", "cd", "ab"]
+    assert out["witness"]["family"]["suffix"] == ["cd", "ab"]
     assert set(out) == {"value", "method", "witness"}
-
-
-def test_periodic_witness_matches_the_eager_candidate_list():
-    """The repeat pairs, drawn lazily, give the witness the former
-    list of every pair gave, on every walk the fg search returns."""
-    rng = random.Random(10)
-    draws = [build_marked_graph(random_presentation(
-        rng, max_gens=4, max_relations=6, max_degree=5)) for _ in range(300)]
-    walks = 0
-    for g in [graph(name) for name in ALL] + draws:
-        out = finitely_generated(g)
-        if not out.value:
-            walks += 1
-            assert _periodic_witness(g, out.witness_walk) == \
-                reference_periodic_witness(g, out.witness_walk), \
-                g.ideal.relations
-    assert walks >= 3
 
 
 def test_fg_survives_mixed_relation_degrees():

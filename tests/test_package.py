@@ -243,7 +243,8 @@ RECORD_FIELDS = {
     "RationalFunction": ("numerator", "denominator"),
     "GlobalDimensionResult": ("value", "witness", "note"),
     "FgVerdict": ("value", "method", "bound_n", "generator_degree_bound",
-                  "witness_walk", "witness_circuit", "witness_periodic"),
+                  "witness_walk", "witness_circuit", "witness_periodic",
+                  "witness_family"),
     "NoetherianVerdict": ("side", "value", "reason", "witness_vertex",
                           "witness_edge"),
     "AnalysisReport": ("graph", "params", "gldim", "gk_dim", "fg",
@@ -312,7 +313,8 @@ def test_record_defaults_and_normalisation():
     assert fg == FgVerdict(value=True, method="finite_global_dimension",
                            bound_n=None, generator_degree_bound=None,
                            witness_walk=None,
-                           witness_circuit=None, witness_periodic=None)
+                           witness_circuit=None, witness_periodic=None,
+                           witness_family=None)
     noeth = NoetherianVerdict("left", True, "acyclic_graph")
     assert (noeth.witness_vertex, noeth.witness_edge) == (None, None)
     assert GlobalDimensionResult(3, None).note == GLDIM_NOTE
