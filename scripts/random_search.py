@@ -17,9 +17,11 @@ Hunts:
              past it), or on its first walk of length N or N+1
              (against the pruned walk search); or whose "no" carries a
              lasso (P, C, S) that fails: paths that do not join, a
-             decomposable P . C^k . S for some k <= 8, or no periodic
-             walk where the premise chain has one; exits 1 if there is
-             one
+             decomposable P . C^k . S for some k <= 8, a dense tail
+             edge on the periodic walk P . C C C ..., or no periodic
+             walk where the premise chain has one; or with an
+             admissible edge v -> t whose greedy parse is not the
+             closed form (v[-1:], t v[:-1]); exits 1 if there is one
   n-bound    counterexamples to the two laws observed of the bound N:
              a "no" with no indecomposable walk of length N or N+1, or
              a "yes" whose top generator degree exceeds 2E(M-1)+L+3
@@ -55,7 +57,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from dense_oracle import (factor_keys, minimal_resolution_by_words,
                           reference_splitting_homology)
-from propcore import (bordered_hilbert_series, collect_walks,
+from propcore import (bordered_hilbert_series, closed_form_misses,
+                      collect_walks, dense_tail_edges,
                       indecomposable_walks, parity_extension_violations,
                       random_presentation, reference_finitely_generated,
                       reference_generators, reference_leading_path)
@@ -66,14 +69,18 @@ from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (_min_occurrence_ends, _splitting_homology,
                                chain_words, minimal_resolution)
 from yoneda_cps.presentation import serialize_presentation
-from yoneda_cps.walks import WalkAutomaton, WalkCapExceeded, is_decomposable
+from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkAutomaton,
+                              WalkCapExceeded, is_decomposable)
 
 
 def fg_disagreement(g, fg, cap):
     """How the automaton disagrees with the reference routes, or None:
     on the generators up to degree 8, on finite generation, on the top
     generator degree of a yes and, on a cyclic graph, on the first walk
-    at lengths N and N+1; and on a "no", how its lasso fails."""
+    at lengths N and N+1; on a "no", how its lasso fails; and whether an
+    edge's partner leaves its closed form."""
+    if closed_form_misses(g):
+        return "an admissible edge's partner against its closed form"
     if generators_up_to(g, 8) != reference_generators(g, 8, cap):
         return "generators up to degree 8"
     reference = reference_finitely_generated(g, cap)
@@ -86,6 +93,8 @@ def fg_disagreement(g, fg, cap):
         for k in range(9):
             if is_decomposable(g, prefix + cycle[1:] * k + suffix[1:]):
                 return f"the lasso is decomposable at k = {k}"
+        if dense_tail_edges(g, EventuallyPeriodicWalk(prefix, cycle)):
+            return "a dense tail edge on the lasso's periodic walk"
         if reference.witness_periodic and not fg.witness_periodic:
             return "no periodic walk where the premise chain has one"
     if fg.value:

@@ -14,7 +14,6 @@ procedures, the Hilbert series or the resolution oracle.
 
 import argparse
 import json
-import math
 import sys
 
 from .graph import build_marked_graph, export_dot, export_json
@@ -160,10 +159,11 @@ def _argument_error(args):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             return f"--{name.replace('_', '-')} must be >= 0, got {value}"
-    # gfp_rank inverts by Fermat's little theorem, valid only mod a prime
-    p = getattr(args, "field_char", 2)
-    if not (2 <= p < 2 ** 31 and all(p % d for d in range(2, math.isqrt(p) + 1))):
-        return f"--field-char must be a prime below 2^31, got {p}"
+    if hasattr(args, "field_char"):
+        from .linalg import is_small_prime
+        if not is_small_prime(args.field_char):
+            return ("--field-char must be a prime below 2^31, "
+                    f"got {args.field_char}")
     try:
         walk_cap()
     except ValueError as e:

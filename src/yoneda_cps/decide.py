@@ -21,7 +21,7 @@ import math
 from .graph import build_marked_graph, graph_params
 from .presentation import Record, format_word
 from .walks import (EventuallyPeriodicWalk, WalkAutomaton, is_decomposable,
-                     is_dense)
+                     is_dense, validate_walk)
 
 __all__ = [
     "INFINITY",
@@ -139,12 +139,12 @@ def check_tail_conditions(g, w):
     The tail must contain no dense admissible edge and no two admissible
     edges of opposite index parity.  Positions past the prefix repeat
     with the cycle, so a window of the prefix plus two full turns covers
-    every tail edge and both parities of every cycle position.
+    every tail edge and both parities of every cycle position.  Raises
+    ValueError when the window is not a walk of the graph.
     """
-    a = len(w.prefix) - 1
-    window = a + 2 * w.cycle_length
-    adm = [i for i in range(1, window)
-           if g.admissible[(w.vertex(i), w.vertex(i + 1))]]
+    window = len(w.prefix) - 1 + 2 * w.cycle_length
+    vs = validate_walk(g, [w.vertex(i) for i in range(window + 1)])
+    adm = [i for i in range(1, window) if g.admissible[(vs[i], vs[i + 1])]]
     if not adm:
         return True
     if any(i % 2 != adm[0] % 2 for i in adm):
@@ -165,7 +165,11 @@ def finitely_generated(g, cap=None):
     regular-language pumping (Bar-Hillel, Perles and Shamir), and the
     family is the certificate.  The witness walk is P . C . S, and P
     followed by C forever is the periodic witness when it passes the
-    tail check.  The walk cap bounds the automaton's states.
+    tail check.  It has no dense tail edge, since `is_dense` follows the
+    partner chain that `_chain_step` would cut on a rejoin and each
+    P . C^k . S is a path of the automaton, so the check rejects it only
+    on parity, as on a one-edge admissible cycle.  The walk cap bounds
+    the automaton's states.
     """
     found = WalkAutomaton(g, cap).longest_or_lasso()
     if isinstance(found, int):

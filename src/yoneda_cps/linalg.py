@@ -4,7 +4,15 @@ GF(2) rows are bitmasks; GF(p) rows are sparse column->value dicts.
 Both eliminations are destructive on copies of the input.
 """
 
-__all__ = ["gf2_rank", "gfp_rank"]
+import math
+
+__all__ = ["gf2_rank", "gfp_rank", "is_small_prime"]
+
+
+def is_small_prime(p):
+    """Whether p is a prime below 2^31, a modulus `gfp_rank` takes: it
+    inverts by Fermat's little theorem and never returns mod a composite."""
+    return 2 <= p < 2 ** 31 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def gf2_rank(rows):

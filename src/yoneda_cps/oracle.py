@@ -122,7 +122,7 @@ convolution keeps degrees <= max_i only.
 """
 
 from .ext import poincare_table
-from .linalg import gf2_rank, gfp_rank
+from .linalg import gf2_rank, gfp_rank, is_small_prime
 from .presentation import Record
 
 __all__ = [
@@ -347,9 +347,12 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
     homology is {1: 1}.  truncation_reached is set when the listing or
     a step out of a reachable state passes max_j, which happens exactly
     when some chain word is longer than max_j.  progress, if given,
-    receives a line every 50 factor words and one at the end.
+    receives a line every 50 factor words and one at the end.  A
+    field_char that is not a prime below 2^31 raises ValueError.
     """
-    assert field_char >= 2, "field characteristic"
+    if not is_small_prime(field_char):
+        raise ValueError(
+            f"field_char must be a prime below 2^31, got {field_char}")
     quadratic = {r for r in ideal.relations if len(r) == 2}
     words, truncated = _overlap_words(ideal, max_j, quadratic)
     entries = {(0, 0): 1}

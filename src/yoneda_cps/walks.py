@@ -264,20 +264,18 @@ def is_dense(g, w, edge_index):
     offset.  If the carried partner word falls into the ideal, no longer
     extension of either parity parses (it would have the failed one as
     an odd prefix); if the partner state repeats at the same point of
-    the cycle without rejoining, it never will.
+    the cycle without rejoining, it never will.  The edge u -> v alone
+    has partner u[-1:] -> v u[:-1] (`_chain_step` proves it).
     """
     ideal = g.ideal
     u, v = w.vertex(edge_index), w.vertex(edge_index + 1)
-    if (u, v) not in g.edge_word:
-        raise ValueError(f"{format_word(u)} -> {format_word(v)} is not an edge")
+    validate_walk(g, (u, v))
     if not g.admissible[(u, v)]:
         raise ValueError(
             f"edge {format_word(u)} -> {format_word(v)} is not admissible")
-    partner = greedy_parse(ideal, v + u, 1)
-    assert partner is not None, "admissible edge must parse"
-    if partner[0] == u:
+    if len(u) == 1:
         return True
-    r = partner[1]
+    r = v + u[:-1]
     a = len(w.prefix) - 1
     cyc = w.cycle_length
     ell = 1
@@ -313,6 +311,13 @@ def _chain_step(g, v, chains, t):
     one.  A chain whose carried word falls into the ideal is dropped: no
     suffix from its edge parses again.  This is the automaton's one step
     function.
+
+    The chain of an admissible edge v -> t starts at r = t v[:-1], the
+    closed form of the greedy parse of its word t v: that word is a
+    relation, and relations are minimal, so no proper factor of t v lies
+    in the ideal.  Hence no proper suffix s of t v[:-1] has s v[-1:] in
+    the ideal, and the shortest normal suffix of t v[:-1] that
+    annihilates v[-1:] is all of it.
     """
     advanced = []
     for steps, r in chains:
@@ -325,9 +330,7 @@ def _chain_step(g, v, chains, t):
         if r is not None:
             advanced.append((False, r))
     if len(v) > 1 and g.admissible[(v, t)]:
-        pair = greedy_parse(g.ideal, t + v, 1)
-        assert pair is not None, "admissible edge words always parse"
-        advanced.append((False, pair[1]))
+        advanced.append((False, t + v[:-1]))
     return frozenset(advanced)
 
 
@@ -414,45 +417,29 @@ class WalkAutomaton:
                 for steps, r in chains)
             for v, chains in self.states]
         self.starts = range(len(g.g0))
-
-    def _reach(self, horizon):
-        """reach(k): the bitmask of states with an accepted path of
-        exactly k more edges, for k <= horizon.  The masks follow one
-        another by a fixed map, so they are listed until one repeats and
-        read periodically after that."""
-        into = [0] * len(self.states)  # state -> bitmask of its sources
+        self.pred = [[] for _ in self.states]  # per state: its sources
         for s, row in enumerate(self.succ):
             for c in row:
-                into[c] |= 1 << s
-        mask = sum(1 << s for s, yes in enumerate(self.accepting) if yes)
-        masks, first = [], {}
-        while mask not in first and len(masks) <= horizon:
-            first[mask] = len(masks)
-            masks.append(mask)
-            before = 0
-            while mask:
-                low = mask & -mask
-                before |= into[low.bit_length() - 1]
-                mask ^= low
-            mask = before
-        start = first.get(mask, len(masks))   # where the cycle starts
-
-        def reach(k):
-            if k < len(masks):
-                return masks[k]
-            return masks[start + (k - start) % (len(masks) - start)]
-        return reach
+                self.pred[c].append(s)
 
     def accepted(self, lengths):
         """Yield the accepted walks whose length is in `lengths`, depth
         first in `g.out` order, so walks of one length come in
-        `enumerate_anchored`'s order.
+        `enumerate_anchored`'s order; nothing when `lengths` is empty.
 
-        The search enters only the states that still have an accepted
-        path to a listed length, so it never backs out of a dead branch.
+        The search enters at depth d only the states allowed[d] with an
+        accepted path of n - d more edges for a listed n >= d, so it never
+        backs out of a dead branch.  allowed[d] is the sources in `pred`
+        of allowed[d + 1], plus the accepting states when d is listed.
         """
-        lengths = sorted(set(lengths))
-        reach = self._reach(lengths[-1])
+        lengths = {n for n in lengths if n >= 0}
+        top = max(lengths, default=-1)
+        accepting = {s for s, yes in enumerate(self.accepting) if yes}
+        allowed = {top + 1: set()}   # depth -> the states entered there
+        for d in range(top, -1, -1):
+            allowed[d] = {s for c in allowed[d + 1] for s in self.pred[c]}
+            if d in lengths:
+                allowed[d] |= accepting
         steps = 0
         path = []   # the states of the walk so far
         stack = [iter(self.starts)]
@@ -464,8 +451,7 @@ class WalkAutomaton:
                     path.pop()
                 continue
             depth = len(path)
-            if not any(reach(n - depth) >> s & 1
-                       for n in lengths if n >= depth):
+            if s not in allowed[depth]:
                 continue
             steps += 1
             if steps > self.cap:
@@ -482,24 +468,19 @@ class WalkAutomaton:
         is accepted for every k >= 0.
 
         The live states, those with an accepted path, grow backwards from
-        the accepting ones, and `toward[s]` is the successor s was first
-        reached through, so following it is a shortest path to
-        acceptance.  One depth-first pass from the starts, in `succ`
+        the accepting ones along `pred`, and `toward[s]` is the successor
+        s was first reached through, so following it is a shortest path
+        to acceptance.  One depth-first pass from the starts, in `succ`
         order inside the live states, either meets an edge into a state
         c on its stack, which closes the lasso: P is the stack up to c, C
         the stack from c back to c, S follows `toward` from c; or it
         meets none, and then it finishes each state after its
         successors, so their longest accepted paths are known.
         """
-        n = len(self.states)
-        into = [[] for _ in range(n)]
-        for s, row in enumerate(self.succ):
-            for c in row:
-                into[c].append(s)
-        toward = {s: None for s in range(n) if self.accepting[s]}
+        toward = {s: None for s, yes in enumerate(self.accepting) if yes}
         live = list(toward)
         for c in live:   # grows: every state with an accepted path
-            for s in into[c]:
+            for s in self.pred[c]:
                 if s not in toward:
                     toward[s] = c
                     live.append(s)

@@ -20,8 +20,8 @@ from yoneda_cps.ratfun import RationalFunction
 from yoneda_cps.walks import (_NO_CHAINS, EventuallyPeriodicWalk,
                               WalkCapExceeded, _chain_step,
                               canonical_anchored, enumerate_anchored,
-                              greedy_parse, is_decomposable, partner_step,
-                              word_of)
+                              greedy_parse, is_decomposable, is_dense,
+                              partner_step, word_of)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -255,6 +255,22 @@ def reference_periodic_witness(g, q):
         if check_tail_conditions(g, w):
             return w
     return None
+
+
+def closed_form_misses(g):
+    """The admissible edges v -> t whose greedy parse is not the closed
+    form (v[-1:], t v[:-1]) that `walks` starts each partner chain from."""
+    return [(v, t) for (v, t), ok in g.admissible.items() if ok and
+            greedy_parse(g.ideal, t + v, 1) != (v[-1:], t + v[:-1])]
+
+
+def dense_tail_edges(g, w):
+    """The dense admissible tail edges of an eventually periodic walk, by
+    index, over the window that `check_tail_conditions` reads."""
+    window = len(w.prefix) - 1 + 2 * w.cycle_length
+    return [i for i in range(1, window)
+            if g.admissible[(w.vertex(i), w.vertex(i + 1))]
+            and is_dense(g, w, i)]
 
 
 def reference_generators(g, max_cohomological_degree, cap=None):

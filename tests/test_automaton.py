@@ -132,3 +132,10 @@ def test_the_cap_bounds_states_and_steps():
     with pytest.raises(WalkCapExceeded, match="search"):
         next(automaton.accepted((18, 19)))
     assert next(automaton.accepted((3, 4)), None) is not None
+
+
+def test_no_lengths_list_no_walks():
+    automaton = WalkAutomaton(graph("two_chain_overlap"))
+    assert list(automaton.accepted(())) == []
+    assert list(automaton.accepted(range(1, 1))) == []
+    assert list(automaton.accepted((-2, -1))) == []

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from conftest import ALL, W, graph, load
-from propcore import (circuit_avoiding_generators, random_presentation,
-                      reference_finitely_generated, reference_generators,
-                      reference_search_indecomposable)
+from propcore import (circuit_avoiding_generators, dense_tail_edges,
+                      random_presentation, reference_finitely_generated,
+                      reference_generators, reference_search_indecomposable)
 from yoneda_cps.decide import (INFINITY, analyze,
                                check_tail_conditions,
                                finitely_generated, gk_dimension,
@@ -17,7 +17,7 @@ from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkAutomaton,
                               WalkCapExceeded, enumerate_anchored,
-                              is_decomposable)
+                              is_decomposable, is_dense)
 
 
 def test_global_dimension_finite_case():
@@ -400,6 +400,45 @@ def test_check_tail_conditions():
     alternating = EventuallyPeriodicWalk(
         W("p", "wxyz"), W("wxyz", "pq", "WXYZ", "pq", "wxyz"))
     assert check_tail_conditions(g, alternating)
+
+
+def test_check_tail_conditions_rejects_a_non_walk():
+    g = graph("abc_cdab")
+    loop = EventuallyPeriodicWalk(W("c"), W("c", "c"))
+    for check in (lambda: check_tail_conditions(g, loop),
+                  lambda: is_dense(g, loop, 0)):
+        with pytest.raises(ValueError, match="^c -> c is not an edge$"):
+            check()
+    bad_prefix = EventuallyPeriodicWalk(W("c", "c", "ab"), W("ab", "cd", "ab"))
+    with pytest.raises(ValueError, match="^c -> c is not an edge$"):
+        check_tail_conditions(g, bad_prefix)
+
+
+def test_lasso_tails_are_rejected_only_on_parity():
+    """P . C^k . S is a path of the automaton for every k, and `is_dense`
+    follows the partner chain that the automaton would cut on a rejoin,
+    so the lasso's periodic walk P . C C C ... has no dense tail edge:
+    the tail check rejects it only for admissible tail edges of both
+    parities.  That happens on draws 154, 865 and 1,673 of Random(7)
+    and 334 of Random(9) at 4/6/5, each with a one-edge admissible
+    cycle."""
+    def rejected(g):
+        out = finitely_generated(g)
+        if out.value:
+            return False
+        prefix, cycle, _ = out.witness_family
+        periodic = EventuallyPeriodicWalk(prefix, cycle)
+        assert dense_tail_edges(g, periodic) == []
+        if out.witness_periodic is None:
+            assert len(cycle) == 2 and g.admissible[cycle]
+        return out.witness_periodic is None
+
+    assert not any(rejected(graph(name)) for name in ALL)
+    for seed, draws, sizes, expect in ((7, 1700, (3, 4, 4), [154, 865, 1673]),
+                                       (9, 400, (4, 6, 5), [334])):
+        rng = random.Random(seed)
+        assert [k for k in range(draws) if rejected(build_marked_graph(
+            random_presentation(rng, *sizes)))] == expect
 
 
 def test_no_indecomposables_near_the_bound_when_fg():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dense_oracle import gfp_rref
-from yoneda_cps.linalg import gf2_rank, gfp_rank
+from yoneda_cps.linalg import gf2_rank, gfp_rank, is_small_prime
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -27,3 +27,11 @@ def test_gf2_rank_edge_cases():
     assert gf2_rank([0, 0]) == 0
     assert gf2_rank([0b101, 0b101, 0b011, 0b110]) == 2
     assert gf2_rank([1 << 200, (1 << 200) | 1, 1]) == 2
+
+
+def test_is_small_prime():
+    primes = [p for p in range(-3, 60) if is_small_prime(p)]
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                      47, 53, 59]
+    assert is_small_prime(32003) and is_small_prime(2 ** 31 - 1)
+    assert not is_small_prime(32003 * 3) and not is_small_prime(2 ** 31 + 11)

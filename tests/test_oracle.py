@@ -108,6 +108,13 @@ def test_walk_counts_match_betti(name):
     assert cross_validate(graph(name), table) == []
 
 
+@pytest.mark.parametrize("field_char", [0, 1, 4, 6, 9, 2 ** 31 + 11])
+def test_resolution_rejects_a_field_that_is_not_prime(field_char):
+    # gfp_rank never returns mod a composite, so the check comes first
+    with pytest.raises(ValueError, match="field_char must be a prime"):
+        minimal_resolution(ideal("abc_cdab"), field_char=field_char)
+
+
 def test_cross_validate_flags_corruption():
     a = ideal("abc_cdab")
     good = minimal_resolution(a, 2, 6, 12)

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from conftest import W, graph
-from propcore import check_equivalence_invariants, list_walks
+from conftest import ALL, W, graph
+from propcore import (check_equivalence_invariants, closed_form_misses,
+                      list_walks, random_presentation)
+from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (AnchoredWalk, EventuallyPeriodicWalk,
@@ -67,6 +71,19 @@ def test_greedy_parse_seeded():
     # seed must be a suffix of the word
     assert greedy_parse(ideal, "cdab", 1, seed=("a",)) is None
     assert greedy_parse(ideal, "cdab", 0, seed=("a", "b")) is None
+
+
+def test_edge_partners_have_a_closed_form():
+    """The parse of an admissible edge v -> t is (v[-1:], t v[:-1]): t v
+    is a relation, so no proper factor of it lies in the ideal.  The
+    partner chains of `walks` start from this form and parse nothing."""
+    graphs = [graph(name) for name in ALL]
+    for seed, draws, sizes in ((7, 600, (3, 4, 4)), (9, 400, (4, 6, 5))):
+        rng = random.Random(seed)
+        graphs += [build_marked_graph(random_presentation(rng, *sizes))
+                   for _ in range(draws)]
+    assert sum(sum(g.admissible.values()) for g in graphs) > 2000
+    assert [closed_form_misses(g) for g in graphs] == [[]] * len(graphs)
 
 
 def test_greedy_parse_stops_when_suffix_enters_ideal():
