@@ -33,6 +33,10 @@ Hunts:
              reduce alike, disagrees with the whole-complex ranks of
              tests/dense_oracle.py, in GF(2) at (i, j) <= (8, 10) or
              in GF(3) at (4, 9); exits 1 if there is one
+  product-check
+             presentations on which the Yoneda product disagrees with
+             the seed search of tests/propcore.py on some pair of
+             anchored classes of length <= 3; exits 1 if there is one
   series-check
              presentations on which the Hilbert series or the L search
              disagrees with its reference route of tests/propcore.py:
@@ -60,8 +64,9 @@ from dense_oracle import (factor_keys, minimal_resolution_by_words,
 from propcore import (bordered_hilbert_series, closed_form_misses,
                       collect_walks, dense_tail_edges,
                       indecomposable_walks, parity_extension_violations,
-                      random_presentation, reference_finitely_generated,
-                      reference_generators, reference_leading_path)
+                      product_mismatches, random_presentation,
+                      reference_finitely_generated, reference_generators,
+                      reference_leading_path)
 from yoneda_cps.decide import analyze
 from yoneda_cps.ext import generators_up_to, hilbert_series
 from yoneda_cps.graph import build_marked_graph, graph_params
@@ -176,14 +181,28 @@ def series_disagreement(g):
     return None
 
 
+def product_disagreement(g):
+    """The first pair of anchored classes of length <= 3 on which
+    yoneda_mul and the seed search differ, or None.  A seed search
+    that finds two seeds counts."""
+    try:
+        misses = product_mismatches(g, 3)[1]
+    except AssertionError as e:
+        return f"the seed search: {e}"
+    if misses:
+        left, right = ("->".join("".join(v) for v in vs) for vs in misses[0])
+        return f"({left}) * ({right}) and {len(misses) - 1} more pairs"
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--hunt", choices=("fg-false", "fg-check",
                                            "n-bound", "oracle-check",
-                                           "parity", "series-check",
-                                           "summary"),
+                                           "parity", "product-check",
+                                           "series-check", "summary"),
                         default="summary")
     parser.add_argument("--max-gens", type=int, default=3)
     parser.add_argument("--max-relations", type=int, default=4)
@@ -220,6 +239,13 @@ def main(argv=None):
             if problem:
                 hits += 1
                 print(f"# the oracle's routes disagree: {problem}")
+                print(json.dumps(serialize_presentation(p)))
+            continue
+        if args.hunt == "product-check":
+            problem = product_disagreement(build_marked_graph(MonomialIdeal(p)))
+            if problem:
+                hits += 1
+                print(f"# the products disagree: {problem}")
                 print(json.dumps(serialize_presentation(p)))
             continue
         if args.hunt == "series-check":
@@ -271,7 +297,7 @@ def main(argv=None):
             print(f"{method:32s} {count}")
     else:
         print(f"# {hits} specimens", file=sys.stderr)
-    checks = ("fg-check", "oracle-check", "series-check")
+    checks = ("fg-check", "oracle-check", "product-check", "series-check")
     return 1 if args.hunt in checks and hits else 0
 
 

@@ -2,16 +2,15 @@
 
 Anchored walks of length n form a basis of the cohomological degree
 n+1 part; the internal degree is the total letter count of the walk's
-vertices.  Products are computed combinatorially: the class of the left
-factor restarts its parse seeded with an annihilator of the right
-factor's last vertex, and at most one seed can succeed.
+vertices.  Products are computed combinatorially: the parse of the left
+factor's word continues from the right factor's last vertex, and the
+product walk is the right factor followed by what it parses.
 
 The Hilbert series is read off the walk counts in integer arithmetic:
 its denominator is their shortest linear recurrence, with constant term
 1 by Fatou's lemma, and its numerator one polynomial product.
 """
 
-from .monomial import annihilator_generators
 from .presentation import Record
 from .walks import (AnchoredWalk, WalkAutomaton, canonical_anchored,
                     display_walk, greedy_parse, validate_walk, word_of)
@@ -58,29 +57,31 @@ def ext_class(g, w):
 def yoneda_mul(g, p, q):
     """Product (class of p) * (class of q); None encodes zero.
 
-    Nonzero products re-parse the left word seeded with an annihilator
-    of the right walk's last vertex; the seed must be a suffix of the
-    left word and the parse must consume it exactly.  At most one seed
-    can succeed, and the product word is the two words concatenated.
+    The product is q's walk followed by the walk that parses p's word
+    after q's last vertex v, so its word is the two words concatenated
+    (Green and Zacharia).  One parse continued from v finds it.  Its
+    first step takes s, the shortest suffix of p's word that annihilates
+    v, and stops early once a suffix lies in the ideal.  So s is normal
+    and no proper suffix of s annihilates v: s is a minimal annihilator
+    of v and a suffix of p's word.  Any other minimal annihilator that
+    is a suffix of the word either has s as a proper suffix, which
+    breaks its minimality, or is a shorter suffix that the step already
+    rejected.  So s is the one minimal annihilator of v that can start
+    the parse of p's word.  When the first step finds none, there is
+    none: a minimal annihilator is normal and has at most
+    max_relation_degree - 1 letters, the step's cap, so the step would
+    reach any that is a suffix of the word.
     """
     if not isinstance(p, ExtClass):
         p = ext_class(g, p)
     if not isinstance(q, ExtClass):
         q = ext_class(g, q)
-    ideal = g.ideal
     word_p = word_of(p.walk)
-    steps = p.walk.length
     q_vs = q.walk.vertices
-    q_end = q_vs[-1]
-    hits = []
-    for seed in annihilator_generators(ideal, q_end):
-        parsed = greedy_parse(ideal, word_p, steps, seed=seed)
-        if parsed is not None:
-            hits.append(parsed)
-    assert len(hits) <= 1, "a product can have at most one surviving seed"
-    if not hits:
+    parsed = greedy_parse(g.ideal, word_p, p.walk.length, after=q_vs[-1])
+    if parsed is None:
         return None
-    product = q_vs + hits[0]
+    product = q_vs + parsed
     result = ExtClass(AnchoredWalk(product))
     assert word_of(product) == word_p + word_of(q_vs), \
         "product word must be the concatenation of the factor words"

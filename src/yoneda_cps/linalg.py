@@ -10,8 +10,8 @@ __all__ = ["gf2_rank", "gfp_rank", "is_small_prime"]
 
 
 def is_small_prime(p):
-    """Whether p is a prime below 2^31, a modulus `gfp_rank` takes: it
-    inverts by Fermat's little theorem and never returns mod a composite."""
+    """Whether p is a prime below 2^31: ranks modulo a composite mean
+    nothing, even when `gfp_rank` meets only invertible pivots."""
     return 2 <= p < 2 ** 31 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
@@ -42,7 +42,7 @@ def gfp_rank(rows, p):
                     else:
                         row.pop(c, None)
             else:
-                inv = pow(row[col], p - 2, p)
+                inv = pow(row[col], -1, p)
                 pivots[col] = {c: (v * inv) % p for c, v in row.items()}
                 rank += 1
                 break

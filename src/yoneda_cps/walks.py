@@ -98,29 +98,26 @@ def validate_walk(g, w):
     return vs
 
 
-def greedy_parse(ideal, word, length, seed=None):
+def greedy_parse(ideal, word, length, after=None):
     """Right-to-left parse of `word` into a walk of the given length.
 
     Returns the vertex sequence in walk order (first vertex consumes the
-    right end of the word) or None.  With a seed, the first vertex is
-    forced; otherwise it is the last letter, so a successful unseeded
-    parse is anchored.  Each later vertex is the shortest normal suffix
-    of the unconsumed part annihilating its predecessor; the scan stops
-    early once a suffix falls in the ideal, since every longer suffix
-    then contains it.
+    right end of the word) or None.  The first vertex is the last
+    letter, so a successful parse is anchored; with `after`, the parse
+    continues from that vertex, which consumes no letters, and returns
+    the length + 1 vertices that follow it.  Each later vertex is the
+    shortest normal suffix of the unconsumed part annihilating its
+    predecessor; the scan stops early once a suffix falls in the ideal,
+    since every longer suffix then contains it.
     """
     word = tuple(word)
-    if seed is None:
-        if not word:
-            return None
+    rest = len(word)
+    if after is None:    # an empty word leaves rest at -1: no parse
         q = [word[-1:]]
-        rest = len(word) - 1
+        rest -= 1
     else:
-        seed = tuple(seed)
-        if not seed or len(seed) > len(word) or word[len(word) - len(seed):] != seed:
-            return None
-        q = [seed]
-        rest = len(word) - len(seed)
+        q = [tuple(after)]
+        length += 1
     for _ in range(length):
         prev = q[-1]
         cap = min(rest, ideal.max_relation_degree - 1)
@@ -138,7 +135,7 @@ def greedy_parse(ideal, word, length, seed=None):
         rest -= len(found)
     if rest != 0:
         return None
-    return tuple(q)
+    return tuple(q) if after is None else tuple(q[1:])
 
 
 def canonical_anchored(g, w):

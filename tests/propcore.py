@@ -14,14 +14,15 @@ from yoneda_cps.decide import (FgVerdict, check_tail_conditions,
                                global_dimension)
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph, graph_params
-from yoneda_cps.monomial import MonomialIdeal
+from yoneda_cps.monomial import MonomialIdeal, annihilator_generators
 from yoneda_cps.presentation import make_presentation, walk_cap
 from yoneda_cps.ratfun import RationalFunction
-from yoneda_cps.walks import (_NO_CHAINS, EventuallyPeriodicWalk,
-                              WalkCapExceeded, _chain_step,
-                              canonical_anchored, enumerate_anchored,
-                              greedy_parse, is_decomposable, is_dense,
-                              partner_step, word_of)
+from yoneda_cps.walks import (_NO_CHAINS, AnchoredWalk,
+                              EventuallyPeriodicWalk, WalkCapExceeded,
+                              _chain_step, canonical_anchored,
+                              enumerate_anchored, greedy_parse,
+                              is_decomposable, is_dense, partner_step,
+                              word_of)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -262,6 +263,67 @@ def closed_form_misses(g):
     form (v[-1:], t v[:-1]) that `walks` starts each partner chain from."""
     return [(v, t) for (v, t), ok in g.admissible.items() if ok and
             greedy_parse(g.ideal, t + v, 1) != (v[-1:], t + v[:-1])]
+
+
+def _seeded_parse(ideal, word, length, seed):
+    """The former seeded mode of `greedy_parse`: the walk whose first
+    vertex is `seed`, a suffix of `word`, and whose `length` later
+    vertices parse the rest of it, or None."""
+    word, seed = tuple(word), tuple(seed)
+    if not seed or len(seed) > len(word) or word[len(word) - len(seed):] != seed:
+        return None
+    q = [seed]
+    rest = len(word) - len(seed)
+    for _ in range(length):
+        prev = q[-1]
+        cap = min(rest, ideal.max_relation_degree - 1)
+        found = None
+        for k in range(1, cap + 1):
+            s = word[rest - k: rest]
+            if ideal.contains(s):
+                break
+            if ideal.contains(s + prev):
+                found = s
+                break
+        if found is None:
+            return None
+        q.append(found)
+        rest -= len(found)
+    if rest != 0:
+        return None
+    return tuple(q)
+
+
+def reference_product(g, p, q):
+    """Reference route for `yoneda_mul` on two basis classes: the former
+    one, which parses p's word seeded with each minimal annihilator of
+    q's last vertex and asserts that at most one seed succeeds."""
+    word_p = word_of(p.walk)
+    q_vs = q.walk.vertices
+    hits = []
+    for seed in annihilator_generators(g.ideal, q_vs[-1]):
+        parsed = _seeded_parse(g.ideal, word_p, p.walk.length, seed)
+        if parsed is not None:
+            hits.append(parsed)
+    assert len(hits) <= 1, "a product can have at most one surviving seed"
+    if not hits:
+        return None
+    return ExtClass(AnchoredWalk(q_vs + hits[0]))
+
+
+def product_mismatches(g, max_length):
+    """Over every pair of anchored classes of length <= max_length: the
+    count of nonzero products, and the pairs on which `yoneda_mul` and
+    `reference_product` differ."""
+    classes = [ExtClass(w) for w in enumerate_anchored(g, max_length)]
+    nonzero, misses = 0, []
+    for p in classes:
+        for q in classes:
+            got = yoneda_mul(g, p, q)
+            nonzero += got is not None
+            if got != reference_product(g, p, q):
+                misses.append((p.walk.vertices, q.walk.vertices))
+    return nonzero, misses
 
 
 def dense_tail_edges(g, w):

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import ALL, W, graph
 from propcore import (bareiss_det, bordered_hilbert_series, poly_divexact,
-                      random_presentation, reference_sccs, table_of_anchored,
-                      transfer_matrix)
+                      product_mismatches, random_presentation,
+                      reference_sccs, table_of_anchored, transfer_matrix)
 from yoneda_cps import ext
 from yoneda_cps.ext import (ext_class, generators_up_to, hilbert_series,
                             poincare_table, yoneda_mul)
@@ -58,6 +58,22 @@ def test_product_square_of_a_two_step_class():
     c = cls("abc_cdab", "b", "cda")
     got = yoneda_mul(g, c, c)
     assert got.walk.vertices == W("b", "cda", "ab", "cd")
+
+
+def test_products_match_the_seed_search():
+    """yoneda_mul against the seeded parses of `reference_product`, on
+    every pair of anchored classes of length <= 4 on the fixtures and
+    of length <= 3 on 300 random draws."""
+    cases = [(graph(name), 4) for name in ALL]
+    rng = random.Random(7)
+    cases += [(build_marked_graph(MonomialIdeal(random_presentation(rng))), 3)
+              for _ in range(300)]
+    nonzero = 0
+    for g, max_length in cases:
+        count, misses = product_mismatches(g, max_length)
+        assert misses == [], (g.ideal.relations, misses[:3])
+        nonzero += count
+    assert nonzero > 1000
 
 
 def test_product_grading_is_additive():

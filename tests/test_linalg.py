@@ -35,3 +35,8 @@ def test_is_small_prime():
                       47, 53, 59]
     assert is_small_prime(32003) and is_small_prime(2 ** 31 - 1)
     assert not is_small_prime(32003 * 3) and not is_small_prime(2 ** 31 + 11)
+
+
+def test_gfp_rank_raises_on_a_pivot_with_no_inverse():
+    with pytest.raises(ValueError):
+        gfp_rank([{0: 2}, {0: 3}], 6)

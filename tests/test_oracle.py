@@ -110,7 +110,7 @@ def test_walk_counts_match_betti(name):
 
 @pytest.mark.parametrize("field_char", [0, 1, 4, 6, 9, 2 ** 31 + 11])
 def test_resolution_rejects_a_field_that_is_not_prime(field_char):
-    # gfp_rank never returns mod a composite, so the check comes first
+    # a rank mod a composite means nothing, so the check comes first
     with pytest.raises(ValueError, match="field_char must be a prime"):
         minimal_resolution(ideal("abc_cdab"), field_char=field_char)
 

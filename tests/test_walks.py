@@ -64,13 +64,13 @@ def test_greedy_parse_unseeded_is_anchored():
     assert greedy_parse(ideal, "", 0) is None
 
 
-def test_greedy_parse_seeded():
+def test_greedy_parse_after_a_vertex():
     ideal = graph("abc_cdab").ideal
-    assert greedy_parse(ideal, "cdabc", 2, seed=("c",)) == W("c", "ab", "cd")
-    assert greedy_parse(ideal, "cdabc", 1, seed=("c",)) is None  # leftover cd
-    # seed must be a suffix of the word
-    assert greedy_parse(ideal, "cdab", 1, seed=("a",)) is None
-    assert greedy_parse(ideal, "cdab", 0, seed=("a", "b")) is None
+    assert greedy_parse(ideal, "cdab", 1, after=("c",)) == W("ab", "cd")
+    assert greedy_parse(ideal, "cdab", 0, after=("c",)) is None  # leftover cd
+    assert greedy_parse(ideal, "cda", 0, after=("b",)) == W("cda")
+    # no suffix of cdab annihilates a
+    assert greedy_parse(ideal, "cdab", 0, after=("a",)) is None
 
 
 def test_edge_partners_have_a_closed_form():
