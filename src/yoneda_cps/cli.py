@@ -2,9 +2,10 @@
 
 All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
-exceeded walk cap or an input file nested too deep for the JSON parser
-(no search of the package recurses), 2 a broken internal invariant (a
-failed assertion, or a precondition of the annihilator routines).
+exceeded walk cap, exhausted memory or an input file nested too deep
+for the JSON parser (no search of the package recurses), 2 a broken
+internal invariant (a failed assertion, or a precondition of the
+annihilator routines).
 
 The module imports at its top only what every verb runs: parsing, the
 annihilator graph and the walk cap.  Each `cmd_*` imports the modules
@@ -261,6 +262,9 @@ def main(argv=None):
         return 1
     except RecursionError as e:
         print(f"error: input too deep to process ({e})", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except (AssertionError, PreconditionError) as e:
         # No verb passes user words to the annihilator routines, so a

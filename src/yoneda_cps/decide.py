@@ -168,8 +168,10 @@ def finitely_generated(g, cap=None):
     tail check.  It has no dense tail edge, since `is_dense` follows the
     partner chain that `_chain_step` would cut on a rejoin and each
     P . C^k . S is a path of the automaton, so the check rejects it only
-    on parity, as on a one-edge admissible cycle.  The walk cap bounds
-    the automaton's states.
+    on parity: a cycle of odd length with an admissible edge puts
+    admissible tail edges at both parities, whether it has one edge or
+    several (3 and 7 edges on some two-letter inputs of degree 4).  The
+    walk cap bounds the automaton's states.
     """
     found = WalkAutomaton(g, cap).longest_or_lasso()
     if isinstance(found, int):

@@ -2,7 +2,9 @@
 
 A word lies in the ideal exactly when some relation occurs in it as a
 contiguous factor.  Factor containment is answered by an Aho-Corasick
-automaton over the relation set, built once per ideal; everything else
+automaton over the relation set, built once per ideal with its failure
+links folded into the transition tables, so that a scan reads each
+letter with one or two table lookups and no search; everything else
 (minimal annihilating suffixes, the annihilator sets that become graph
 edges) reduces to repeated membership queries on short words.
 """
@@ -26,62 +28,63 @@ class PreconditionError(ValueError):
 
 
 class _Automaton:
-    """Aho-Corasick matcher over the relation words.
+    """Aho-Corasick matcher over the relation words, as a DFA.
 
-    States are integers; state 0 is the root.  `hits[s]` lists the
-    lengths of relations ending at state s (following suffix links), so
-    scanning a text yields every occurrence endpoint in one pass.
+    States are integers; state 0 is the root.  From state s, letter ch
+    leads to `goto[s].get(ch) or goto[0].get(ch, 0)`: `goto[s]` holds
+    each move of s to a state two or more letters deep, and every other
+    move is the root's, so a scan never follows a failure link.  Leaving
+    the root's moves out keeps the tables from growing as states times
+    letters.  `hits[s]` lists (length, index) of the relations ending at
+    state s (following suffix links), so scanning a text yields every
+    occurrence endpoint in one pass.
     """
 
     def __init__(self, patterns):
         self.goto = [{}]
-        self.fail = [0]
         self.hits = [()]
         for pat_index, pat in enumerate(patterns):
             s = 0
             for ch in pat:
                 if ch not in self.goto[s]:
                     self.goto.append({})
-                    self.fail.append(0)
                     self.hits.append(())
                     self.goto[s][ch] = len(self.goto) - 1
                 s = self.goto[s][ch]
             self.hits[s] = self.hits[s] + ((len(pat), pat_index),)
 
-        # BFS to fill failure links and merge hit sets down suffix chains.
-        queue = list(self.goto[0].values())
+        # BFS: set each trie child's suffix link, merge hit sets down
+        # suffix chains, and give each state the moves of its suffix
+        # link's state, which is shallower and so already complete; the
+        # root's moves are not copied.
+        root = self.goto[0]
+        fail = [0] * len(self.goto)
+        queue = list(root.values())
         for s in queue:
-            self.fail[s] = 0
-        i = 0
-        while i < len(queue):
-            s = queue[i]
-            i += 1
-            for ch, t in self.goto[s].items():
-                f = self.fail[s]
-                while f and ch not in self.goto[f]:
-                    f = self.fail[f]
-                self.fail[t] = self.goto[f].get(ch, 0) if self.goto[f].get(ch, 0) != t else 0
-                self.hits[t] = self.hits[t] + self.hits[self.fail[t]]
+            goto_s, goto_f = self.goto[s], self.goto[fail[s]]
+            for ch, t in goto_s.items():
+                fail[t] = goto_f.get(ch) or root.get(ch, 0)
+                self.hits[t] = self.hits[t] + self.hits[fail[t]]
                 queue.append(t)
-
-    def step(self, state, ch):
-        while state and ch not in self.goto[state]:
-            state = self.fail[state]
-        return self.goto[state].get(ch, 0)
+            if fail[s]:
+                for ch, t in goto_f.items():
+                    goto_s.setdefault(ch, t)
 
     def scan(self, text):
         """Yield (end_position, pattern_length, pattern_index) for every occurrence."""
+        goto, root, hits = self.goto, self.goto[0], self.hits
         s = 0
         for pos, ch in enumerate(text):
-            s = self.step(s, ch)
-            for length, pat_index in self.hits[s]:
+            s = goto[s].get(ch) or root.get(ch, 0)
+            for length, pat_index in hits[s]:
                 yield pos + 1, length, pat_index
 
     def has_match(self, text):
+        goto, root, hits = self.goto, self.goto[0], self.hits
         s = 0
         for ch in text:
-            s = self.step(s, ch)
-            if self.hits[s]:
+            s = goto[s].get(ch) or root.get(ch, 0)
+            if hits[s]:
                 return True
         return False
 
@@ -127,16 +130,16 @@ class MonomialIdeal:
         DP over automaton states, never stepping into a state that
         completes a relation.
         """
-        auto = self.factor_index
+        goto, hits = self.factor_index.goto, self.factor_index.hits
+        root = goto[0]
         counts = {0: 1}
         for _ in range(degree):
             nxt = {}
             for state, c in counts.items():
                 for ch in self._alphabet:
-                    t = auto.step(state, ch)
-                    if auto.hits[t]:
-                        continue
-                    nxt[t] = nxt.get(t, 0) + c
+                    t = goto[state].get(ch) or root.get(ch, 0)
+                    if not hits[t]:
+                        nxt[t] = nxt.get(t, 0) + c
             counts = nxt
         return sum(counts.values())
 

@@ -165,55 +165,19 @@ class Presentation(Record):
     relations: tuple        # letter tuples, sorted by (degree, index sequence)
 
 
-def _index_map(names):
-    return {name: i for i, name in enumerate(names)}
-
-
-def _sort_key(letters, index):
-    return (len(letters), tuple(index[c] for c in letters))
-
-
-def _contains_factor(haystack, needle):
-    """First position where needle occurs contiguously in haystack, else None."""
-    n, m = len(haystack), len(needle)
-    for start in range(n - m + 1):
-        if haystack[start:start + m] == needle:
-            return start
-    return None
-
-
-def _prune_nonminimal(relation_tuples):
-    """Drop relations that properly contain another relation as a factor.
-
-    Relations equal to each other were deduplicated before this runs, so
-    "contains a different relation" is the only redundancy left.
-    """
-    kept = []
-    for r in relation_tuples:
-        redundant = False
-        for other in relation_tuples:
-            if other is r or len(other) >= len(r):
-                continue
-            if _contains_factor(r, other) is not None:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(r)
-    return kept
-
-
 def make_presentation(generator_names, relation_letter_tuples):
     """Build a validated Presentation from raw pieces.
 
-    Deduplicates, prunes non-minimal relations, and sorts by
-    (degree, index sequence).  Raises PresentationError on an empty
-    alphabet, unknown generator tokens, relations of degree < 2, a name
-    containing `*`, or a name of two or more characters spelled by
-    one-character names.  Refusing the last two gives distinct nonempty
-    words distinct `format_word` displays: words of one-character names
-    show their joins, words with a longer name `*`-joins that split back
-    at each `*`, and a join of one-character names has no `*`, so it
-    could equal only a single longer name.
+    Deduplicates, prunes non-minimal relations (those with a proper
+    factor that is another relation), and sorts by (degree, index
+    sequence).  Raises PresentationError on an empty alphabet, unknown
+    generator tokens, relations of degree < 2, a name containing `*`,
+    or a name of two or more characters spelled by one-character names.
+    Refusing the last two gives distinct nonempty words distinct
+    `format_word` displays: words of one-character names show their
+    joins, words with a longer name `*`-joins that split back at each
+    `*`, and a join of one-character names has no `*`, so it could equal
+    only a single longer name.
     """
     names = list(generator_names)
     if not names:
@@ -227,9 +191,9 @@ def make_presentation(generator_names, relation_letter_tuples):
         if len(name) > 1 and set(name) <= letters:
             raise PresentationError(f"generator name {name!r} is spelled by "
                                     "one-character generator names")
-    index = _index_map(names)
+    index = {name: i for i, name in enumerate(names)}
 
-    cleaned = []
+    rels = set()
     for rel in relation_letter_tuples:
         rel = tuple(rel)
         for tok in rel:
@@ -237,10 +201,13 @@ def make_presentation(generator_names, relation_letter_tuples):
                 raise PresentationError(f"unknown generator {tok!r} in relation {format_word(rel)}")
         if len(rel) < 2:
             raise PresentationError(f"relation {format_word(rel) if rel else '1'} has degree {len(rel)} < 2")
-        cleaned.append(rel)
+        rels.add(rel)
 
-    cleaned = sorted(set(cleaned), key=lambda r: _sort_key(r, index))
-    return Presentation(tuple(names), tuple(_prune_nonminimal(cleaned)))
+    minimal = [r for r in rels
+               if not any(r[a:a + k] in rels for k in range(2, len(r))
+                          for a in range(len(r) - k + 1))]
+    minimal.sort(key=lambda r: (len(r), tuple(index[c] for c in r)))
+    return Presentation(tuple(names), tuple(minimal))
 
 
 def parse_presentation(source):

@@ -322,6 +322,16 @@ def test_deep_input_answers(tmp_path):
         "generator_degree_bound": 1100, "witness": None}
 
 
+def test_memory_error_exits_cleanly(monkeypatch, capsys):
+    def exhausted(presentation):
+        raise MemoryError
+    monkeypatch.setattr(cli, "build_marked_graph", exhausted)
+    code, out, err = run(capsys, "graph", fixture_path("abc_cdab"))
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_deep_fg_search_answers(tmp_path, monkeypatch, capsys):
     # x2y_family plus 150 cycles a_i -> a_i a_i -> a_i: bound_N is 1240,
     # but the verdict reads neither it nor L.

@@ -441,6 +441,25 @@ def test_lasso_tails_are_rejected_only_on_parity():
             random_presentation(rng, *sizes)))] == expect
 
 
+@pytest.mark.parametrize("relations", ["xxxy,xyxx,yxyx", "xxyx,xyxx,xyxy",
+                                       "xxyx,xyxy,yxxx", "yxyx,yxyy,yyxy"])
+def test_lasso_tails_on_odd_cycles_take_both_parities(relations):
+    """On these inputs the lasso's cycle has 3 or 7 edges, one of them
+    admissible: the periodic walk has no dense tail edge, and when the
+    tail check rejects it, its admissible tail edges take both parities."""
+    g = build_marked_graph(make_presentation(
+        "xy", [tuple(r) for r in relations.split(",")]))
+    out = finitely_generated(g)
+    prefix, cycle, _ = out.witness_family
+    periodic = EventuallyPeriodicWalk(prefix, cycle)
+    assert dense_tail_edges(g, periodic) == []
+    if out.witness_periodic is None:
+        window = len(prefix) - 1 + 2 * periodic.cycle_length
+        adm = [i for i in range(1, window) if g.admissible[
+            (periodic.vertex(i), periodic.vertex(i + 1))]]
+        assert {i % 2 for i in adm} == {0, 1}
+
+
 def test_no_indecomposables_near_the_bound_when_fg():
     """Brute confirmation of the top generator degree d: the walks of
     length d to d+3, in degree d+1 and up, all decompose."""

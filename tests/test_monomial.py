@@ -30,15 +30,19 @@ def all_words(names, degree):
 
 def test_contains_and_occurrences_match_brute_scan():
     rng = random.Random(5)
-    for _ in range(60):
-        names = tuple("xyz"[: rng.randint(1, 3)])
+    for draw in range(120):
+        # half the draws name generators with two characters
+        names = (("x", "y", "z"), ("xx", "yy", "z"))[draw % 2][: rng.randint(1, 3)]
         relations = tuple({tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))
                            for _ in range(rng.randint(1, 4))})
         ideal = MonomialIdeal(make_presentation(names, relations))
         # the parser may prune, so scan against the surviving set
         rels = ideal.relations
+        # words may hold letters outside the alphabet, which no relation
+        # holds: "q", and "x" or "xx", whichever is not a generator
+        letters = names + ("q", "x", "xx")
         for _ in range(40):
-            w = tuple(rng.choice(names) for _ in range(rng.randint(0, 9)))
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 9)))
             assert ideal.contains(w) == brute_contains(rels, w), (rels, w)
             assert ideal.occurrences(w) == brute_occurrences(rels, w), (rels, w)
         assert ideal.contains(rels[0])
@@ -49,13 +53,32 @@ def test_overlapping_occurrences_all_found():
     assert ideal.occurrences(("a",) * 4) == [(0, 0), (1, 0), (2, 0)]
 
 
+def test_automaton_tables_do_not_grow_with_the_alphabet():
+    # a chain over 1,100 letters: only moves to states two or more
+    # letters deep are stored, so the tables hold no entry per state and
+    # letter (4,397 states, 1,100 letters)
+    names = [f"a{i}" for i in range(1100)]
+    ideal = MonomialIdeal(make_presentation(
+        names, [(names[i + 1], names[i + 1], names[i], names[i])
+                for i in range(1099)]))
+    goto = ideal.factor_index.goto
+    assert len(goto) == 4397
+    assert sum(map(len, goto)) < 2 * len(goto)
+    assert ideal.contains(("a5", "a5", "a5", "a4", "a4"))
+    assert not ideal.contains(("a5", "a5", "a4", "a5", "a4", "a4"))
+
+
 def test_normal_count_matches_enumeration():
-    for name in ("x_square", "xy_single", "abc_cdab", "x2y_family"):
-        ideal = MonomialIdeal(load(name))
-        names = ideal.presentation.generator_names
+    presentations = [load(name) for name in (
+        "x_square", "xy_single", "abc_cdab", "x2y_family", "sklyanin_leading")]
+    # z is a generator that no relation holds
+    presentations.append(make_presentation("xyz", [("x", "y", "x"), ("y", "y")]))
+    for p in presentations:
+        ideal = MonomialIdeal(p)
+        names = p.generator_names
         for d in range(7):
             expect = sum(1 for w in all_words(names, d) if not ideal.contains(w))
-            assert ideal.normal_count(d) == expect, (name, d)
+            assert ideal.normal_count(d) == expect, (p.relations, d)
 
 
 def test_normal_count_known_series():

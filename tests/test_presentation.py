@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -36,6 +37,22 @@ def test_parser_sorts_and_prunes():
     p = make_presentation("ab", [("b", "a"), ("a", "b"), ("a", "b", "a"), ("a", "b")])
     # aba contains ab, duplicates collapse, sort is degree then index order
     assert rels(p) == [("a", "b"), ("b", "a")]
+    # a middle factor prunes, and so does each link of a nested chain
+    assert rels(make_presentation("xyz", ["xyzx", "yz"])) == [("y", "z")]
+    assert rels(make_presentation("xyz", ["xyxy", "xyx", "xy"])) == [("x", "y")]
+    assert rels(make_presentation("xyz", ["xyxy", "xyx", "zz"])) == [
+        ("z", "z"), ("x", "y", "x")]
+    # against the definition: no proper factor of a kept relation is
+    # another relation, and every dropped one has such a factor
+    rng = random.Random(3)
+    for _ in range(2000):
+        raw = {"".join(rng.choice("xyz") for _ in range(rng.randint(2, 6)))
+               for _ in range(rng.randint(1, 8))}
+        minimal = {r for r in raw
+                   if not any(o != r and o in r for o in raw)}
+        got = make_presentation("xyz", raw).relations
+        assert got == tuple(sorted((tuple(r) for r in minimal),
+                                   key=lambda r: (len(r), r))), raw
 
 
 def test_syntax_error_carries_position():
