@@ -1,6 +1,12 @@
 """Sweep random monomial presentations for noteworthy specimens.
 
 Usage: python3 scripts/random_search.py [--samples N] [--seed S] [--hunt KIND]
+       python3 scripts/random_search.py --census LETTERS:MIN-MAX:K [--hunt KIND]
+
+--census x,y:2-4:3 runs the hunt over every presentation on the letters
+x and y whose relations are 1 to 3 distinct words of degree 2 to 4, none
+a factor of another, whose letters form a prefix of the alphabet
+(`propcore.census`), in place of random draws.
 
 Hunts:
   fg-false   presentations whose cohomology is not finitely generated,
@@ -36,7 +42,9 @@ Hunts:
   product-check
              presentations on which the Yoneda product disagrees with
              the seed search of tests/propcore.py on some pair of
-             anchored classes of length <= 3; exits 1 if there is one
+             anchored classes of length <= 3, or the greedy parse with
+             the suffix scan over the ideal on the walks of up to 3
+             edges from every vertex; exits 1 if there is one
   series-check
              presentations on which the Hilbert series or the L search
              disagrees with its reference route of tests/propcore.py:
@@ -61,10 +69,11 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from dense_oracle import (factor_keys, minimal_resolution_by_words,
                           reference_splitting_homology)
-from propcore import (bordered_hilbert_series, closed_form_misses,
-                      collect_walks, dense_tail_edges,
+from propcore import (bordered_hilbert_series, census,
+                      closed_form_misses, collect_walks, dense_tail_edges,
                       indecomposable_walks, parity_extension_violations,
-                      product_mismatches, random_presentation,
+                      parse_cases, parse_mismatches, product_mismatches,
+                      random_presentation,
                       reference_finitely_generated, reference_generators,
                       reference_leading_path)
 from yoneda_cps.decide import analyze
@@ -183,8 +192,15 @@ def series_disagreement(g):
 
 def product_disagreement(g):
     """The first pair of anchored classes of length <= 3 on which
-    yoneda_mul and the seed search differ, or None.  A seed search
-    that finds two seeds counts."""
+    yoneda_mul and the seed search differ, or the first walk query on
+    which the greedy parse and the suffix scan over the ideal differ, or
+    None.  A seed search that finds two seeds counts."""
+    parses = parse_mismatches(g, parse_cases(g))
+    if parses:
+        word, length, after = parses[0]
+        after = "" if after is None else f" after {''.join(after)}"
+        return (f"the parse of {''.join(word)} at length {length}{after} "
+                f"and {len(parses) - 1} more queries")
     try:
         misses = product_mismatches(g, 3)[1]
     except AssertionError as e:
@@ -198,6 +214,9 @@ def product_disagreement(g):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--census", metavar="LETTERS:MIN-MAX:K",
+                        help="every presentation of the census part, "
+                        "e.g. x,y:2-4:3, in place of random draws")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--hunt", choices=("fg-false", "fg-check",
                                            "n-bound", "oracle-check",
@@ -211,14 +230,26 @@ def main(argv=None):
                         help="walk enumeration ceiling per sample")
     args = parser.parse_args(argv)
 
-    rng = random.Random(args.seed)
+    if args.census:
+        try:
+            letters, degrees, k = args.census.split(":")
+            low, high = degrees.split("-")
+            presentations = census(letters.split(","), int(low), int(high),
+                                   int(k))
+        except ValueError as e:
+            parser.error(f"--census wants LETTERS:MIN-MAX:K such as "
+                         f"x,y:2-4:3, got {args.census!r}: {e}")
+    else:
+        rng = random.Random(args.seed)
+        presentations = [random_presentation(rng, args.max_gens,
+                                             args.max_relations,
+                                             args.max_degree)
+                         for _ in range(args.samples)]
     checked = set()    # oracle-check: (factor key, window) pairs compared
     methods = {}
     skipped = 0
     hits = 0
-    for _ in range(args.samples):
-        p = random_presentation(rng, args.max_gens, args.max_relations,
-                                args.max_degree)
+    for p in presentations:
         if args.hunt == "parity":
             g = build_marked_graph(MonomialIdeal(p))
             # walks of length up to 4, or None past the enumeration cap
@@ -286,7 +317,7 @@ def main(argv=None):
             witness = rep.fg.to_json()["witness"]
             print(f"# method {rep.fg.method}, witness {witness}")
             print(json.dumps(serialize_presentation(p)))
-    print(f"# {args.samples} samples, {skipped} over the cap",
+    print(f"# {len(presentations)} samples, {skipped} over the cap",
           file=sys.stderr)
     if args.hunt == "oracle-check":
         keys = len({key for key, _ in checked})

@@ -3,8 +3,9 @@
 Anchored walks of length n form a basis of the cohomological degree
 n+1 part; the internal degree is the total letter count of the walk's
 vertices.  Products are computed combinatorially: the parse of the left
-factor's word continues from the right factor's last vertex, and the
-product walk is the right factor followed by what it parses.
+factor's word continues from the right factor's last vertex along the
+graph's edges, and the product walk is the right factor followed by
+what it parses.
 
 The Hilbert series is read off the walk counts in integer arithmetic:
 its denominator is their shortest linear recurrence, with constant term
@@ -59,18 +60,13 @@ def yoneda_mul(g, p, q):
 
     The product is q's walk followed by the walk that parses p's word
     after q's last vertex v, so its word is the two words concatenated
-    (Green and Zacharia).  One parse continued from v finds it.  Its
-    first step takes s, the shortest suffix of p's word that annihilates
-    v, and stops early once a suffix lies in the ideal.  So s is normal
-    and no proper suffix of s annihilates v: s is a minimal annihilator
-    of v and a suffix of p's word.  Any other minimal annihilator that
-    is a suffix of the word either has s as a proper suffix, which
-    breaks its minimality, or is a shorter suffix that the step already
-    rejected.  So s is the one minimal annihilator of v that can start
-    the parse of p's word.  When the first step finds none, there is
-    none: a minimal annihilator is normal and has at most
-    max_relation_degree - 1 letters, the step's cap, so the step would
-    reach any that is a suffix of the word.
+    (Green and Zacharia).  One parse continued from v finds it, and its
+    steps read the graph, not the ideal: each takes the out-neighbour of
+    the previous vertex, a minimal annihilator of it, that ends the
+    unread part of p's word.  No minimal annihilator of v is a proper
+    suffix of another, so at most one of them ends p's word: the vertex
+    after v is forced, and when no edge out of v fits, the product is
+    zero.
     """
     if not isinstance(p, ExtClass):
         p = ext_class(g, p)
@@ -78,7 +74,7 @@ def yoneda_mul(g, p, q):
         q = ext_class(g, q)
     word_p = word_of(p.walk)
     q_vs = q.walk.vertices
-    parsed = greedy_parse(g.ideal, word_p, p.walk.length, after=q_vs[-1])
+    parsed = greedy_parse(g, word_p, p.walk.length, after=q_vs[-1])
     if parsed is None:
         return None
     product = q_vs + parsed

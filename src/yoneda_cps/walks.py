@@ -8,8 +8,8 @@ in cohomological degree n+1.
 
 A walk is admissible when an equivalent anchored walk exists.  That
 partner is unique and is found by a greedy right-to-left parse of the
-word: each step takes the shortest normal suffix of the unconsumed part
-that annihilates the previous vertex.
+word along the graph: each step takes the out-neighbour of the previous
+vertex that ends the unconsumed part of the word.
 
 An anchored walk is decomposable when its class is a product of lower
 ones.  The indecomposable walks of positive length, which with the
@@ -98,17 +98,25 @@ def validate_walk(g, w):
     return vs
 
 
-def greedy_parse(ideal, word, length, after=None):
-    """Right-to-left parse of `word` into a walk of the given length.
+def greedy_parse(g, word, length, after=None):
+    """Right-to-left parse of `word` into a walk of `g` of the given length.
 
     Returns the vertex sequence in walk order (first vertex consumes the
     right end of the word) or None.  The first vertex is the last
-    letter, so a successful parse is anchored; with `after`, the parse
-    continues from that vertex, which consumes no letters, and returns
-    the length + 1 vertices that follow it.  Each later vertex is the
-    shortest normal suffix of the unconsumed part annihilating its
-    predecessor; the scan stops early once a suffix falls in the ideal,
-    since every longer suffix then contains it.
+    letter, so a successful parse is anchored; with `after`, a vertex of
+    `g`, the parse continues from that vertex, which consumes no letters,
+    and returns the length + 1 vertices that follow it.  Each later
+    vertex is the shortest normal suffix s of the unread part with
+    s prev in the ideal, which is the one out-neighbour of prev that
+    ends the unread part:
+    - no proper suffix of s annihilates prev, so s is a minimal
+      annihilator of prev, an out-neighbour;
+    - every out-neighbour ending the unread part is normal and
+      annihilates prev, and none is a proper suffix of another;
+    - once a suffix lies in the ideal no longer one is normal, so
+      neither a scan of the suffixes nor the lookup goes past it.
+    `g.out` lists targets by degree, so the lookup stops at the first
+    one longer than the unread part.
     """
     word = tuple(word)
     rest = len(word)
@@ -119,34 +127,25 @@ def greedy_parse(ideal, word, length, after=None):
         q = [tuple(after)]
         length += 1
     for _ in range(length):
-        prev = q[-1]
-        cap = min(rest, ideal.max_relation_degree - 1)
-        found = None
-        for k in range(1, cap + 1):
-            s = word[rest - k: rest]
-            if ideal.contains(s):
+        for s in g.out.get(q[-1], ()):
+            if len(s) > rest:
+                return None
+            if word[rest - len(s):rest] == s:
                 break
-            if ideal.contains(s + prev):
-                found = s
-                break
-        if found is None:
+        else:
             return None
-        q.append(found)
-        rest -= len(found)
+        q.append(s)
+        rest -= len(s)
     if rest != 0:
         return None
     return tuple(q) if after is None else tuple(q[1:])
 
 
 def canonical_anchored(g, w):
-    """The unique anchored walk equivalent to `w`, or None.
-
-    Every vertex the parse produces is a minimal annihilator of its
-    predecessor reached from a generator, so the result is automatically
-    a walk of the graph.
-    """
+    """The unique anchored walk equivalent to `w`, or None; a walk of
+    `g` by construction, since the parse steps along `g.out`."""
     vs = vertices_of(w)
-    return greedy_parse(g.ideal, word_of(vs), len(vs) - 1)
+    return greedy_parse(g, word_of(vs), len(vs) - 1)
 
 
 def is_decomposable(g, w):
@@ -172,7 +171,7 @@ def is_decomposable(g, w):
     for j in range(n - 1, 0, -1):
         if not g.admissible[(vs[j], vs[j + 1])]:
             continue
-        if greedy_parse(g.ideal, word_of(vs[j:]), n - j) is not None:
+        if greedy_parse(g, word_of(vs[j:]), n - j) is not None:
             return True
     return False
 

@@ -8,6 +8,7 @@ fault in the package's arithmetic cannot pass both sides of a check.
 """
 
 from collections import deque
+from itertools import combinations, product
 from math import gcd
 
 from yoneda_cps.decide import (FgVerdict, check_tail_conditions,
@@ -39,6 +40,29 @@ def random_presentation(rng, max_gens=3, max_relations=4, max_degree=4):
         deg = rng.randint(2, max_degree)
         rels.append(tuple(rng.choice(names) for _ in range(deg)))
     return make_presentation(names, rels)
+
+
+def census(letters, min_degree, max_degree, k):
+    """Every presentation on the alphabet `letters` whose relations are 1
+    to k distinct words of degree min_degree to max_degree, none a factor
+    of another, whose letters form a prefix of the alphabet.  Listed by
+    relation count, then in `itertools.combinations` order of the words,
+    which run by degree and then in `itertools.product` order."""
+    words = [w for d in range(min_degree, max_degree + 1)
+             for w in product(letters, repeat=d)]
+
+    def factor(a, b):
+        return len(a) < len(b) and any(b[i:i + len(a)] == a
+                                       for i in range(len(b) - len(a) + 1))
+
+    out = []
+    for n in range(1, k + 1):
+        for rels in combinations(words, n):
+            used = {c for r in rels for c in r}
+            if (used == set(letters[:len(used)]) and
+                    not any(factor(a, b) for a in rels for b in rels)):
+                out.append(make_presentation(letters, rels))
+    return out
 
 
 def trim(p):
@@ -258,22 +282,20 @@ def reference_periodic_witness(g, q):
     return None
 
 
-def closed_form_misses(g):
-    """The admissible edges v -> t whose greedy parse is not the closed
-    form (v[-1:], t v[:-1]) that `walks` starts each partner chain from."""
-    return [(v, t) for (v, t), ok in g.admissible.items() if ok and
-            greedy_parse(g.ideal, t + v, 1) != (v[-1:], t + v[:-1])]
-
-
-def _seeded_parse(ideal, word, length, seed):
-    """The former seeded mode of `greedy_parse`: the walk whose first
-    vertex is `seed`, a suffix of `word`, and whose `length` later
-    vertices parse the rest of it, or None."""
-    word, seed = tuple(word), tuple(seed)
-    if not seed or len(seed) > len(word) or word[len(word) - len(seed):] != seed:
-        return None
-    q = [seed]
-    rest = len(word) - len(seed)
+def reference_greedy_parse(ideal, word, length, after=None):
+    """Reference route for `greedy_parse`: the former one, which reads
+    the ideal and not the graph.  Each later vertex is the shortest
+    normal suffix of the unconsumed part annihilating its predecessor;
+    the scan stops early once a suffix falls in the ideal, since every
+    longer suffix then contains it."""
+    word = tuple(word)
+    rest = len(word)
+    if after is None:    # an empty word leaves rest at -1: no parse
+        q = [word[-1:]]
+        rest -= 1
+    else:
+        q = [tuple(after)]
+        length += 1
     for _ in range(length):
         prev = q[-1]
         cap = min(rest, ideal.max_relation_degree - 1)
@@ -291,7 +313,50 @@ def _seeded_parse(ideal, word, length, seed):
         rest -= len(found)
     if rest != 0:
         return None
-    return tuple(q)
+    return tuple(q) if after is None else tuple(q[1:])
+
+
+def closed_form_misses(g):
+    """The admissible edges v -> t whose greedy parse is not the closed
+    form (v[-1:], t v[:-1]) that `walks` starts each partner chain from."""
+    return [(v, t) for (v, t), ok in g.admissible.items() if ok and
+            reference_greedy_parse(g.ideal, t + v, 1) != (v[-1:], t + v[:-1])]
+
+
+def parse_cases(g, max_edges=3):
+    """(word, length, after) queries of `greedy_parse` from the walks of
+    at most max_edges edges out of every vertex of g: each walk's word at
+    lengths n - 1, n and n + 1, for n its edge count, alone and after its
+    first vertex, and the word of the rest of the walk after that vertex."""
+    layer = [(v,) for v in g.vertices]
+    for _ in range(max_edges + 1):
+        for vs in layer:
+            word, n = word_of(vs), len(vs) - 1
+            for length in (n - 1, n, n + 1):
+                yield word, length, None
+                yield word, length, vs[0]
+                yield word_of(vs[1:]), length - 1, vs[0]
+        layer = [vs + (t,) for vs in layer for t in g.out[vs[-1]]]
+
+
+def parse_mismatches(g, cases):
+    """The (word, length, after) cases on which `greedy_parse` and
+    `reference_greedy_parse` differ."""
+    return [(word, length, after) for word, length, after in cases
+            if greedy_parse(g, word, length, after) !=
+            reference_greedy_parse(g.ideal, word, length, after)]
+
+
+def _seeded_parse(ideal, word, length, seed):
+    """The former seeded mode of `greedy_parse`: the walk whose first
+    vertex is `seed`, a suffix of `word`, and whose `length` later
+    vertices parse the rest of it, or None."""
+    word, seed = tuple(word), tuple(seed)
+    if not seed or len(seed) > len(word) or word[len(word) - len(seed):] != seed:
+        return None
+    parsed = reference_greedy_parse(ideal, word[:len(word) - len(seed)],
+                                    length - 1, after=seed)
+    return None if parsed is None else (seed,) + parsed
 
 
 def reference_product(g, p, q):
@@ -427,7 +492,7 @@ def reference_search_indecomposable(g, targets, cap):
             j = n  # index of the new edge; tail edges start at index 1
             new_chains = list(chains)
             if j >= 1 and g.admissible[(walk[-1], t)]:
-                pair = greedy_parse(ideal, t + walk[-1], 1)
+                pair = reference_greedy_parse(ideal, t + walk[-1], 1)
                 assert pair is not None, "admissible edge words always parse"
                 new_chains.append((j, 1, pair[1]))
             walk.append(t)

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import ALL, W, graph
 from propcore import (check_equivalence_invariants, closed_form_misses,
-                      list_walks, random_presentation)
+                      list_walks, parse_cases, parse_mismatches,
+                      random_presentation)
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
@@ -56,32 +57,61 @@ def test_parse_display_walk():
 
 
 def test_greedy_parse_unseeded_is_anchored():
-    ideal = graph("abc_cdab").ideal
-    assert greedy_parse(ideal, "cdab", 1) == W("b", "cda")
-    assert greedy_parse(ideal, "cdabc", 2) == W("c", "ab", "cd")
-    assert greedy_parse(ideal, "bcda", 1) is None   # nothing annihilates a
-    assert greedy_parse(ideal, "cdab", 2) is None   # word too short
-    assert greedy_parse(ideal, "", 0) is None
+    g = graph("abc_cdab")
+    assert greedy_parse(g, "cdab", 1) == W("b", "cda")
+    assert greedy_parse(g, "cdabc", 2) == W("c", "ab", "cd")
+    assert greedy_parse(g, "bcda", 1) is None   # nothing annihilates a
+    assert greedy_parse(g, "cdab", 2) is None   # word too short
+    assert greedy_parse(g, "", 0) is None
+    assert greedy_parse(g, "", 1) is None
+    assert greedy_parse(g, "cdaz", 1) is None   # z is no vertex
+    assert greedy_parse(g, "czab", 1) is None   # as cdab, with z for d
 
 
 def test_greedy_parse_after_a_vertex():
-    ideal = graph("abc_cdab").ideal
-    assert greedy_parse(ideal, "cdab", 1, after=("c",)) == W("ab", "cd")
-    assert greedy_parse(ideal, "cdab", 0, after=("c",)) is None  # leftover cd
-    assert greedy_parse(ideal, "cda", 0, after=("b",)) == W("cda")
+    g = graph("abc_cdab")
+    assert greedy_parse(g, "cdab", 1, after=("c",)) == W("ab", "cd")
+    assert greedy_parse(g, "cdab", 0, after=("c",)) is None  # leftover cd
+    assert greedy_parse(g, "cda", 0, after=("b",)) == W("cda")
     # no suffix of cdab annihilates a
-    assert greedy_parse(ideal, "cdab", 0, after=("a",)) is None
+    assert greedy_parse(g, "cdab", 0, after=("a",)) is None
+
+
+def sample_graphs():
+    """The fixtures, 600 draws of Random(7) and 400 of Random(9) at
+    4/6/5."""
+    graphs = [graph(name) for name in ALL]
+    for seed, draws, sizes in ((7, 600, (3, 4, 4)), (9, 400, (4, 6, 5))):
+        rng = random.Random(seed)
+        graphs += [build_marked_graph(random_presentation(rng, *sizes))
+                   for _ in range(draws)]
+    return graphs
+
+
+def test_greedy_parse_matches_the_ideal_scan():
+    """The graph lookup of `greedy_parse` against the suffix scan over
+    the ideal of `propcore.reference_greedy_parse`: on the walks of up
+    to 3 edges from every vertex, and on random words, some empty and
+    some holding a letter that is no generator."""
+    rng = random.Random(11)
+    compared = parsed = 0
+    for g in sample_graphs():
+        letters = [v[0] for v in g.g0] + ["?"]
+        cases = list(parse_cases(g)) + [
+            (tuple(rng.choice(letters) for _ in range(rng.randint(0, 10))),
+             rng.randint(0, 4), rng.choice((None, rng.choice(g.vertices))))
+            for _ in range(100)]
+        assert parse_mismatches(g, cases) == []
+        compared += len(cases)
+        parsed += sum(greedy_parse(g, *case) is not None for case in cases)
+    assert compared > 300000 and parsed > 45000
 
 
 def test_edge_partners_have_a_closed_form():
     """The parse of an admissible edge v -> t is (v[-1:], t v[:-1]): t v
     is a relation, so no proper factor of it lies in the ideal.  The
     partner chains of `walks` start from this form and parse nothing."""
-    graphs = [graph(name) for name in ALL]
-    for seed, draws, sizes in ((7, 600, (3, 4, 4)), (9, 400, (4, 6, 5))):
-        rng = random.Random(seed)
-        graphs += [build_marked_graph(random_presentation(rng, *sizes))
-                   for _ in range(draws)]
+    graphs = sample_graphs()
     assert sum(sum(g.admissible.values()) for g in graphs) > 2000
     assert [closed_form_misses(g) for g in graphs] == [[]] * len(graphs)
 
@@ -89,8 +119,8 @@ def test_edge_partners_have_a_closed_form():
 def test_greedy_parse_stops_when_suffix_enters_ideal():
     g = mixed_graph()
     # third step would need a suffix of yx, but yx itself is a relation
-    assert greedy_parse(g.ideal, "yxxxxx", 3) is None
-    assert greedy_parse(g.ideal, "xxx", 1) == W("x", "xx")
+    assert greedy_parse(g, "yxxxxx", 3) is None
+    assert greedy_parse(g, "xxx", 1) == W("x", "xx")
 
 
 def test_canonical_anchored_known_values():
