@@ -27,7 +27,10 @@ Hunts:
              edge on the periodic walk P . C C C ..., or no periodic
              walk where the premise chain has one; or with an
              admissible edge v -> t whose greedy parse is not the
-             closed form (v[-1:], t v[:-1]); exits 1 if there is one
+             closed form (v[-1:], t v[:-1]); or with an automaton state
+             whose partner steps or acceptance, read off the graph,
+             differ from the suffix scans over the ideal; exits 1 if
+             there is one
   n-bound    counterexamples to the two laws observed of the bound N:
              a "no" with no indecomposable walk of length N or N+1, or
              a "yes" whose top generator degree exceeds 2E(M-1)+L+3
@@ -72,7 +75,8 @@ from dense_oracle import (factor_keys, minimal_resolution_by_words,
 from propcore import (bordered_hilbert_series, census,
                       closed_form_misses, collect_walks, dense_tail_edges,
                       indecomposable_walks, parity_extension_violations,
-                      parse_cases, parse_mismatches, product_mismatches,
+                      parse_cases, parse_mismatches, partner_mismatches,
+                      product_mismatches,
                       random_presentation,
                       reference_finitely_generated, reference_generators,
                       reference_leading_path)
@@ -91,10 +95,15 @@ def fg_disagreement(g, fg, cap):
     """How the automaton disagrees with the reference routes, or None:
     on the generators up to degree 8, on finite generation, on the top
     generator degree of a yes and, on a cyclic graph, on the first walk
-    at lengths N and N+1; on a "no", how its lasso fails; and whether an
-    edge's partner leaves its closed form."""
+    at lengths N and N+1; on a "no", how its lasso fails; whether an
+    edge's partner leaves its closed form; and whether a state's partner
+    steps or acceptance differ from the suffix scans over the ideal."""
     if closed_form_misses(g):
         return "an admissible edge's partner against its closed form"
+    misses = partner_mismatches(g, cap)[1]
+    if misses:
+        return (f"a partner {misses[0][0]} against the suffix scan, "
+                f"and {len(misses) - 1} more")
     if generators_up_to(g, 8) != reference_generators(g, 8, cap):
         return "generators up to degree 8"
     reference = reference_finitely_generated(g, cap)

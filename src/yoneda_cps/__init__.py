@@ -17,7 +17,7 @@ _HOME = {
                      "make_presentation", "parse_presentation",
                      "serialize_presentation"),
     "monomial": ("MonomialIdeal", "PreconditionError",
-                 "annihilator_generators", "left_min_annihilating_suffix"),
+                 "annihilator_generators"),
     "graph": ("CpsGraph", "GraphParams", "build_marked_graph",
               "circuits_and_sccs", "export_dot", "export_json",
               "graph_params"),

@@ -4,8 +4,8 @@ All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
 exceeded walk cap, exhausted memory or an input file nested too deep
 for the JSON parser (no search of the package recurses), 2 a broken
-internal invariant (a failed assertion, or a precondition of the
-annihilator routines).
+internal invariant (a failed assertion, or a precondition of
+`annihilator_generators`, which only the graph build calls, on vertices).
 
 The module imports at its top only what every verb runs: parsing, the
 annihilator graph and the walk cap.  Each `cmd_*` imports the modules
@@ -267,8 +267,8 @@ def main(argv=None):
         print("error: out of memory", file=sys.stderr)
         return 1
     except (AssertionError, PreconditionError) as e:
-        # No verb passes user words to the annihilator routines, so a
-        # failed precondition there is a bug, not bad input.
+        # Only the graph build calls annihilator_generators, on vertices,
+        # so a failed precondition there is a bug, not bad input.
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 2
 

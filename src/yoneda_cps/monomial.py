@@ -4,9 +4,10 @@ A word lies in the ideal exactly when some relation occurs in it as a
 contiguous factor.  Factor containment is answered by an Aho-Corasick
 automaton over the relation set, built once per ideal with its failure
 links folded into the transition tables, so that a scan reads each
-letter with one or two table lookups and no search; everything else
-(minimal annihilating suffixes, the annihilator sets that become graph
-edges) reduces to repeated membership queries on short words.
+letter with one or two table lookups and no search.  The annihilator
+sets that become graph edges are read from an index of relation
+suffixes and filtered by membership queries on short words; the walk
+layer reads the graph alone.
 """
 
 from .presentation import Presentation, format_word
@@ -14,7 +15,6 @@ from .presentation import Presentation, format_word
 __all__ = [
     "MonomialIdeal",
     "PreconditionError",
-    "left_min_annihilating_suffix",
     "annihilator_generators",
 ]
 
@@ -142,27 +142,6 @@ class MonomialIdeal:
                         nxt[t] = nxt.get(t, 0) + c
             counts = nxt
         return sum(counts.values())
-
-
-def left_min_annihilating_suffix(ideal, w, m):
-    """L(w, m): the shortest suffix w' of w with w' tensor m in the ideal.
-
-    Preconditions (each reported by name when violated): m not in the
-    ideal, w not in the ideal, and w tensor m in the ideal.
-    """
-    w, m = tuple(w), tuple(m)
-    if ideal.contains(m):
-        raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
-    if ideal.contains(w):
-        raise PreconditionError("w_in_ideal", f"w = {format_word(w)} lies in the ideal")
-    for k in range(1, len(w) + 1):
-        suffix = w[len(w) - k:]
-        if ideal.contains(suffix + m):
-            return suffix
-    raise PreconditionError(
-        "concat_not_in_ideal",
-        f"w tensor m = {format_word(w + m)} does not lie in the ideal",
-    )
 
 
 def annihilator_generators(ideal, m):

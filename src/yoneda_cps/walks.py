@@ -9,7 +9,8 @@ in cohomological degree n+1.
 A walk is admissible when an equivalent anchored walk exists.  That
 partner is unique and is found by a greedy right-to-left parse of the
 word along the graph: each step takes the out-neighbour of the previous
-vertex that ends the unconsumed part of the word.
+vertex that ends the unconsumed part of the word.  The partner chains
+take the same step, so the layer reads the graph and never the ideal.
 
 An anchored walk is decomposable when its class is a product of lower
 ones.  The indecomposable walks of positive length, which with the
@@ -18,7 +19,6 @@ automaton, `WalkAutomaton`: `ext-basis` lists them and the finite
 generation verdict asks whether they are finitely many.
 """
 
-from .monomial import left_min_annihilating_suffix
 from .presentation import Record, WalkCapExceeded, format_word, walk_cap
 
 __all__ = [
@@ -98,6 +98,18 @@ def validate_walk(g, w):
     return vs
 
 
+def _step(g, prev, word, rest):
+    """The out-neighbour of `prev` in `g` that ends word[:rest], or None.
+    `g.out` lists targets by degree, so the scan stops at the first one
+    longer than word[:rest]."""
+    for s in g.out.get(prev, ()):
+        if len(s) > rest:
+            return None
+        if word[rest - len(s):rest] == s:
+            return s
+    return None
+
+
 def greedy_parse(g, word, length, after=None):
     """Right-to-left parse of `word` into a walk of `g` of the given length.
 
@@ -115,8 +127,6 @@ def greedy_parse(g, word, length, after=None):
       annihilates prev, and none is a proper suffix of another;
     - once a suffix lies in the ideal no longer one is normal, so
       neither a scan of the suffixes nor the lookup goes past it.
-    `g.out` lists targets by degree, so the lookup stops at the first
-    one longer than the unread part.
     """
     word = tuple(word)
     rest = len(word)
@@ -127,12 +137,8 @@ def greedy_parse(g, word, length, after=None):
         q = [tuple(after)]
         length += 1
     for _ in range(length):
-        for s in g.out.get(q[-1], ()):
-            if len(s) > rest:
-                return None
-            if word[rest - len(s):rest] == s:
-                break
-        else:
+        s = _step(g, q[-1], word, rest)
+        if s is None:
             return None
         q.append(s)
         rest -= len(s)
@@ -236,36 +242,53 @@ class EventuallyPeriodicWalk(Record):
         }
 
 
-def partner_step(ideal, r, nxt, after):
+def partner_step(g, r, nxt, after):
     """Advance a partner chain, top vertex `r`, past the walk's next two
     vertices `nxt` and `after`.  Returns `(True, r)` on an even-offset
-    rejoin, `(False, None)` when the carried word falls into the ideal,
-    else `(False, r')` with the partner's new top vertex."""
-    s = left_min_annihilating_suffix(ideal, nxt, r)
+    rejoin, `(False, None)` when the chain dies, else `(False, r')` with
+    the partner's new top vertex.
+
+    r is a vertex starting with the walk vertex before nxt, so nxt r
+    lies in the ideal.  The parse's step s, the shortest suffix of nxt
+    annihilating r, is a minimal annihilator of r, so an out-neighbour,
+    and the only one ending nxt: no minimal annihilator is a proper
+    suffix of another.  The chain rejoins when s is nxt.  Else, with
+    nxt = u s, r' = after u has r' s = after nxt in the ideal, and no
+    proper suffix of r' annihilates s: it would be a proper suffix of
+    after followed by u, against the minimality of after over nxt, or a
+    suffix of u, whose product with s is a factor of the normal word
+    nxt.  So r' is normal, and the chain lives, exactly when r' is an
+    out-neighbour of s, again a vertex.
+    """
+    s = _step(g, r, nxt, len(nxt))
+    if s is None:
+        raise AssertionError(f"no out-neighbour of {format_word(r)} "
+                             f"ends {format_word(nxt)}")
     if s == nxt:
         return True, r
     r = after + nxt[:len(nxt) - len(s)]
-    if ideal.contains(r):
-        return False, None
-    return False, r
+    return False, (r if r in g.out[s] else None)
 
 
 def is_dense(g, w, edge_index):
-    """Whether the admissible edge at edge_index has admissible
-    even-length extensions along the walk arbitrarily far.
+    """Whether the admissible edge at edge_index >= 0 of the walk w has
+    admissible even-length extensions along w arbitrarily far.
 
     Tracks the anchored partner of the growing extension: the partner of
-    the edge alone, then two more vertices per step.  The extension is
-    admissible exactly when the partner rejoins the walk at an even
-    offset.  If the carried partner word falls into the ideal, no longer
-    extension of either parity parses (it would have the failed one as
-    an odd prefix); if the partner state repeats at the same point of
-    the cycle without rejoining, it never will.  The edge u -> v alone
-    has partner u[-1:] -> v u[:-1] (`_chain_step` proves it).
+    the edge alone, then two more vertices per `partner_step`.  The
+    extension is admissible exactly when the partner rejoins the walk at
+    an even offset.  If the chain dies, no longer extension of either
+    parity parses (it would have the failed one as an odd prefix); if
+    the partner state repeats at the same point of the cycle without
+    rejoining, it never will.  The edge u -> v alone has partner
+    u[-1:] -> v u[:-1] (`_chain_step` proves it).  Raises ValueError on
+    a negative edge_index, a w that is no walk of g or an inadmissible
+    edge.
     """
-    ideal = g.ideal
+    if edge_index < 0:
+        raise ValueError(f"edge index {edge_index} is negative")
+    validate_walk(g, w.prefix + w.cycle[1:])
     u, v = w.vertex(edge_index), w.vertex(edge_index + 1)
-    validate_walk(g, (u, v))
     if not g.admissible[(u, v)]:
         raise ValueError(
             f"edge {format_word(u)} -> {format_word(v)} is not admissible")
@@ -286,7 +309,7 @@ def is_dense(g, w, edge_index):
         x = w.vertex(pos)
         # partner vertices at odd offsets extend the walk's on the right
         assert len(r) >= len(x) and r[:len(x)] == x, "partner lost the walk"
-        rejoined, r = partner_step(ideal, r, w.vertex(pos + 1), w.vertex(pos + 2))
+        rejoined, r = partner_step(g, r, w.vertex(pos + 1), w.vertex(pos + 2))
         if rejoined:
             return True
         if r is None:
@@ -304,23 +327,23 @@ def _chain_step(g, v, chains, t):
     this edge; a chain alternates, advancing at every second edge.  A
     tail edge is one that does not leave the walk's first vertex, which
     is its only degree-1 vertex since the automaton cuts at every later
-    one.  A chain whose carried word falls into the ideal is dropped: no
-    suffix from its edge parses again.  This is the automaton's one step
-    function.
+    one.  A chain that dies is dropped: its carried word lies in the
+    ideal, so no suffix from its edge parses again.  This is the
+    automaton's one step function.
 
-    The chain of an admissible edge v -> t starts at r = t v[:-1], the
-    closed form of the greedy parse of its word t v: that word is a
-    relation, and relations are minimal, so no proper factor of t v lies
-    in the ideal.  Hence no proper suffix s of t v[:-1] has s v[-1:] in
-    the ideal, and the shortest normal suffix of t v[:-1] that
-    annihilates v[-1:] is all of it.
+    A chain's top vertex is always a vertex.  The chain of an admissible
+    edge v -> t starts at r = t v[:-1], the closed form of the greedy
+    parse of its word t v, an out-neighbour of v[-1:]: t v is a relation,
+    and relations are minimal, so no proper factor of t v lies in the
+    ideal, and no proper suffix of t v[:-1] annihilates v[-1:].  Then
+    `partner_step` keeps r a vertex.
     """
     advanced = []
     for steps, r in chains:
         if not steps:
             advanced.append((True, r))
             continue
-        rejoined, r = partner_step(g.ideal, r, v, t)
+        rejoined, r = partner_step(g, r, v, t)
         if rejoined:
             return None
         if r is not None:
@@ -356,24 +379,22 @@ class WalkAutomaton:
     Acceptance depends only on the state.  Take a kept walk v_0 .. v_n
     and a tail edge v_j -> v_(j+1), j >= 1.  If the edge is not
     admissible, no suffix walk from it parses.  If it is, its chain
-    follows the greedy parse of the suffix walks from it.  At an odd
-    offset the partner vertex is r = v_(k+1) u, where v_k = u s and s is
-    the previous partner vertex; r is the whole word the parse has left
-    there, because r s = v_(k+1) v_k lies in the ideal and no proper
-    suffix of r annihilates s: such a suffix is either a proper suffix
-    of v_(k+1) followed by u, against the minimality of v_(k+1) over
-    v_k, or a suffix of u, whose product with s is a factor of the
-    normal word v_k.  Hence, with v = v_n:
+    follows the greedy parse of the suffix walks from it: at an odd
+    offset the partner vertex r is the parse's step over v_(k+1) from
+    the previous partner vertex, with the rest of v_(k+1) carried along,
+    and `partner_step` proves it is the whole word the parse has left
+    there.  Hence, with v = v_n:
     - a dropped chain: its word r lies in the ideal, so no suffix from
       its edge that reaches v_(k+1) parses;
     - a live chain that started or stepped at the last edge (steps
       False): the suffix ending at v parses, with last partner vertex r;
-    - a live chain that did not (steps True): the suffix ending at v
-      parses exactly when the shortest suffix of v annihilating r is v
-      itself, the rejoin that `partner_step` reports at the next edge.
+    - a live chain that did not (steps True): r starts with v_(n-1), so
+      v r lies in the ideal, and the suffix ending at v parses exactly
+      when the parse's step from r over v is v itself, that is when v
+      is an out-neighbour of r: the rejoin that `partner_step` reports
+      at the next edge.
     So the walk is indecomposable exactly when it has an edge and every
-    live chain has steps True and no rejoin pending at v, that is
-    `left_min_annihilating_suffix(ideal, v, r) != v`: a condition on v
+    live chain has steps True and v not in g.out[r]: a condition on v
     and the live chains alone, which the automaton reads off each
     state.  The suite checks it too: acceptance agrees with
     `is_decomposable` on each state's first walk, and accepted paths
@@ -408,9 +429,8 @@ class WalkAutomaton:
                 row.append(i)
             self.succ.append(tuple(row))
         self.accepting = [
-            len(v) > 1 and all(
-                steps and left_min_annihilating_suffix(g.ideal, v, r) != v
-                for steps, r in chains)
+            len(v) > 1 and all(steps and v not in g.out[r]
+                               for steps, r in chains)
             for v, chains in self.states]
         self.starts = range(len(g.g0))
         self.pred = [[] for _ in self.states]  # per state: its sources

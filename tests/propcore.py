@@ -15,15 +15,16 @@ from yoneda_cps.decide import (FgVerdict, check_tail_conditions,
                                global_dimension)
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import build_marked_graph, graph_params
-from yoneda_cps.monomial import MonomialIdeal, annihilator_generators
-from yoneda_cps.presentation import make_presentation, walk_cap
+from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
+                                 annihilator_generators)
+from yoneda_cps.presentation import format_word, make_presentation, walk_cap
 from yoneda_cps.ratfun import RationalFunction
 from yoneda_cps.walks import (_NO_CHAINS, AnchoredWalk,
-                              EventuallyPeriodicWalk, WalkCapExceeded,
-                              _chain_step, canonical_anchored,
-                              enumerate_anchored, greedy_parse,
-                              is_decomposable, is_dense, partner_step,
-                              word_of)
+                              EventuallyPeriodicWalk, WalkAutomaton,
+                              WalkCapExceeded, _chain_step,
+                              canonical_anchored, enumerate_anchored,
+                              greedy_parse, is_decomposable, is_dense,
+                              partner_step, word_of)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -316,6 +317,68 @@ def reference_greedy_parse(ideal, word, length, after=None):
     return tuple(q) if after is None else tuple(q[1:])
 
 
+def min_annihilating_suffix(ideal, w, m):
+    """The shortest suffix w' of w with w' m in the ideal, by one
+    membership query per suffix length: the former
+    `left_min_annihilating_suffix`.  Preconditions, each reported by
+    name when violated: m not in the ideal, w not in the ideal, and
+    w m in the ideal."""
+    w, m = tuple(w), tuple(m)
+    if ideal.contains(m):
+        raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
+    if ideal.contains(w):
+        raise PreconditionError("w_in_ideal", f"w = {format_word(w)} lies in the ideal")
+    for k in range(1, len(w) + 1):
+        suffix = w[len(w) - k:]
+        if ideal.contains(suffix + m):
+            return suffix
+    raise PreconditionError(
+        "concat_not_in_ideal",
+        f"w m = {format_word(w + m)} does not lie in the ideal")
+
+
+def reference_partner_step(ideal, r, nxt, after):
+    """Reference route for `partner_step`: the former one, which reads
+    the ideal and not the graph.  The step over nxt is its shortest
+    suffix annihilating r, and the chain dies when its carried word
+    lies in the ideal."""
+    s = min_annihilating_suffix(ideal, nxt, r)
+    if s == nxt:
+        return True, r
+    r = after + nxt[:len(nxt) - len(s)]
+    if ideal.contains(r):
+        return False, None
+    return False, r
+
+
+def partner_mismatches(g, cap=None):
+    """Where the graph steps of the walk automaton differ from the
+    suffix scans over the ideal: for every state (v, chains), every
+    live chain (True, r) and every out-edge v -> t, `partner_step`
+    against `reference_partner_step`, and the state's acceptance
+    against the test `min_annihilating_suffix(ideal, v, r) != v`.
+    Returns (steps compared, mismatches), each mismatch a tuple whose
+    first entry names its kind."""
+    automaton = WalkAutomaton(g, cap)
+    compared, misses = 0, []
+    for state, (v, chains) in enumerate(automaton.states):
+        for steps, r in chains:
+            if not steps:
+                continue
+            for t in g.out[v]:
+                compared += 1
+                got = partner_step(g, r, v, t)
+                expect = reference_partner_step(g.ideal, r, v, t)
+                if got != expect:
+                    misses.append(("step", r, v, t, got, expect))
+        accepts = len(v) > 1 and all(
+            steps and min_annihilating_suffix(g.ideal, v, r) != v
+            for steps, r in chains)
+        if accepts != automaton.accepting[state]:
+            misses.append(("acceptance", v, chains))
+    return compared, misses
+
+
 def closed_form_misses(g):
     """The admissible edges v -> t whose greedy parse is not the closed
     form (v[-1:], t v[:-1]) that `walks` starts each partner chain from."""
@@ -501,8 +564,8 @@ def reference_search_indecomposable(g, targets, cap):
             for pj, ell, r in new_chains:
                 while pj + ell + 2 <= len(walk) - 1:
                     # pruned on an even-offset rejoin
-                    pruned, r = partner_step(ideal, r, walk[pj + ell + 1],
-                                             walk[pj + ell + 2])
+                    pruned, r = reference_partner_step(
+                        ideal, r, walk[pj + ell + 1], walk[pj + ell + 2])
                     if pruned or r is None:
                         break
                     ell += 2

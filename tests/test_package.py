@@ -44,8 +44,7 @@ def test_public_api_is_pinned():
         "cross_validate", "enumerate_anchored", "export_dot", "export_json",
         "ext_class", "finitely_generated", "generators_up_to",
         "gk_dimension", "global_dimension", "graph_params", "hilbert_series",
-        "is_decomposable", "is_dense",
-        "left_min_annihilating_suffix", "make_presentation",
+        "is_decomposable", "is_dense", "make_presentation",
         "minimal_resolution", "noetherian",
         "parse_presentation", "poincare_table", "report_to_json",
         "serialize_presentation", "word_of",

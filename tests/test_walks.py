@@ -3,10 +3,13 @@ import random
 import pytest
 
 from conftest import ALL, W, graph
-from propcore import (check_equivalence_invariants, closed_form_misses,
-                      list_walks, parse_cases, parse_mismatches,
+from propcore import (census, check_equivalence_invariants,
+                      closed_form_misses, list_walks, parse_cases,
+                      parse_mismatches, partner_mismatches,
                       random_presentation)
-from yoneda_cps.graph import build_marked_graph
+from yoneda_cps.decide import finitely_generated
+from yoneda_cps.ext import generators_up_to, yoneda_mul
+from yoneda_cps.graph import CpsGraph, build_marked_graph
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.presentation import make_presentation
 from yoneda_cps.walks import (AnchoredWalk, EventuallyPeriodicWalk,
@@ -105,6 +108,46 @@ def test_greedy_parse_matches_the_ideal_scan():
         compared += len(cases)
         parsed += sum(greedy_parse(g, *case) is not None for case in cases)
     assert compared > 300000 and parsed > 45000
+
+
+class _Tripwire:
+    """Stands in for the ideal: any attribute read fails."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"the walk layer read ideal.{name}")
+
+
+def test_the_walk_layer_reads_no_ideal():
+    """With the graph's ideal swapped for a tripwire, finite generation,
+    the generators up to degree 5, products of generators and
+    decomposability run on the graph alone."""
+    products = 0
+    for g in sample_graphs():
+        g = CpsGraph(_Tripwire(),
+                     *(getattr(g, field) for field in CpsGraph._fields[1:]))
+        finitely_generated(g)
+        classes = generators_up_to(g, 5)
+        for w in classes[len(g.g0):]:
+            assert not is_decomposable(g, w.walk)
+        for p in classes[:4]:
+            for q in classes[-4:]:
+                products += yoneda_mul(g, p, q) is not None
+    assert products > 1000
+
+
+def test_partner_steps_match_the_ideal_scan():
+    """The graph steps of the partner chains, and acceptance as an edge
+    test, against the suffix scans over the ideal of
+    `propcore.reference_partner_step`: on every state of the walk
+    automaton, for the sample graphs and the census part x,y:2-3:3."""
+    graphs = sample_graphs() + [build_marked_graph(p)
+                                for p in census(["x", "y"], 2, 3, 3)]
+    compared = 0
+    for g in graphs:
+        steps, misses = partner_mismatches(g)
+        assert misses == [], misses[:3]
+        compared += steps
+    assert compared > 300
 
 
 def test_edge_partners_have_a_closed_form():
@@ -295,6 +338,15 @@ def test_density_rejects_bad_edges():
         is_dense(g, w, 2)
     with pytest.raises(ValueError, match="not an edge"):
         is_dense(g, EventuallyPeriodicWalk(W("c", "c"), W("c", "c")), 0)
+    # a later step off the graph is bad input, not a broken invariant
+    with pytest.raises(ValueError, match="^cd -> cd is not an edge$"):
+        is_dense(g, EventuallyPeriodicWalk(W("c", "ab"),
+                                           W("ab", "cd", "cd", "ab")), 1)
+    # vertex(-k) reads the prefix from its end, an edge the walk lacks
+    periodic = EventuallyPeriodicWalk(W("c", "ab"), W("ab", "cd", "ab"))
+    for index in (-1, -2, -5):
+        with pytest.raises(ValueError, match="negative"):
+            is_dense(graph("abc_cdab_bcda"), periodic, index)
 
 
 def test_density_partner_death_returns_false():
