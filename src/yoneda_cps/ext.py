@@ -141,8 +141,7 @@ def poincare_table(g, max_i, cap=None):
 def _walk_counts(g, length):
     """The first `length` coefficients of 1 + sum_k w_k y^(k+1), where
     w_k counts the walks of k edges that start at a generator."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    succ = [[index[t] for t in g.out[v]] for v in g.vertices]
+    succ = g.succ
     counts = [int(len(v) == 1) for v in g.vertices]    # the generators
     h = [1]
     while len(h) < length and any(counts):

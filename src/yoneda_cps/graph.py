@@ -42,6 +42,14 @@ class CpsGraph(Record):
         """The graph's CircuitSummary, computed once on first use."""
         return circuits_and_sccs(self)
 
+    @cached_property
+    def succ(self):
+        """succ[i] lists the positions in `vertices` of the out-neighbours
+        of vertices[i], in `out` order: the one integer adjacency of the
+        graph's passes.  Positions follow the vertex order, so the
+        generators sit at 0 ... len(g0) - 1."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return tuple([index[t] for t in self.out[v]] for v in self.vertices)
 
 
 def build_marked_graph(ideal):
@@ -109,7 +117,8 @@ def graph_params(g):
       and paths that reach one state merge, keeping the most edges.
       rel[t] is inside rel[v] for a plain edge v -> t, so the next state
       is (t, (mask | {t}) & rel[t]).  A state with k edges and an
-      admissible edge off its mask ends a path of k + 1 edges.
+      admissible edge off its mask ends a path of k + 1 edges; only
+      vertices with an admissible out-edge are tested.
     - Each edge s -> t out of a generator, t != s, starts the state
       (t, {s, t} & rel[t]) with 1 edge, and is itself a path of 1 edge
       when admissible.
@@ -120,19 +129,27 @@ def graph_params(g):
       adds one member to the mask; a state can recur one layer later
       only when a path's first vertex lies in the component, and is then
       stepped again, which costs time but not exactness.
+
+    The states are kept as one table per vertex, mask -> most edges, so
+    a plain edge v -> t steps v's whole table at once.  Two paths that
+    reach one state merge into it, so a collision keeps the larger
+    count: the state's continuations are the same, and the longer path
+    gives the longer extensions.
     """
     e_count = len(g.edges)
     m = max(Counter(g.edge_word.values()).values(), default=1)
 
-    index = {v: i for i, v in enumerate(g.vertices)}
-    plain = [[] for _ in g.vertices]
-    adm = [0] * len(g.vertices)
-    for (s, t), is_adm in g.admissible.items():
-        if is_adm:
-            adm[index[s]] |= 1 << index[t]
-        else:
-            plain[index[s]].append(index[t])
-    comps = _sccs(range(len(plain)), plain)
+    succ, vertices = g.succ, g.vertices
+    plain = [[] for _ in succ]
+    adm = [0] * len(succ)
+    for s, ts in enumerate(succ):
+        v = vertices[s]
+        for t in ts:
+            if g.admissible[v, vertices[t]]:
+                adm[s] |= 1 << t
+            else:
+                plain[s].append(t)
+    comps = _sccs(plain)
     comp_of, rel = [0] * len(plain), [0] * len(plain)
     for c, comp in enumerate(comps):
         reach = 0
@@ -145,40 +162,52 @@ def graph_params(g):
             rel[v] = reach
     # Plain steps as (t, 1 << t), inside v's component or out of it.
     # Inside, rel[t] = rel[v] already holds the mask, so the step is
-    # (t, mask | 1 << t).
+    # mask | 1 << t.
     inside = [[(t, 1 << t) for t in ts if comp_of[t] == comp_of[v]]
               for v, ts in enumerate(plain)]
     leave = [[(t, 1 << t) for t in ts if comp_of[t] != comp_of[v]]
              for v, ts in enumerate(plain)]
 
     best = 0
-    entry = [{} for _ in comps]
-    for s in g.g0:
-        i = index[s]
-        for t in g.out[s]:
-            j = index[t]
+    entry = [{} for _ in succ]
+    for i in range(len(g.g0)):    # the generators come first
+        for j in succ[i]:
             if j != i:
                 if adm[i] >> j & 1:
                     best = 1
-                entry[comp_of[j]][(j, (1 << i | 1 << j) & rel[j])] = 1
-    for c in reversed(range(len(comps))):
-        layer, entry[c] = entry[c], None
+                entry[j][(1 << i | 1 << j) & rel[j]] = 1
+    for comp in reversed(comps):
+        layer = {}
+        for v in comp:
+            if entry[v]:
+                layer[v] = entry[v]
+            entry[v] = None
         while layer:
             step = {}
-            for (v, mask), k in layer.items():
-                k1 = k + 1
-                if k1 > best and adm[v] & ~mask:
-                    best = k1
+            for v, masks in layer.items():
+                exits = adm[v]
+                if exits:
+                    for mask, k in masks.items():
+                        if k >= best and exits & ~mask:
+                            best = k + 1
                 for t, bit in inside[v]:
-                    if not mask & bit:
-                        state = (t, mask | bit)
-                        if step.get(state, 0) < k1:
-                            step[state] = k1
+                    new = {mask | bit: k + 1
+                           for mask, k in masks.items() if not mask & bit}
+                    into = step.get(t)
+                    if into is None:
+                        if new:
+                            step[t] = new
+                    else:
+                        for mask, k in new.items():
+                            if into.get(mask, 0) < k:
+                                into[mask] = k
                 for t, bit in leave[v]:
-                    if not mask & bit:
-                        state = (t, (mask | bit) & rel[t])
-                        if entry[comp_of[t]].get(state, 0) < k1:
-                            entry[comp_of[t]][state] = k1
+                    into, cut = entry[t], rel[t]
+                    for mask, k in masks.items():
+                        if not mask & bit:
+                            mask = (mask | bit) & cut
+                            if into.get(mask, 0) <= k:
+                                into[mask] = k + 1
             layer = step
 
     l_defaulted = best == 0
@@ -204,67 +233,75 @@ class CircuitSummary(Record):
         return bool(self.cyclic)
 
 
-def _sccs(vertices, out):
-    """Strongly connected components, sinks first (Kosaraju).
+def _sccs(succ):
+    """Strongly connected components of the digraph on the positions
+    0 ... len(succ) - 1 with out-neighbour lists succ, sinks first
+    (Kosaraju).
 
     Pass 1 lists the vertices in depth-first finish order.  Pass 2
     sweeps the reversed edges from each unswept vertex, latest finish
     first; the sweeps find the components sources first, hence the
     final reversal.
     """
-    finished, seen = [], set()
-    for root in vertices:
-        if root in seen:
+    n = len(succ)
+    finished, seen = [], [False] * n
+    for root in range(n):
+        if seen[root]:
             continue
-        seen.add(root)
-        stack = [(root, iter(out[root]))]
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
         while stack:
             v, succs = stack[-1]
             for t in succs:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, iter(out[t])))
+                if not seen[t]:
+                    seen[t] = True
+                    stack.append((t, iter(succ[t])))
                     break
             else:
                 stack.pop()
                 finished.append(v)
-    back = {v: [] for v in vertices}
-    for v in vertices:
-        for t in out[v]:
+    back = [[] for _ in range(n)]
+    for v, ts in enumerate(succ):
+        for t in ts:
             back[t].append(v)
-    sccs, assigned = [], set()
+    sccs, assigned = [], [False] * n
     for root in reversed(finished):
-        if root in assigned:
+        if assigned[root]:
             continue
-        assigned.add(root)
+        assigned[root] = True
         comp, todo = [], [root]
         while todo:
             v = todo.pop()
             comp.append(v)
             for s in back[v]:
-                if s not in assigned:
-                    assigned.add(s)
+                if not assigned[s]:
+                    assigned[s] = True
                     todo.append(s)
-        sccs.append(tuple(comp))
+        sccs.append(comp)
     return sccs[::-1]
 
 
 def circuits_and_sccs(g):
     """SCC partition, plus circuit enumeration when it is safe.
 
-    shared_vertex is true when some cyclic component is not a simple
-    cycle; two distinct circuits then meet at a vertex and the circuit
-    count may be exponential, so enumeration is refused (flagged, not
-    raised).  `_sccs` lists each component after every component it
+    The pass runs over positions in `g.vertices` (`g.succ`), which follow
+    the vertex order, so sorting positions sorts vertices; the words are
+    put back only in the summary.  shared_vertex is true when some cyclic
+    component is not a simple cycle; two distinct circuits then meet at
+    a vertex and the circuit count may be exponential, so enumeration is
+    refused (flagged, not raised).  A cyclic component is a simple cycle
+    exactly when each member has one out-neighbour inside it: the members
+    then carry as many inner edges as there are members, and each has an
+    inner in-edge, the component being strongly connected, so each has
+    exactly one.  `_sccs` lists each component after every component it
     reaches, which gives `sccs` its sinks-first order.
     """
-    key = g.ideal.sort_key
-    sccs = tuple(tuple(sorted(c, key=key)) for c in _sccs(g.vertices, g.out))
-    cyclic = tuple(sorted((c for c in sccs if len(c) > 1 or c[0] in g.out[c[0]]),
-                          key=lambda c: (len(c), key(c[0]))))
+    succ, vertices = g.succ, g.vertices
+    sccs = [sorted(c) for c in _sccs(succ)]
+    cyclic = sorted((c for c in sccs if len(c) > 1 or c[0] in succ[c[0]]),
+                    key=lambda c: (len(c), c[0]))
 
-    shared = any(sum(1 for t in g.out[v] if t in members) != 1
-                 or sum(1 for s in g.inc[v] if s in members) != 1
+    shared = any(sum(1 for t in succ[v] if t in members) != 1
                  for members in map(set, cyclic) for v in members)
 
     circuits = []
@@ -273,11 +310,15 @@ def circuits_and_sccs(g):
             members = set(comp)
             cyc = [comp[0]]
             while True:
-                cyc.append(next(t for t in g.out[cyc[-1]] if t in members))
+                cyc.append(next(t for t in succ[cyc[-1]] if t in members))
                 if cyc[-1] == comp[0]:
                     break
-            circuits.append(tuple(cyc))
-    return CircuitSummary(sccs, cyclic, tuple(circuits), shared)
+            circuits.append(cyc)
+
+    def words(groups):
+        return tuple(tuple(vertices[i] for i in c) for c in groups)
+
+    return CircuitSummary(words(sccs), words(cyclic), words(circuits), shared)
 
 
 def export_dot(g):

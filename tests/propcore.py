@@ -14,7 +14,8 @@ from math import gcd
 from yoneda_cps.decide import (FgVerdict, check_tail_conditions,
                                global_dimension)
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
-from yoneda_cps.graph import build_marked_graph, graph_params
+from yoneda_cps.graph import (CircuitSummary, CpsGraph, build_marked_graph,
+                              graph_params)
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
                                  annihilator_generators)
 from yoneda_cps.presentation import format_word, make_presentation, walk_cap
@@ -41,6 +42,39 @@ def random_presentation(rng, max_gens=3, max_relations=4, max_degree=4):
         deg = rng.randint(2, max_degree)
         rels.append(tuple(rng.choice(names) for _ in range(deg)))
     return make_presentation(names, rels)
+
+
+def marked_graph(n_gens, n, triples):
+    """A CpsGraph with no ideal on the marked digraph with vertices
+    0 ... n - 1, of which 0 ... n_gens - 1 are the generators, and one
+    edge per (source, target, admissible) triple.  The generators are
+    the words a, b, c and the other vertices the words a^2, a^3, ..., so
+    the vertex order puts the generators first, as a built graph does."""
+    vertices = tuple([(c,) for c in "abc"[:n_gens]]
+                     + [("a",) * d for d in range(2, n - n_gens + 2)])
+    out = {v: [] for v in vertices}
+    admissible = {}
+    for s, t, adm in sorted(triples):
+        out[vertices[s]].append(vertices[t])
+        admissible[vertices[s], vertices[t]] = adm
+    edges = tuple(admissible)
+    inc = {v: tuple(s for s, t in edges if t == v) for v in vertices}
+    return CpsGraph(None, vertices, vertices[:n_gens], edges, admissible,
+                    {(s, t): t + s for s, t in edges},
+                    {v: tuple(ts) for v, ts in out.items()}, inc)
+
+
+def random_marked_graph(rng):
+    """`marked_graph` on an arbitrary marked digraph: 1 to 3 generators,
+    3 to 12 vertices in all, each ordered pair (self-loops too) an edge
+    with one random density per graph, and each edge admissible with one
+    random rate per graph, at most one half, so that the non-admissible
+    components where paths merge are large."""
+    n_gens, n = rng.randint(1, 3), rng.randint(3, 12)
+    density, rate = rng.uniform(0.1, 0.45), rng.uniform(0, 0.5)
+    return marked_graph(n_gens, n, [(s, t, rng.random() < rate)
+                                    for s in range(n) for t in range(n)
+                                    if rng.random() < density])
 
 
 def census(letters, min_degree, max_degree, k):
@@ -260,6 +294,73 @@ def reference_sccs(g):
                     queue.append(t)
         reach[v] = seen
     return {frozenset(u for u in reach[v] if v in reach[u]) for v in g.vertices}
+
+
+def _tuple_sccs(vertices, out):
+    """Kosaraju over vertex tuples, sinks first: the former `graph._sccs`,
+    kept for `reference_circuit_summary`."""
+    finished, seen = [], set()
+    for root in vertices:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, succs = stack[-1]
+            for t in succs:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append((t, iter(out[t])))
+                    break
+            else:
+                stack.pop()
+                finished.append(v)
+    back = {v: [] for v in vertices}
+    for v in vertices:
+        for t in out[v]:
+            back[t].append(v)
+    sccs, assigned = [], set()
+    for root in reversed(finished):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        comp, todo = [], [root]
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for s in back[v]:
+                if s not in assigned:
+                    assigned.add(s)
+                    todo.append(s)
+        sccs.append(tuple(comp))
+    return sccs[::-1]
+
+
+def reference_circuit_summary(g):
+    """Reference route for `g.cycles`: the former `circuits_and_sccs`,
+    which runs over vertex tuples, sorts by `sort_key` and tests for a
+    shared vertex with both in- and out-degrees inside each component."""
+    key = g.ideal.sort_key
+    sccs = tuple(tuple(sorted(c, key=key))
+                 for c in _tuple_sccs(g.vertices, g.out))
+    cyclic = tuple(sorted((c for c in sccs if len(c) > 1 or c[0] in g.out[c[0]]),
+                          key=lambda c: (len(c), key(c[0]))))
+
+    shared = any(sum(1 for t in g.out[v] if t in members) != 1
+                 or sum(1 for s in g.inc[v] if s in members) != 1
+                 for members in map(set, cyclic) for v in members)
+
+    circuits = []
+    if not shared:
+        for comp in cyclic:
+            members = set(comp)
+            cyc = [comp[0]]
+            while True:
+                cyc.append(next(t for t in g.out[cyc[-1]] if t in members))
+                if cyc[-1] == comp[0]:
+                    break
+            circuits.append(tuple(cyc))
+    return CircuitSummary(sccs, cyclic, tuple(circuits), shared)
 
 
 def reference_periodic_witness(g, q):

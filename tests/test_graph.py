@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ALL, graph, load
-from propcore import (random_presentation, reference_leading_path,
-                      reference_sccs)
-from yoneda_cps.graph import (build_marked_graph, circuits_and_sccs,
-                              export_dot, export_json, graph_params)
+from conftest import ALL, graph, load, sample_graphs
+from propcore import (census, marked_graph, random_marked_graph,
+                      random_presentation, reference_circuit_summary,
+                      reference_leading_path, reference_sccs)
+from yoneda_cps.graph import (CircuitSummary, build_marked_graph,
+                              circuits_and_sccs, export_dot, export_json,
+                              graph_params)
 from yoneda_cps.monomial import annihilator_generators
 
 
@@ -154,6 +156,32 @@ def test_graph_params_matches_reference_search_on_dense_draws():
             reference_leading_path(g), g.ideal.relations
 
 
+def test_graph_params_matches_reference_search_on_marked_graphs():
+    """The L search on arbitrary marked digraphs, with no ideal behind
+    them: non-admissible edges out of generators, admissible edges
+    anywhere, and non-admissible components where many paths merge."""
+    rng = random.Random(1)
+    for _ in range(3000):
+        g = random_marked_graph(rng)
+        p = graph_params(g)
+        assert (p.max_leading_path, p.l_defaulted) == \
+            reference_leading_path(g), g.admissible
+
+
+def test_l_search_keeps_the_longer_count_when_states_merge():
+    """The smallest marked graph found where overwriting a merged state
+    inside a component, instead of keeping the larger count, loses L.
+    The paths a -> 2 -> 4 -> 5 -> 1 and a -> 5 -> 4 -> 1 enter the
+    non-admissible component {1, 4, 5} at 4 and at 5, and meet in one
+    layer at vertex 1 with {1, 4, 5} visited, after 4 and 3 edges; the
+    admissible edge 1 -> 3 ends the longer one as L = 5."""
+    g = marked_graph(1, 6, [(0, 2, False), (0, 5, False), (1, 3, True),
+                            (1, 4, False), (2, 4, False), (4, 1, False),
+                            (4, 5, False), (5, 1, False), (5, 4, False)])
+    assert reference_leading_path(g) == (5, False)
+    assert graph_params(g).max_leading_path == 5
+
+
 # Builds the 1,100-generator chain of tests/test_cli.py::
 # test_deep_input_answers in a child process that caps its own address
 # space, and prints the L of graph_params.
@@ -215,6 +243,26 @@ def test_sccs_are_the_mutual_reachability_classes():
     for g in [graph(name) for name in ALL] + draws:
         assert set(map(frozenset, g.cycles.sccs)) == reference_sccs(g), \
             g.ideal.relations
+
+
+def test_succ_lists_out_neighbour_positions():
+    for g in sample_graphs():
+        assert [[g.vertices[i] for i in ts] for ts in g.succ] == \
+            [list(g.out[v]) for v in g.vertices]
+        assert g.vertices[:len(g.g0)] == g.g0
+
+
+def test_cycles_match_the_vertex_tuple_route():
+    """The position pass of `circuits_and_sccs` against the former pass
+    over vertex tuples, field by field: the SCCs and their order, the
+    order of the cyclic ones, the circuits and the shared-vertex flag."""
+    graphs = sample_graphs() + [build_marked_graph(p)
+                                for p in census(["x", "y"], 2, 3, 3)]
+    for g in graphs:
+        got, want = g.cycles, reference_circuit_summary(g)
+        for field in CircuitSummary._fields:
+            assert getattr(got, field) == getattr(want, field), \
+                (field, g.ideal.relations)
 
 
 def test_loop_is_a_circuit():

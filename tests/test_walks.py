@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from conftest import ALL, W, graph
+from conftest import W, graph, sample_graphs
 from propcore import (census, check_equivalence_invariants,
                       closed_form_misses, list_walks, parse_cases,
-                      parse_mismatches, partner_mismatches,
-                      random_presentation)
+                      parse_mismatches, partner_mismatches)
 from yoneda_cps.decide import finitely_generated
 from yoneda_cps.ext import generators_up_to, yoneda_mul
 from yoneda_cps.graph import CpsGraph, build_marked_graph
@@ -78,17 +77,6 @@ def test_greedy_parse_after_a_vertex():
     assert greedy_parse(g, "cda", 0, after=("b",)) == W("cda")
     # no suffix of cdab annihilates a
     assert greedy_parse(g, "cdab", 0, after=("a",)) is None
-
-
-def sample_graphs():
-    """The fixtures, 600 draws of Random(7) and 400 of Random(9) at
-    4/6/5."""
-    graphs = [graph(name) for name in ALL]
-    for seed, draws, sizes in ((7, 600, (3, 4, 4)), (9, 400, (4, 6, 5))):
-        rng = random.Random(seed)
-        graphs += [build_marked_graph(random_presentation(rng, *sizes))
-                   for _ in range(draws)]
-    return graphs
 
 
 def test_greedy_parse_matches_the_ideal_scan():
