@@ -49,10 +49,14 @@ Hunts:
              the suffix scan over the ideal on the walks of up to 3
              edges from every vertex; exits 1 if there is one
   series-check
-             presentations on which the Hilbert series or the L search
-             disagrees with its reference route of tests/propcore.py:
-             the bordered determinants of Cramer's rule, or the search
-             over whole paths; exits 1 if there is one
+             presentations on which a graph pass disagrees with its
+             reference route of tests/propcore.py: the Hilbert series
+             with the bordered determinants of Cramer's rule, the L
+             search with the search over whole paths, the SCC summary
+             with the pass over vertex tuples, the noetherian verdict on
+             either side with the sort by `sort_key` over in-lists, or
+             the circuit that global dimension names with the one the
+             reference traces; exits 1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -78,9 +82,10 @@ from propcore import (bordered_hilbert_series, census,
                       parse_cases, parse_mismatches, partner_mismatches,
                       product_mismatches,
                       random_presentation,
+                      reference_circuit_summary,
                       reference_finitely_generated, reference_generators,
-                      reference_leading_path)
-from yoneda_cps.decide import analyze
+                      reference_leading_path, reference_noetherian)
+from yoneda_cps.decide import analyze, global_dimension, noetherian
 from yoneda_cps.ext import generators_up_to, hilbert_series
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
@@ -185,7 +190,8 @@ def oracle_disagreement(ideal, checked):
 
 
 def series_disagreement(g):
-    """Which of the Hilbert series and L differs from its reference
+    """Which of the Hilbert series, L, the SCC summary, the noetherian
+    verdicts and the global dimension circuit differs from its reference
     route, or None.  A series that trips its own invariant counts."""
     try:
         series = hilbert_series(g)
@@ -196,6 +202,15 @@ def series_disagreement(g):
     p = graph_params(g)
     if (p.max_leading_path, p.l_defaulted) != reference_leading_path(g):
         return "L against the search over whole paths"
+    summary, circuits = reference_circuit_summary(g)
+    if g.cycles != summary:
+        return "the SCC summary against the pass over vertex tuples"
+    for side in ("left", "right"):
+        if noetherian(g, side) != reference_noetherian(g, side):
+            return f"the {side} noetherian verdict against the sorted scan"
+    if summary.has_cycle and global_dimension(g).witness != \
+            (circuits[0] if circuits else None):
+        return "the global dimension circuit against the traced one"
     return None
 
 

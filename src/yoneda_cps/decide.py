@@ -17,6 +17,7 @@ admissible.
 """
 
 import math
+from collections import Counter
 
 from .graph import build_marked_graph, graph_params
 from .presentation import Record, format_word
@@ -67,10 +68,19 @@ class GlobalDimensionResult(Record):
 
 
 def global_dimension(g):
+    """Infinite on a cyclic graph, witnessed by the circuit of `cyclic[0]`
+    from its least vertex, or by None when two circuits share a vertex;
+    else n+1, witnessed by a longest anchored walk, of length n."""
     summary = g.cycles
     if summary.has_cycle:
-        witness = summary.circuits[0] if summary.circuits else None
-        return GlobalDimensionResult(INFINITY, witness)
+        if summary.shared_vertex:
+            return GlobalDimensionResult(INFINITY, None)
+        comp = summary.cyclic[0]
+        members = set(comp)
+        circuit = [comp[0]]
+        for _ in comp:    # a simple cycle has one edge per member
+            circuit.append(next(t for t in g.out[circuit[-1]] if t in members))
+        return GlobalDimensionResult(INFINITY, tuple(circuit))
     # Acyclic, so every SCC is one vertex; sinks come first, so every
     # successor's depth is known before its source's.
     depth, succ = {}, {}
@@ -208,18 +218,20 @@ class NoetherianVerdict(Record):
 def noetherian(g, side):
     """Chain condition on one side: every circuit vertex must continue
     uniquely (out-edges for left, in-edges for right) and every circuit
-    edge must be admissible.  The degree test runs first; once it holds,
-    the cycle components are simple cycles and their edges enumerable.
+    edge must be admissible.  The degree test runs first, in the vertex
+    order, which names the witness; once it holds, the cycle components
+    are simple cycles and their edges enumerable.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     summary = g.cycles
-    circuit_vertices = [v for comp in summary.cyclic for v in comp]
-    if not circuit_vertices:
+    on_circuit = {v for comp in summary.cyclic for v in comp}
+    if not on_circuit:
         return NoetherianVerdict(side, True, "acyclic_graph")
-    adj = g.out if side == "left" else g.inc
-    for v in sorted(circuit_vertices, key=g.ideal.sort_key):
-        if len(adj[v]) != 1:
+    degree = ({v: len(ts) for v, ts in g.out.items()} if side == "left"
+              else Counter(t for _, t in g.edges))
+    for v in g.vertices:
+        if v in on_circuit and degree[v] != 1:
             return NoetherianVerdict(side, False, "circuit_vertex_with_branching",
                                      witness_vertex=v)
     assert not summary.shared_vertex, \

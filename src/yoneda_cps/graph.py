@@ -31,11 +31,9 @@ class CpsGraph(Record):
     ideal: MonomialIdeal
     vertices: tuple    # letter tuples, sorted by (degree, index sequence)
     g0: tuple          # the degree-1 vertices, always the whole alphabet
-    edges: tuple       # (source, target) pairs, sorted
-    admissible: dict   # edge -> bool: the edge word is a relation
-    edge_word: dict    # edge -> target + source letters
+    edges: tuple       # (source, target) pairs, sorted; edge word t + s
+    admissible: dict   # each edge (s, t) -> whether t + s is a relation
     out: dict          # vertex -> tuple of successors, sorted
-    inc: dict          # vertex -> tuple of predecessors, sorted
 
     @cached_property
     def cycles(self):
@@ -80,13 +78,8 @@ def build_marked_graph(ideal):
     vertices = tuple(sorted(out, key=ideal.sort_key))
     out = {v: out[v] for v in vertices}
     edges = tuple((s, t) for s in vertices for t in out[s])
-    edge_word = {(s, t): t + s for s, t in edges}
-    admissible = {e: w in relations for e, w in edge_word.items()}
-    inc = {v: [] for v in vertices}
-    for s, t in edges:
-        inc[t].append(s)
-    inc = {v: tuple(ss) for v, ss in inc.items()}
-    return CpsGraph(ideal, vertices, g0, edges, admissible, edge_word, out, inc)
+    admissible = {(s, t): t + s in relations for s, t in edges}
+    return CpsGraph(ideal, vertices, g0, edges, admissible, out)
 
 
 class GraphParams(Record):
@@ -137,7 +130,7 @@ def graph_params(g):
     gives the longer extensions.
     """
     e_count = len(g.edges)
-    m = max(Counter(g.edge_word.values()).values(), default=1)
+    m = max(Counter(t + s for s, t in g.edges).values(), default=1)
 
     succ, vertices = g.succ, g.vertices
     plain = [[] for _ in succ]
@@ -225,8 +218,8 @@ class CircuitSummary(Record):
     cyclic: tuple         # the SCCs that carry a cycle (size > 1 or a
                           # self-loop), ordered by (size, least vertex); the
                           # order picks the circuit and edge a verdict names
-    circuits: tuple       # one closed vertex cycle per cyclic SCC, or ()
-    shared_vertex: bool   # some cyclic SCC is not a simple cycle
+    shared_vertex: bool   # some cyclic SCC is not a simple cycle, so two
+                          # circuits meet and no one circuit is named
 
     @property
     def has_cycle(self):
@@ -282,14 +275,14 @@ def _sccs(succ):
 
 
 def circuits_and_sccs(g):
-    """SCC partition, plus circuit enumeration when it is safe.
+    """SCC partition, its cyclic components and the shared-vertex flag.
 
     The pass runs over positions in `g.vertices` (`g.succ`), which follow
     the vertex order, so sorting positions sorts vertices; the words are
     put back only in the summary.  shared_vertex is true when some cyclic
     component is not a simple cycle; two distinct circuits then meet at
-    a vertex and the circuit count may be exponential, so enumeration is
-    refused (flagged, not raised).  A cyclic component is a simple cycle
+    a vertex and the circuit count may be exponential, so no circuit is
+    named (flagged, not raised).  A cyclic component is a simple cycle
     exactly when each member has one out-neighbour inside it: the members
     then carry as many inner edges as there are members, and each has an
     inner in-edge, the component being strongly connected, so each has
@@ -304,21 +297,10 @@ def circuits_and_sccs(g):
     shared = any(sum(1 for t in succ[v] if t in members) != 1
                  for members in map(set, cyclic) for v in members)
 
-    circuits = []
-    if not shared:
-        for comp in cyclic:
-            members = set(comp)
-            cyc = [comp[0]]
-            while True:
-                cyc.append(next(t for t in succ[cyc[-1]] if t in members))
-                if cyc[-1] == comp[0]:
-                    break
-            circuits.append(cyc)
-
     def words(groups):
         return tuple(tuple(vertices[i] for i in c) for c in groups)
 
-    return CircuitSummary(words(sccs), words(cyclic), words(circuits), shared)
+    return CircuitSummary(words(sccs), words(cyclic), shared)
 
 
 def export_dot(g):
@@ -342,7 +324,7 @@ def export_json(g):
             {
                 "source": format_word(s),
                 "target": format_word(t),
-                "word": format_word(g.edge_word[(s, t)]),
+                "word": format_word(t + s),
                 "admissible": g.admissible[(s, t)],
             }
             for (s, t) in g.edges

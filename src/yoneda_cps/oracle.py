@@ -348,11 +348,15 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
     a step out of a reachable state passes max_j, which happens exactly
     when some chain word is longer than max_j.  progress, if given,
     receives a line every 50 factor words and one at the end.  A
-    field_char that is not a prime below 2^31 raises ValueError.
+    field_char that is not a prime below 2^31, or a negative max_i or
+    max_j, raises ValueError.
     """
     if not is_small_prime(field_char):
         raise ValueError(
             f"field_char must be a prime below 2^31, got {field_char}")
+    if max_i < 0 or max_j < 0:
+        raise ValueError(f"max_i and max_j must be non-negative, "
+                         f"got {max_i} and {max_j}")
     quadratic = {r for r in ideal.relations if len(r) == 2}
     words, truncated = _overlap_words(ideal, max_j, quadratic)
     entries = {(0, 0): 1}

@@ -93,7 +93,7 @@ def validate_walk(g, w):
         if v not in g.out:
             raise ValueError(f"{format_word(v)} is not a vertex of the graph")
     for a, b in zip(vs, vs[1:]):
-        if (a, b) not in g.edge_word:
+        if (a, b) not in g.admissible:
             raise ValueError(f"{format_word(a)} -> {format_word(b)} is not an edge")
     return vs
 
@@ -229,6 +229,8 @@ class EventuallyPeriodicWalk(Record):
         return len(self.cycle) - 1
 
     def vertex(self, i):
+        if i < 0:
+            raise ValueError(f"vertex index {i} is negative")
         a = len(self.prefix) - 1
         if i <= a:
             return self.prefix[i]
@@ -285,8 +287,6 @@ def is_dense(g, w, edge_index):
     a negative edge_index, a w that is no walk of g or an inadmissible
     edge.
     """
-    if edge_index < 0:
-        raise ValueError(f"edge index {edge_index} is negative")
     validate_walk(g, w.prefix + w.cycle[1:])
     u, v = w.vertex(edge_index), w.vertex(edge_index + 1)
     if not g.admissible[(u, v)]:

@@ -11,8 +11,8 @@ from collections import deque
 from itertools import combinations, product
 from math import gcd
 
-from yoneda_cps.decide import (FgVerdict, check_tail_conditions,
-                               global_dimension)
+from yoneda_cps.decide import (FgVerdict, NoetherianVerdict,
+                               check_tail_conditions, global_dimension)
 from yoneda_cps.ext import ExtClass, ext_class, poincare_table, yoneda_mul
 from yoneda_cps.graph import (CircuitSummary, CpsGraph, build_marked_graph,
                               graph_params)
@@ -57,11 +57,8 @@ def marked_graph(n_gens, n, triples):
     for s, t, adm in sorted(triples):
         out[vertices[s]].append(vertices[t])
         admissible[vertices[s], vertices[t]] = adm
-    edges = tuple(admissible)
-    inc = {v: tuple(s for s, t in edges if t == v) for v in vertices}
-    return CpsGraph(None, vertices, vertices[:n_gens], edges, admissible,
-                    {(s, t): t + s for s, t in edges},
-                    {v: tuple(ts) for v, ts in out.items()}, inc)
+    return CpsGraph(None, vertices, vertices[:n_gens], tuple(admissible),
+                    admissible, {v: tuple(ts) for v, ts in out.items()})
 
 
 def random_marked_graph(rng):
@@ -336,18 +333,29 @@ def _tuple_sccs(vertices, out):
     return sccs[::-1]
 
 
+def in_lists(g):
+    """vertex -> the sources of its in-edges, in edge order."""
+    inc = {v: [] for v in g.vertices}
+    for s, t in g.edges:
+        inc[t].append(s)
+    return inc
+
+
 def reference_circuit_summary(g):
     """Reference route for `g.cycles`: the former `circuits_and_sccs`,
     which runs over vertex tuples, sorts by `sort_key` and tests for a
-    shared vertex with both in- and out-degrees inside each component."""
+    shared vertex with both in- and out-degrees inside each component.
+    Returns the summary and, beside it, one closed vertex cycle per
+    cyclic component, or () when a vertex is shared."""
     key = g.ideal.sort_key
+    inc = in_lists(g)
     sccs = tuple(tuple(sorted(c, key=key))
                  for c in _tuple_sccs(g.vertices, g.out))
     cyclic = tuple(sorted((c for c in sccs if len(c) > 1 or c[0] in g.out[c[0]]),
                           key=lambda c: (len(c), key(c[0]))))
 
     shared = any(sum(1 for t in g.out[v] if t in members) != 1
-                 or sum(1 for s in g.inc[v] if s in members) != 1
+                 or sum(1 for s in inc[v] if s in members) != 1
                  for members in map(set, cyclic) for v in members)
 
     circuits = []
@@ -360,7 +368,35 @@ def reference_circuit_summary(g):
                 if cyc[-1] == comp[0]:
                     break
             circuits.append(tuple(cyc))
-    return CircuitSummary(sccs, cyclic, tuple(circuits), shared)
+    return CircuitSummary(sccs, cyclic, shared), tuple(circuits)
+
+
+def reference_noetherian(g, side):
+    """Reference route for `noetherian`: its former body, which sorts
+    the circuit vertices by `sort_key` and reads the degree off out-lists
+    on the left and off in-lists, built here, on the right."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    summary = g.cycles
+    circuit_vertices = [v for comp in summary.cyclic for v in comp]
+    if not circuit_vertices:
+        return NoetherianVerdict(side, True, "acyclic_graph")
+    adj = g.out if side == "left" else in_lists(g)
+    for v in sorted(circuit_vertices, key=g.ideal.sort_key):
+        if len(adj[v]) != 1:
+            return NoetherianVerdict(side, False, "circuit_vertex_with_branching",
+                                     witness_vertex=v)
+    assert not summary.shared_vertex, \
+        "unique continuation forces simple cycle components"
+    for comp in summary.cyclic:
+        members = set(comp)
+        for s in comp:
+            for t in g.out[s]:
+                if t in members and not g.admissible[(s, t)]:
+                    return NoetherianVerdict(side, False,
+                                             "non_admissible_circuit_edge",
+                                             witness_edge=(s, t))
+    return NoetherianVerdict(side, True, "unique_admissible_circuits")
 
 
 def reference_periodic_witness(g, q):
@@ -956,7 +992,7 @@ def check_product_invariants(g, by_len, anchored_by_len, rng):
         q_vs = q.walk.vertices
         pool = [(v,) for v in g.vertices] if p.walk.length == 0 else by_len[p.walk.length]
         candidates = [vs for vs in pool
-                      if word_of(vs) == word_p and (q_vs[-1], vs[0]) in g.edge_word]
+                      if word_of(vs) == word_p and (q_vs[-1], vs[0]) in g.admissible]
         assert len(candidates) <= 1, (g.ideal.relations, p, q, candidates)
         if got is None:
             assert not candidates, (g.ideal.relations, p, q, candidates)

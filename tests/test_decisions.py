@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from conftest import ALL, W, graph, load
-from propcore import (circuit_avoiding_generators, dense_tail_edges,
-                      random_presentation, reference_finitely_generated,
-                      reference_generators, reference_search_indecomposable)
+from conftest import ALL, W, graph, load, sample_graphs
+from propcore import (census, circuit_avoiding_generators, dense_tail_edges,
+                      random_presentation, reference_circuit_summary,
+                      reference_finitely_generated, reference_generators,
+                      reference_noetherian, reference_search_indecomposable)
 from yoneda_cps.decide import (INFINITY, analyze,
                                check_tail_conditions,
                                finitely_generated, gk_dimension,
@@ -331,7 +332,7 @@ def test_circuit_search_needs_no_recursion():
     out.update((v, (ring[(i + 1) % len(ring)],)) for i, v in enumerate(ring))
     out[ring[0]] = (gen, ring[1])
     ideal = MonomialIdeal(make_presentation("xy", [("x", "x")]))
-    g = CpsGraph(ideal, (gen,) + ring, (gen,), (), {}, {}, out, {})
+    g = CpsGraph(ideal, (gen,) + ring, (gen,), (), {}, out)
     assert circuit_avoiding_generators(g) == ring + ring[:1]
 
 
@@ -509,6 +510,30 @@ def test_noetherian_witnesses():
 def test_noetherian_rejects_bad_side():
     with pytest.raises(ValueError):
         noetherian(graph("x_square"), "both")
+
+
+def test_vertex_order_decisions_match_the_reference_routes():
+    """`noetherian` on both sides, which scans the vertex order, and the
+    circuit that `global_dimension` traces on a cyclic graph, against
+    the routes that sort by `sort_key`, build in-lists and trace one
+    circuit per cyclic component: on the fixtures, the sample graphs
+    and the census part x,y:2-3:3."""
+    graphs = sample_graphs() + [build_marked_graph(p)
+                                for p in census(["x", "y"], 2, 3, 3)]
+    branching = {"left": 0, "right": 0}
+    named = 0
+    for g in graphs:
+        for side in ("left", "right"):
+            got = noetherian(g, side)
+            assert got == reference_noetherian(g, side), \
+                (side, g.ideal.relations)
+            branching[side] += got.witness_vertex is not None
+        if g.cycles.has_cycle:
+            circuits = reference_circuit_summary(g)[1]
+            assert global_dimension(g).witness == \
+                (circuits[0] if circuits else None), g.ideal.relations
+            named += bool(circuits)
+    assert min(branching.values()) > 100 and named > 100, (branching, named)
 
 
 def test_analyze_report_values():

@@ -115,6 +115,12 @@ def test_resolution_rejects_a_field_that_is_not_prime(field_char):
         minimal_resolution(ideal("abc_cdab"), field_char=field_char)
 
 
+@pytest.mark.parametrize("max_i, max_j", [(-1, 16), (8, -1), (-2, -3)])
+def test_resolution_rejects_a_negative_window(max_i, max_j):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        minimal_resolution(ideal("abc_cdab"), 2, max_i, max_j)
+
+
 def test_cross_validate_flags_corruption():
     a = ideal("abc_cdab")
     good = minimal_resolution(a, 2, 6, 12)

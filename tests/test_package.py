@@ -230,11 +230,10 @@ def test_every_public_name_resolves_lazily():
 
 RECORD_FIELDS = {
     "Presentation": ("generator_names", "relations"),
-    "CpsGraph": ("ideal", "vertices", "g0", "edges", "admissible",
-                 "edge_word", "out", "inc"),
+    "CpsGraph": ("ideal", "vertices", "g0", "edges", "admissible", "out"),
     "GraphParams": ("edge_count", "max_edge_class", "max_leading_path",
                     "bound_N", "weak_bound", "l_defaulted"),
-    "CircuitSummary": ("sccs", "cyclic", "circuits", "shared_vertex"),
+    "CircuitSummary": ("sccs", "cyclic", "shared_vertex"),
     "AnchoredWalk": ("vertices",),
     "EventuallyPeriodicWalk": ("prefix", "cycle"),
     "ExtClass": ("walk",),

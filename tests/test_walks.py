@@ -289,6 +289,9 @@ def test_periodic_walk_indexing():
     assert w.cycle_length == 2
     assert [w.vertex(i) for i in range(6)] == \
         list(W("c", "ab", "cd", "ab", "cd", "ab"))
+    # an infinite walk has no end to count back from
+    with pytest.raises(ValueError, match="negative"):
+        w.vertex(-1)
     assert w.to_json() == {"prefix": ["c", "ab"], "cycle": ["ab", "cd", "ab"]}
 
 
