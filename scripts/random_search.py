@@ -53,7 +53,9 @@ Hunts:
              reference route of tests/propcore.py: the Hilbert series
              with the bordered determinants of Cramer's rule, the L
              search with the search over whole paths, the SCC summary
-             with the pass over vertex tuples, the noetherian verdict on
+             with the pass over vertex tuples, the walk counts on the
+             coarsest out-equitable quotient with those on the whole
+             graph for n + 1 + 2 n_cyc terms, the noetherian verdict on
              either side with the sort by `sort_key` over in-lists, or
              the circuit that global dimension names with the one the
              reference traces; exits 1 if there is one
@@ -84,9 +86,11 @@ from propcore import (bordered_hilbert_series, census,
                       random_presentation,
                       reference_circuit_summary,
                       reference_finitely_generated, reference_generators,
-                      reference_leading_path, reference_noetherian)
+                      reference_leading_path, reference_noetherian,
+                      reference_walk_counts)
 from yoneda_cps.decide import analyze, global_dimension, noetherian
-from yoneda_cps.ext import generators_up_to, hilbert_series
+from yoneda_cps.ext import (_quotient, _walk_counts, generators_up_to,
+                            hilbert_series)
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (_min_occurrence_ends, _splitting_homology,
@@ -190,9 +194,10 @@ def oracle_disagreement(ideal, checked):
 
 
 def series_disagreement(g):
-    """Which of the Hilbert series, L, the SCC summary, the noetherian
-    verdicts and the global dimension circuit differs from its reference
-    route, or None.  A series that trips its own invariant counts."""
+    """Which of the Hilbert series, L, the SCC summary, the quotient's
+    walk counts, the noetherian verdicts and the global dimension
+    circuit differs from its reference route, or None.  A series that
+    trips its own invariant counts."""
     try:
         series = hilbert_series(g)
     except AssertionError as e:
@@ -205,6 +210,10 @@ def series_disagreement(g):
     summary, circuits = reference_circuit_summary(g)
     if g.cycles != summary:
         return "the SCC summary against the pass over vertex tuples"
+    _, succ, starts = _quotient(g)
+    length = len(g.vertices) + 1 + 2 * sum(map(len, summary.cyclic))
+    if _walk_counts(succ, starts, length) != reference_walk_counts(g, length):
+        return "the quotient's walk counts against the whole graph's"
     for side in ("left", "right"):
         if noetherian(g, side) != reference_noetherian(g, side):
             return f"the {side} noetherian verdict against the sorted scan"

@@ -7,9 +7,10 @@ factor's word continues from the right factor's last vertex along the
 graph's edges, and the product walk is the right factor followed by
 what it parses.
 
-The Hilbert series is read off the walk counts in integer arithmetic:
-its denominator is their shortest linear recurrence, with constant term
-1 by Fatou's lemma, and its numerator one polynomial product.
+The Hilbert series is read off the walk counts in integer arithmetic,
+counted on the graph's coarsest out-equitable quotient: its denominator
+is their shortest linear recurrence, with constant term 1 by Fatou's
+lemma, and its numerator the leading terms of one polynomial product.
 """
 
 from .presentation import Record
@@ -138,11 +139,71 @@ def poincare_table(g, max_i, cap=None):
     return BigradedTable(entries, max_i)
 
 
-def _walk_counts(g, length):
+def _quotient(g):
+    """The coarsest out-equitable partition of g's vertices, as the
+    quotient digraph that counts walks: colour refinement over `g.succ`.
+    A vertex's next colour is its colour and the sorted colours of its
+    out-neighbours, and refinement stops once a round splits no class:
+    every class then holds vertices with the same number of
+    out-neighbours in each class.
+
+    A round recomputes the sorted colours only for the in-neighbours of
+    the vertices recoloured in the round before.  The other members of
+    a class still share theirs, which no recomputed one equals, since
+    each of those has an out-neighbour of a colour new in that round.
+    So a class splits into its untouched members and its touched ones
+    grouped by sorted colours.  The largest of these parts keeps the
+    class's colour and each other part takes a new one, so a vertex is
+    recoloured only into a class at most half its old one's size
+    (Hopcroft 1971; Paige & Tarjan 1987), and a long path costs a few
+    vertices a round, not all of them.
+
+    Returns (colour, succ, starts): colour[v] is the class of
+    g.vertices[v], succ[c] lists the class of each out-neighbour of one
+    member of class c, with multiplicity, and starts[c] counts the
+    generators in c."""
+    pred = [[] for _ in g.succ]
+    for v, ts in enumerate(g.succ):
+        for t in ts:
+            pred[t].append(v)
+    colour, members = [0] * len(g.succ), [set(range(len(g.succ)))]
+    recoloured = range(len(g.succ))    # the start: every colour is new
+    while recoloured:
+        groups = {}    # class -> sorted colours -> touched members
+        for v in {s for t in recoloured for s in pred[t]}:
+            key = tuple(sorted([colour[t] for t in g.succ[v]]))
+            groups.setdefault(colour[v], {}).setdefault(key, []).append(v)
+        recoloured = []
+        for c, by_key in groups.items():
+            parts = sorted(by_key.values(), key=len)
+            if len(members[c]) - sum(map(len, parts)) < len(parts[-1]):
+                keep = set(parts.pop())    # the untouched members move
+                rest = members[c] - keep
+                rest.difference_update(*parts)
+                members[c] = keep
+                if rest:
+                    parts.append(rest)
+            else:
+                members[c].difference_update(*parts)
+            for part in parts:
+                for v in part:
+                    colour[v] = len(members)
+                members.append(set(part))
+                recoloured += part
+    succ, starts = [None] * len(members), [0] * len(members)
+    for v, ts in enumerate(g.succ):
+        if succ[colour[v]] is None:
+            succ[colour[v]] = [colour[t] for t in ts]
+    for v in range(len(g.g0)):    # the generators come first
+        starts[colour[v]] += 1
+    return colour, succ, starts
+
+
+def _walk_counts(succ, starts, length):
     """The first `length` coefficients of 1 + sum_k w_k y^(k+1), where
-    w_k counts the walks of k edges that start at a generator."""
-    succ = g.succ
-    counts = [int(len(v) == 1) for v in g.vertices]    # the generators
+    w_k counts the walks of k edges on the digraph `succ` that start at
+    a vertex v, each counted starts[v] times."""
+    counts = list(starts)
     h = [1]
     while len(h) < length and any(counts):
         h.append(sum(counts))
@@ -158,40 +219,59 @@ def _walk_counts(g, length):
 def hilbert_series(g):
     """Exact Hilbert series of the cohomology algebra in one variable.
 
-    Length-k walks are entries of the k-th power of the adjacency
+    Length-j walks are entries of the j-th power of the adjacency
     matrix A, so the series is H = 1 + y u (I - yA)^(-1) 1 with u the
-    generator-row indicator (the transfer-matrix method).  By Cramer's
-    rule H = (det(I - yA) - y B) / det(I - yA), where B is the
-    determinant of I - yA bordered by a column of ones and the row u
-    with a zero corner.  Each term of B takes one constant from the
-    border row and another from the border column, so y B, like
-    det(I - yA), has degree at most n, the vertex count.  Ordered by
-    strongly connected components, I - yA is block triangular, and a
-    component with no cycle is a block (1); so det(I - yA) has degree
-    at most n_cyc, the vertex count of the cyclic components (Stanley,
-    EC1 4.7).
+    generator-row indicator (the transfer-matrix method, Stanley, EC1
+    4.7).  The walks are counted on the quotient by the coarsest
+    out-equitable partition, of k classes (`_quotient`): its class
+    matrix P and quotient matrix B satisfy A P = P B, so A^j 1 =
+    P B^j 1, and with s = u P the generator count per class, H =
+    1 + y s (I - yB)^(-1) 1 (Godsil & Royle, Algebraic Graph Theory,
+    9.3).  By Cramer's rule H = (det(I - yB) - y C) / det(I - yB),
+    where C is the determinant of I - yB bordered by a column of ones
+    and the row s with a zero corner.  So:
 
-    So H = N / D in lowest terms with deg N <= n, deg D <= n_cyc and
-    D(0) != 0, D dividing det(I - yA).  If P is H truncated to degree n,
-    then D (H - P) = N - D P is divisible by y^(n+1) and has degree at
-    most n + deg D, so the tail y^-(n+1) (H - P) is M / D with
+    - h_j = s B^j 1, and each term of C takes one constant from each
+      border, so y C, like det(I - yB), has degree at most k, and
+      deg N <= k.
+    - I - yB is block triangular over the quotient's strongly connected
+      components, and a component with no cycle is a block (1); so
+      det(I - yB) has degree at most k_cyc, the class count of the
+      quotient's cyclic components, and deg D <= k_cyc.
+    - Every class on a quotient cycle holds a vertex on a graph cycle:
+      each member of a class on it has an out-neighbour in the next
+      class, so a walk from a member follows the quotient cycle for
+      ever, and between two visits to one vertex it passes every class
+      of that cycle.  So k_cyc <= n_cyc, the vertex count of the
+      graph's cyclic components, and the k + 1 + 2 k_cyc terms asked
+      for never exceed the n + 1 + 2 n_cyc of the whole graph.
+
+    So H = N / D in lowest terms with deg N <= k, deg D <= k_cyc and
+    D(0) != 0, D dividing det(I - yB).  If T is H truncated to degree
+    k, then D (H - T) = N - D T is divisible by y^(k+1) and has degree
+    at most k + deg D, so the tail y^-(k+1) (H - T) is M / D with
     deg M < deg D; and M is coprime to D, since a common factor would
     divide N.  The shortest recurrence of the tail is therefore D itself,
-    of length deg D <= n_cyc, and 2 n_cyc terms of the tail determine it
-    (Massey 1969): none on an acyclic graph, where D = 1.  H has integer
-    coefficients, so by Fatou's lemma D is integral once D(0) = 1; being
-    primitive, it is then the recurrence exactly as shortest_recurrence
-    returns it, and N = D H truncated to degree n is integral too.  This
-    is the normal form the CLI prints: lowest terms, denominator with
-    constant term 1.  Any other constant term would be an internal
-    invariant violation.
+    of length deg D <= k_cyc, and 2 k_cyc terms of the tail determine it
+    (Massey 1969): none on an acyclic quotient, where D = 1.  H has
+    integer coefficients, so by Fatou's lemma D is integral once
+    D(0) = 1; being primitive, it is then the recurrence exactly as
+    shortest_recurrence returns it, and N = D H truncated to degree k
+    is integral too.  This is the normal form the CLI prints: lowest
+    terms, denominator with constant term 1, unique, so it does not
+    depend on the partition.  Any other constant term would be an
+    internal invariant violation.
     """
-    from .ratfun import RationalFunction, poly_mul, shortest_recurrence, trim
-    n = len(g.vertices)
-    n_cyc = sum(len(c) for c in g.cycles.cyclic)
-    h = _walk_counts(g, n + 1 + 2 * n_cyc)
-    den = shortest_recurrence(h[n + 1:])
+    from .graph import _sccs
+    from .ratfun import RationalFunction, shortest_recurrence, trim
+    _, succ, starts = _quotient(g)
+    k = len(succ)
+    k_cyc = sum(len(c) for c in _sccs(succ)
+                if len(c) > 1 or c[0] in succ[c[0]])
+    h = _walk_counts(succ, starts, k + 1 + 2 * k_cyc)
+    den = shortest_recurrence(h[k + 1:])
     assert den[0] == 1, \
         "the reduced denominator of an integer series must be integral"
-    num = trim(poly_mul(den, h)[: n + 1])
+    num = trim(sum(den[i] * h[j - i] for i in range(min(j + 1, len(den))))
+               for j in range(k + 1))
     return RationalFunction(tuple(num), tuple(den))

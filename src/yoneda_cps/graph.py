@@ -303,13 +303,19 @@ def circuits_and_sccs(g):
     return CircuitSummary(words(sccs), words(cyclic), shared)
 
 
+def _dot_id(v):
+    """A vertex as a quoted DOT identifier, `\\` and `"` escaped."""
+    word = format_word(v).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{word}"'
+
+
 def export_dot(g):
     lines = ["digraph annihilator_graph {"]
     for v in g.vertices:
-        lines.append(f'  "{format_word(v)}";')
+        lines.append(f"  {_dot_id(v)};")
     for (s, t) in g.edges:
         style = "solid" if g.admissible[(s, t)] else "dashed"
-        lines.append(f'  "{format_word(s)}" -> "{format_word(t)}" [style={style}];')
+        lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -171,13 +171,14 @@ def make_presentation(generator_names, relation_letter_tuples):
     Deduplicates, prunes non-minimal relations (those with a proper
     factor that is another relation), and sorts by (degree, index
     sequence).  Raises PresentationError on an empty alphabet, unknown
-    generator tokens, relations of degree < 2, a name containing `*`,
-    or a name of two or more characters spelled by one-character names.
-    Refusing the last two gives distinct nonempty words distinct
-    `format_word` displays: words of one-character names show their
-    joins, words with a longer name `*`-joins that split back at each
-    `*`, and a join of one-character names has no `*`, so it could equal
-    only a single longer name.
+    generator tokens, relations of degree < 2, a name that does not
+    encode as UTF-8 (a lone surrogate, which no output could print), a
+    name containing `*`, or a name of two or more characters spelled by
+    one-character names.  Refusing the last two gives distinct nonempty
+    words distinct `format_word` displays: words of one-character names
+    show their joins, words with a longer name `*`-joins that split back
+    at each `*`, and a join of one-character names has no `*`, so it
+    could equal only a single longer name.
     """
     names = list(generator_names)
     if not names:
@@ -186,6 +187,11 @@ def make_presentation(generator_names, relation_letter_tuples):
         raise PresentationError("duplicate generator names")
     letters = {name for name in names if len(name) == 1}
     for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise PresentationError(f"generator name {name!r} does not "
+                                    "encode as UTF-8") from None
         if "*" in name:
             raise PresentationError(f"generator name {name!r} contains '*'")
         if len(name) > 1 and set(name) <= letters:

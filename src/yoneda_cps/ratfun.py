@@ -14,7 +14,6 @@ from .presentation import Record
 
 __all__ = [
     "RationalFunction",
-    "poly_mul",
     "shortest_recurrence",
 ]
 
@@ -24,18 +23,6 @@ def trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return trim(out)
 
 
 def shortest_recurrence(seq):

@@ -293,6 +293,64 @@ def reference_sccs(g):
     return {frozenset(u for u in reach[v] if v in reach[u]) for v in g.vertices}
 
 
+def reference_quotient(g):
+    """Reference route for the classes of `ext._quotient`: the coarsest
+    out-equitable partition, as a set of frozensets of vertex tuples.
+    Naive splitting: each pass splits every block by its members'
+    out-neighbour counts in each block of the pass's start, and the
+    passes stop when one splits nothing.  A split never separates two
+    vertices that some out-equitable partition keeps together, so what
+    is left is the coarsest one."""
+    blocks = [tuple(g.vertices)]
+    while True:
+        before = len(blocks)
+        for target in [set(b) for b in blocks]:
+            finer = []
+            for block in blocks:
+                parts = {}
+                for v in block:
+                    key = sum(t in target for t in g.out[v])
+                    parts.setdefault(key, []).append(v)
+                finer += parts.values()
+            blocks = finer
+        if len(blocks) == before:
+            return {frozenset(b) for b in blocks}
+
+
+def reference_quotient_cyclic(g, classes):
+    """The classes of `classes`, a partition of g's vertices, that lie
+    on a cycle of the quotient digraph: class C has an edge to class D
+    when a member of C has an out-neighbour in D."""
+    of = {v: c for c in classes for v in c}
+    out = {c: {of[t] for v in c for t in g.out[v]} for c in classes}
+    cyclic = set()
+    for c in classes:
+        seen, todo = set(), list(out[c])
+        while todo:
+            d = todo.pop()
+            if d not in seen:
+                seen.add(d)
+                todo.extend(out[d])
+        if c in seen:
+            cyclic.add(c)
+    return cyclic
+
+
+def reference_walk_counts(g, length):
+    """The first `length` coefficients of 1 + sum_k w_k y^(k+1) over the
+    whole graph, by vertex tuples: w_k counts the walks of k edges that
+    start at a generator."""
+    counts, h = {v: 1 for v in g.g0}, [1]
+    while len(h) < length:
+        h.append(sum(counts.values()))
+        step = {}
+        for v, c in counts.items():
+            for t in g.out[v]:
+                step[t] = step.get(t, 0) + c
+        counts = step
+    return h
+
+
 def _tuple_sccs(vertices, out):
     """Kosaraju over vertex tuples, sinks first: the former `graph._sccs`,
     kept for `reference_circuit_summary`."""

@@ -58,6 +58,19 @@ def test_graph_dot(capsys):
     assert '"cd" -> "ab"' in out
 
 
+def test_graph_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({"generators": ['a"b', "c\\d"],
+                                "relations": [['a"b', "c\\d"]]}))
+    code, out, err = run(capsys, "graph", "--format", "dot", str(path))
+    assert (code, err) == (0, "")
+    assert out == ('digraph annihilator_graph {\n'
+                   '  "a\\"b";\n'
+                   '  "c\\\\d";\n'
+                   '  "c\\\\d" -> "a\\"b" [style=solid];\n'
+                   '}\n')
+
+
 def test_ext_basis(capsys):
     js = run_json(capsys, "ext-basis", "--max-degree", "4",
                   fixture_path("x_square"))
@@ -140,6 +153,19 @@ def test_names_that_would_share_a_display_exit_1(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: generator name 'ab' is spelled by")
+
+
+def test_a_name_that_does_not_encode_as_utf8_exits_1(tmp_path, capsys):
+    # a lone surrogate survives json.loads but no UTF-8 stream prints it
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({"generators": ["\ud800"],
+                                "relations": [["\ud800", "\ud800"]]}))
+    for argv in (_fuzz_calls(str(path), "\ud800")
+                 + [["graph", "--format", "dot", str(path)]]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == ("error: generator name '\\ud800' does not encode "
+                       "as UTF-8\n"), argv
 
 
 def test_missing_file(capsys):

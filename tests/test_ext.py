@@ -3,9 +3,11 @@ import random
 import pytest
 
 from conftest import ALL, W, graph
-from propcore import (bareiss_det, bordered_hilbert_series, poly_divexact,
-                      product_mismatches, random_presentation,
-                      reference_sccs, table_of_anchored, transfer_matrix)
+from propcore import (bareiss_det, bordered_hilbert_series, census,
+                      poly_divexact, product_mismatches, random_presentation,
+                      reference_quotient, reference_quotient_cyclic,
+                      reference_sccs, reference_walk_counts,
+                      table_of_anchored, transfer_matrix)
 from yoneda_cps import ext
 from yoneda_cps.ext import (ext_class, generators_up_to, hilbert_series,
                             poincare_table, yoneda_mul)
@@ -234,29 +236,81 @@ def test_hilbert_series_matches_bordered_reference():
     assert reduced > 0
 
 
-def test_hilbert_series_asks_for_n_plus_1_plus_2_n_cyc_terms(monkeypatch):
-    """deg N <= n and deg D <= n_cyc, the vertex count of the cyclic
-    components (read here off the mutual reachability classes), so the
-    series needs the counts up to degree n and 2 n_cyc more."""
+def _n_cyc(g):
+    """The vertex count of g's cyclic components, read off the mutual
+    reachability classes."""
+    return sum(len(c) for c in reference_sccs(g)
+               if len(c) > 1 or any(v in g.out[v] for v in c))
+
+
+def test_hilbert_series_asks_for_k_plus_1_plus_2_k_cyc_terms(monkeypatch):
+    """deg N <= k and deg D <= k_cyc, the class counts of the coarsest
+    out-equitable quotient and of its cyclic components (read here off
+    the reference partition), so the series needs the counts up to
+    degree k and 2 k_cyc more: never more than the n + 1 + 2 n_cyc of
+    the whole graph."""
     asked = []
     counts = ext._walk_counts
 
-    def spy(g, length):
+    def spy(succ, starts, length):
         asked.append(length)
-        return counts(g, length)
+        return counts(succ, starts, length)
 
     monkeypatch.setattr(ext, "_walk_counts", spy)
-    acyclic = 0
+    acyclic = fewer = 0
     for g in ([graph(name) for name in ALL] + _graphs_with_long_cycles()
               + _seeded_graphs()):
-        n_cyc = sum(len(c) for c in reference_sccs(g)
-                    if len(c) > 1 or any(v in g.out[v] for v in c))
+        classes = reference_quotient(g)
+        k_cyc = len(reference_quotient_cyclic(g, classes))
         asked.clear()
         hilbert_series(g)
-        assert asked == [len(g.vertices) + 1 + 2 * n_cyc], g.ideal.relations
-        acyclic += n_cyc == 0
-    # the draws include acyclic graphs, which ask for n + 1 terms
-    assert acyclic > 0
+        assert asked == [len(classes) + 1 + 2 * k_cyc], g.ideal.relations
+        whole = len(g.vertices) + 1 + 2 * _n_cyc(g)
+        assert asked[0] <= whole, g.ideal.relations
+        acyclic += k_cyc == 0
+        fewer += asked[0] < whole
+    # the draws include acyclic quotients, which ask for k + 1 terms,
+    # and graphs whose quotient is smaller than the graph
+    assert acyclic > 0 and fewer > 0
+
+
+def _tier_draws(gens, relations, degree, seed, count):
+    """The scale tier gens/relations/degree at `seed`: relations of
+    random length 2 to `degree` over the first `gens` letters."""
+    rng = random.Random(seed)
+    names = [chr(ord("a") + i) for i in range(gens)]
+    return [build_marked_graph(MonomialIdeal(make_presentation(
+                names, [tuple(rng.choice(names)
+                              for _ in range(rng.randint(2, degree)))
+                        for _ in range(relations)])))
+            for _ in range(count)]
+
+
+def test_quotient_is_the_coarsest_out_equitable_partition():
+    """On the fixtures, the seeded draws, the census part x,y:2-3:3 and
+    the 15 draws of the 16/200/12 tier: the classes are the reference
+    partition's, every member of a class has its class's out-list, the
+    generator counts are right, and the quotient counts the graph's
+    walks for all n + 1 + 2 n_cyc terms the whole graph would need."""
+    census_graphs = [build_marked_graph(MonomialIdeal(p))
+                     for p in census(["x", "y"], 2, 3, 3)]
+    for g in ([graph(name) for name in ALL] + _seeded_graphs()
+              + census_graphs + _tier_draws(16, 200, 12, 3, 15)):
+        colour, succ, starts = ext._quotient(g)
+        classes = {}
+        for v, c in zip(g.vertices, colour):
+            classes.setdefault(c, set()).add(v)
+        assert ({frozenset(c) for c in classes.values()}
+                == reference_quotient(g)), g.ideal.relations
+        assert sorted(classes) == list(range(len(succ)))
+        for v, ts in enumerate(g.succ):
+            assert (sorted(colour[t] for t in ts)
+                    == sorted(succ[colour[v]])), g.ideal.relations
+        assert starts == [sum(len(v) == 1 for v in classes[c])
+                          for c in range(len(succ))]
+        length = len(g.vertices) + 1 + 2 * _n_cyc(g)
+        assert (ext._walk_counts(succ, starts, length)
+                == reference_walk_counts(g, length)), g.ideal.relations
 
 
 def test_series_on_a_long_acyclic_chain():

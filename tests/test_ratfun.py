@@ -58,19 +58,25 @@ def test_recurrence_is_primitive_with_positive_constant_term():
 
 def test_hilbert_series_rejects_a_perturbed_walk_count(monkeypatch):
     """One tail walk count raised by 1 must trip the integrality check
-    or give a series the bordered reference disagrees with."""
+    or give a series the bordered reference disagrees with.  The last
+    count asked for sits at index k + 2 k_cyc >= k + 1 of the quotient's
+    counts, in the tail."""
     walk_counts = ext._walk_counts
     g = graph("abc_cdab_bcda")
-    n = len(g.vertices)
+    raised = []    # (index, class count) of each perturbed count
 
-    def perturbed(g, length):
-        h = walk_counts(g, length)
-        h[2 * n] += 1
+    def perturbed(succ, starts, length):
+        h = walk_counts(succ, starts, length)
+        h[length - 1] += 1
+        raised.append((length - 1, len(succ)))
         return h
 
     monkeypatch.setattr(ext, "_walk_counts", perturbed)
     try:
         got = ext.hilbert_series(g)
     except AssertionError:
-        return
-    assert got.to_json() != bordered_hilbert_series(g).to_json()
+        got = None
+    [(index, k)] = raised
+    assert index >= k + 1
+    if got is not None:
+        assert got.to_json() != bordered_hilbert_series(g).to_json()

@@ -333,7 +333,7 @@ def test_density_rejects_bad_edges():
     with pytest.raises(ValueError, match="^cd -> cd is not an edge$"):
         is_dense(g, EventuallyPeriodicWalk(W("c", "ab"),
                                            W("ab", "cd", "cd", "ab")), 1)
-    # vertex(-k) reads the prefix from its end, an edge the walk lacks
+    # a negative edge index is bad input: the walk's `vertex` refuses it
     periodic = EventuallyPeriodicWalk(W("c", "ab"), W("ab", "cd", "ab"))
     for index in (-1, -2, -5):
         with pytest.raises(ValueError, match="negative"):
