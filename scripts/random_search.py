@@ -49,8 +49,10 @@ Hunts:
              the suffix scan over the ideal on the walks of up to 3
              edges from every vertex; exits 1 if there is one
   series-check
-             presentations on which a graph pass disagrees with its
-             reference route of tests/propcore.py: the Hilbert series
+             presentations on which the graph build or a graph pass
+             disagrees with its reference route of tests/propcore.py:
+             a vertex's out-list with the minimal annihilators that a
+             scan of every normal word finds, the Hilbert series
              with the bordered determinants of Cramer's rule, the L
              search with the search over whole paths, the SCC summary
              with the pass over vertex tuples, the walk counts on the
@@ -59,6 +61,19 @@ Hunts:
              either side with the sort by `sort_key` over in-lists, or
              the circuit that global dimension names with the one the
              reference traces; exits 1 if there is one
+  cli-fuzz   inputs on which a console verb misbehaves.  Each drawn
+             presentation is renamed and broken by a small grammar:
+             names with quotes, backslashes, spaces, arrows, control
+             characters, lone surrogates, 300 letters or none; wrong
+             types; malformed JSON; and out-of-range window flags.
+             Every verb runs on it in process under a walk cap of
+             CLI_FUZZ_CAP, writing to UTF-8 streams as a terminal
+             would.  A call misbehaves when it exits other than 0 or 1,
+             raises, prints a traceback, prints on exit 1, or prints on
+             exit 0 JSON that does not parse or DOT whose identifiers
+             are not well-formed quoted strings.  Specimens print as
+             the input file, after a line naming the call; exits 1 if
+             there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -66,10 +81,14 @@ as fixture files.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import random
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,11 +102,12 @@ from propcore import (bordered_hilbert_series, census,
                       indecomposable_walks, parity_extension_violations,
                       parse_cases, parse_mismatches, partner_mismatches,
                       product_mismatches,
-                      random_presentation,
+                      random_presentation, reference_annihilators,
                       reference_circuit_summary,
                       reference_finitely_generated, reference_generators,
                       reference_leading_path, reference_noetherian,
                       reference_walk_counts)
+from yoneda_cps import cli
 from yoneda_cps.decide import analyze, global_dimension, noetherian
 from yoneda_cps.ext import (_quotient, _walk_counts, generators_up_to,
                             hilbert_series)
@@ -95,7 +115,7 @@ from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
 from yoneda_cps.oracle import (_min_occurrence_ends, _splitting_homology,
                                chain_words, minimal_resolution)
-from yoneda_cps.presentation import serialize_presentation
+from yoneda_cps.presentation import format_word, serialize_presentation
 from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkAutomaton,
                               WalkCapExceeded, is_decomposable)
 
@@ -194,10 +214,15 @@ def oracle_disagreement(ideal, checked):
 
 
 def series_disagreement(g):
-    """Which of the Hilbert series, L, the SCC summary, the quotient's
-    walk counts, the noetherian verdicts and the global dimension
-    circuit differs from its reference route, or None.  A series that
-    trips its own invariant counts."""
+    """Which of the out-lists, the Hilbert series, L, the SCC summary,
+    the quotient's walk counts, the noetherian verdicts and the global
+    dimension circuit differs from its reference route, or None.  A
+    series that trips its own invariant counts."""
+    cap = max(map(len, g.ideal.relations)) - 1
+    for v in g.vertices:
+        if g.out[v] != reference_annihilators(g.ideal, v, cap):
+            return (f"the out-list of {format_word(v)} against the scan "
+                    "of every normal word")
     try:
         series = hilbert_series(g)
     except AssertionError as e:
@@ -244,6 +269,113 @@ def product_disagreement(g):
     return None
 
 
+HOSTILE_NAMES = ('a"b', "c\\d", "a b", "->", "x->y", "\t", "\n", "\x00",
+                 "\x1b[1m", "\ud800", "\udcff", "n" * 300, "", "*", "xy",
+                 "\u00e9")
+WRONG_TYPES = (None, 1, 1.5, True, "x", {}, [], [[]], ["x", 1])
+BROKEN_TEXTS = (b"", b"{", b"\xff\xfe", b"[]", b"null", b'{"generators": ')
+BROKEN_WALKS = ("[", "{}", "[1]", "[]", '"x"', "", '["\\ud800"]')
+WINDOW_VALUES = ("0", "1", "2", "3", "5")
+BROKEN_WINDOWS = ("-1", "", "x", "1.5")
+FIELD_VALUES = ("2", "3", "32003", str(2 ** 31 - 1))
+BROKEN_FIELDS = ("-2", "0", "1", "4", str(2 ** 31), "x")
+CLI_FUZZ_CAP = 1000    # small, so that a tripped cap is among the outcomes
+_DOT_ID = r'"(?:[^"\\]|\\.)*"'
+_DOT = re.compile(r"digraph annihilator_graph \{\n"
+                  rf"(?:  {_DOT_ID};\n)*"
+                  rf"(?:  {_DOT_ID} -> {_DOT_ID} \[style=(?:solid|dashed)\];\n)*"
+                  r"\}\n")
+
+
+def hostile_input(p, rng):
+    """p's input file and one call of every verb on it, each made
+    hostile by the grammar of the cli-fuzz hunt; the calls name the file
+    as FILE."""
+    rename = {name: rng.choice(HOSTILE_NAMES) if rng.random() < 0.5 else name
+              for name in p.generator_names}
+    names = [rename[name] for name in p.generator_names]
+    doc = {"generators": names,
+           "relations": [[rename[name] for name in r] for r in p.relations]}
+    roll = rng.random()
+    if roll < 0.15:
+        key = rng.choice(("generators", "relations", "generator_order"))
+        doc[key] = rng.choice(WRONG_TYPES)
+    elif roll < 0.25 and doc["relations"]:
+        doc["relations"][0][0] = rng.choice(WRONG_TYPES)
+    text = json.dumps(doc).encode()
+    if roll > 0.9:
+        text = rng.choice((text[:rng.randrange(len(text))],
+                           rng.choice(BROKEN_TEXTS)))
+
+    def pick(values, broken):
+        return rng.choice(broken if rng.random() < 0.2 else values)
+
+    def walk():
+        return pick([json.dumps([rng.choice(names) for _ in range(k)])
+                     for k in (1, 2)], BROKEN_WALKS)
+
+    def window():
+        return pick(WINDOW_VALUES, BROKEN_WINDOWS)
+
+    calls = [["analyze"], ["graph"], ["graph", "--format", "dot"],
+             ["ext-basis", "--max-degree", window()],
+             ["multiply", "--left", walk(), "--right", walk()],
+             ["decide-fg"],
+             ["decide-noetherian", "--side", rng.choice(("left", "right"))],
+             ["series", "--truncate", window()],
+             ["validate", "--field-char", pick(FIELD_VALUES, BROKEN_FIELDS),
+              "--max-i", window(), "--max-j", window()]]
+    return text, [argv + ["FILE"] for argv in calls]
+
+
+def cli_misbehaviour(argv):
+    """How `cli.main(argv)` misbehaves, or None.  stdout encodes as
+    strict UTF-8 and stderr with backslash escapes, as a terminal's
+    streams do, so that an unprintable name fails here as it would
+    there."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                           errors="backslashreplace")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+            out.flush()
+            err.flush()
+    except Exception as e:    # the hunt reports what escapes and goes on
+        return f"raised {type(e).__name__}: {e}"
+    stdout = out.buffer.getvalue().decode("utf-8")
+    stderr = err.buffer.getvalue().decode("utf-8")
+    if code not in (0, 1):
+        return f"exit {code}: {stderr.strip()}"
+    if "Traceback" in stdout + stderr:
+        return "a traceback"
+    if code == 1:
+        return "output on exit 1" if stdout else None
+    if "dot" in argv:
+        return None if _DOT.fullmatch(stdout) else "malformed DOT"
+    try:
+        json.loads(stdout)
+    except json.JSONDecodeError as e:
+        return f"malformed JSON: {e}"
+    return None
+
+
+def cli_fuzz_problem(p, rng):
+    """The first call of the cli-fuzz hunt on p that misbehaves, as
+    (argv, input file, how), or None."""
+    text, calls = hostile_input(p, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        for argv in calls:
+            problem = cli_misbehaviour([path if a == "FILE" else a
+                                        for a in argv])
+            if problem:
+                return argv, text, problem
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
@@ -251,7 +383,7 @@ def main(argv=None):
                         help="every presentation of the census part, "
                         "e.g. x,y:2-4:3, in place of random draws")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--hunt", choices=("fg-false", "fg-check",
+    parser.add_argument("--hunt", choices=("cli-fuzz", "fg-false", "fg-check",
                                            "n-bound", "oracle-check",
                                            "parity", "product-check",
                                            "series-check", "summary"),
@@ -263,6 +395,7 @@ def main(argv=None):
                         help="walk enumeration ceiling per sample")
     args = parser.parse_args(argv)
 
+    rng = random.Random(args.seed)
     if args.census:
         try:
             letters, degrees, k = args.census.split(":")
@@ -273,11 +406,12 @@ def main(argv=None):
             parser.error(f"--census wants LETTERS:MIN-MAX:K such as "
                          f"x,y:2-4:3, got {args.census!r}: {e}")
     else:
-        rng = random.Random(args.seed)
         presentations = [random_presentation(rng, args.max_gens,
                                              args.max_relations,
                                              args.max_degree)
                          for _ in range(args.samples)]
+    if args.hunt == "cli-fuzz":
+        os.environ["YONEDA_CPS_MAX_WALK_CAP"] = str(CLI_FUZZ_CAP)
     checked = set()    # oracle-check: (factor key, window) pairs compared
     methods = {}
     skipped = 0
@@ -297,6 +431,14 @@ def main(argv=None):
                 walk = "->".join("".join(v) for v in vs)
                 print(f"# walk {walk} inadmissible, prefix n={n} admissible")
                 print(json.dumps(serialize_presentation(p)))
+            continue
+        if args.hunt == "cli-fuzz":
+            found = cli_fuzz_problem(p, rng)
+            if found:
+                hits += 1
+                call, text, problem = found
+                print(f"# {problem}: yoneda-cps {json.dumps(call)}")
+                print(text.decode("utf-8", "backslashreplace"))
             continue
         if args.hunt == "oracle-check":
             problem = oracle_disagreement(MonomialIdeal(p), checked)
@@ -361,7 +503,8 @@ def main(argv=None):
             print(f"{method:32s} {count}")
     else:
         print(f"# {hits} specimens", file=sys.stderr)
-    checks = ("fg-check", "oracle-check", "product-check", "series-check")
+    checks = ("cli-fuzz", "fg-check", "oracle-check", "product-check",
+              "series-check")
     return 1 if args.hunt in checks and hits else 0
 
 

@@ -6,8 +6,9 @@ automaton over the relation set, built once per ideal with its failure
 links folded into the transition tables, so that a scan reads each
 letter with one or two table lookups and no search.  The annihilator
 sets that become graph edges are read from an index of relation
-suffixes and filtered by membership queries on short words; the walk
-layer reads the graph alone.
+suffixes: a vertex's minimal annihilators are the candidate left parts
+with no candidate as a proper suffix, so the graph build scans only the
+vertex itself.  The walk layer reads the graph alone.
 """
 
 from .presentation import Presentation, format_word
@@ -101,7 +102,6 @@ class MonomialIdeal:
             raise TypeError("MonomialIdeal expects a Presentation")
         self.presentation = presentation
         self.relations = presentation.relations
-        self.max_relation_degree = max((len(r) for r in self.relations), default=0)
         self.factor_index = _Automaton(self.relations)
         self._alphabet = presentation.generator_names
         self._gen_index = {name: i for i, name in enumerate(self._alphabet)}
@@ -147,28 +147,26 @@ class MonomialIdeal:
 def annihilator_generators(ideal, m):
     """The set of minimal left annihilators of m, as a sorted tuple.
 
-    Every w tensor m in the ideal (w normal) contains a relation
-    straddling the w/m boundary, so each candidate is the left part of
-    a relation split r = u tensor v with v a nonempty prefix of m, read
-    from the ideal's index of relation suffixes.  Each such u is normal:
-    a relation inside u would be a proper factor of r, and relations are
-    minimal (`make_presentation`, the one constructor of a Presentation,
-    prunes the others).  So the candidates are filtered by the other
-    defining condition alone: no proper suffix of u already annihilates
-    m.  For each proper suffix s of u, s tensor m is a suffix of u[1:]
-    tensor m, so u[1:] alone is tested.
+    The candidates C are the left parts u of the relation splits
+    r = u tensor v with v a nonempty prefix of m and a proper suffix of
+    r, read from the ideal's index of relation suffixes.  Each u in C
+    annihilates m, since u tensor m begins with r, and u is normal: it
+    is a proper prefix of r, and a relation inside it would be a proper
+    factor of r, which `make_presentation`, the one constructor of a
+    Presentation, prunes.  Let s be normal with s tensor m in the ideal.
+    m is normal too, so the relation occurrence straddles the s/m
+    boundary, and its left part is a nonempty suffix of s lying in C.
+    So a normal word annihilates m exactly when it has a suffix in C,
+    and u in C is minimal exactly when no proper suffix of u is in C:
+    the minimal annihilators are the suffix-free part of C, and no word
+    past m's own check is scanned.
     """
     m = tuple(m)
     if ideal.contains(m):
         raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
-    found = set()
-    for split in range(1, min(len(m), ideal.max_relation_degree - 1) + 1):
-        # v = m[:split] must be a proper suffix of the relation u (x) v
-        for u in ideal._left_parts.get(m[:split], ()):
-            if u not in found and not ideal.contains(u[1:] + m):
-                found.add(u)
-    for u in found:
-        # Each annihilator sits inside a single straddling relation, so
-        # its degree is capped by the largest relation degree minus one.
-        assert len(u) <= ideal.max_relation_degree - 1
+    candidates = set()
+    for split in range(1, len(m) + 1):
+        candidates.update(ideal._left_parts.get(m[:split], ()))
+    found = [u for u in candidates
+             if not any(u[k:] in candidates for k in range(1, len(u)))]
     return tuple(sorted(found, key=ideal.sort_key))

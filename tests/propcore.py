@@ -494,7 +494,7 @@ def reference_greedy_parse(ideal, word, length, after=None):
         length += 1
     for _ in range(length):
         prev = q[-1]
-        cap = min(rest, ideal.max_relation_degree - 1)
+        cap = min(rest, max(map(len, ideal.relations)) - 1)
         found = None
         for k in range(1, cap + 1):
             s = word[rest - k: rest]
@@ -510,6 +510,23 @@ def reference_greedy_parse(ideal, word, length, after=None):
     if rest != 0:
         return None
     return tuple(q) if after is None else tuple(q[1:])
+
+
+def all_words(names, degree):
+    return [tuple(w) for w in product(names, repeat=degree)]
+
+
+def reference_annihilators(ideal, m, max_degree):
+    """Minimal annihilators by scanning every normal word directly."""
+    names = ideal.presentation.generator_names
+    out = []
+    for d in range(1, max_degree + 1):
+        for w in all_words(names, d):
+            if ideal.contains(w) or not ideal.contains(w + m):
+                continue
+            if min_annihilating_suffix(ideal, w, m) == w:
+                out.append(w)
+    return tuple(sorted(out, key=ideal.sort_key))
 
 
 def min_annihilating_suffix(ideal, w, m):

@@ -451,6 +451,17 @@ def _run_every_verb(content, generator="x"):
                 assert out.getvalue() == "", argv
 
 
+def test_cli_fuzz_hunt_finds_nothing():
+    # hostile names, wrong types, malformed JSON and out-of-range window
+    # flags through every verb, as `random_search.py --hunt cli-fuzz`
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_search.py"
+    run = subprocess.run([sys.executable, str(script), "--hunt", "cli-fuzz",
+                          "--samples", "120", "--seed", "1"],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0, "", "# 120 samples, 0 over the cap\n# 0 specimens\n")
+
+
 FUZZ = dict(max_examples=25, deadline=None, derandomize=True,
             suppress_health_check=[HealthCheck.too_slow])
 

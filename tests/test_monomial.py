@@ -1,9 +1,9 @@
-import itertools
 import random
 
 import pytest
 
-from conftest import graph, load
+from conftest import ALL, graph, load
+from propcore import all_words, reference_annihilators
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
                                  annihilator_generators)
 from yoneda_cps.presentation import make_presentation
@@ -21,10 +21,6 @@ def brute_occurrences(relations, word):
             if word[i:i + len(r)] == r:
                 out.append((i, ri))
     return sorted(out)
-
-
-def all_words(names, degree):
-    return [tuple(w) for w in itertools.product(names, repeat=degree)]
 
 
 def test_contains_and_occurrences_match_brute_scan():
@@ -96,32 +92,12 @@ def test_relations_are_the_minimal_generators():
         ideal = MonomialIdeal(load(name))
         names = ideal.presentation.generator_names
         minimal = set()
-        for d in range(2, ideal.max_relation_degree + 1):
+        for d in range(2, max(map(len, ideal.relations)) + 1):
             for w in all_words(names, d):
                 if ideal.contains(w) and not ideal.contains(w[1:]) \
                         and not ideal.contains(w[:-1]):
                     minimal.add(w)
         assert minimal == set(ideal.relations), name
-
-
-def brute_min_suffix(ideal, w, m):
-    for k in range(1, len(w) + 1):
-        if ideal.contains(w[len(w) - k:] + m):
-            return w[len(w) - k:]
-    return None
-
-
-def brute_annihilators(ideal, m, max_degree):
-    """Minimal annihilators by scanning every normal word directly."""
-    names = ideal.presentation.generator_names
-    out = []
-    for d in range(1, max_degree + 1):
-        for w in all_words(names, d):
-            if ideal.contains(w) or not ideal.contains(w + m):
-                continue
-            if brute_min_suffix(ideal, w, m) == w:
-                out.append(w)
-    return tuple(sorted(out, key=ideal.sort_key))
 
 
 def test_min_suffix_known_values():
@@ -158,21 +134,19 @@ def test_annihilators_match_brute_scan():
         relations = [tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))
                      for _ in range(rng.randint(1, 4))]
         ideal = MonomialIdeal(make_presentation(names, relations))
-        cap = ideal.max_relation_degree - 1
+        cap = max(map(len, ideal.relations)) - 1
         for d in range(4):
             for m in all_words(names, d):
                 if ideal.contains(m):
                     continue
                 got = annihilator_generators(ideal, m)
-                assert got == brute_annihilators(ideal, m, cap), (relations, m)
+                assert got == reference_annihilators(ideal, m, cap), (relations, m)
 
 
 def test_annihilator_degree_cap_on_fixtures():
-    for name in ("abc_cdab", "abc_cdab_bcda", "sklyanin_leading"):
-        ideal = MonomialIdeal(load(name))
-        cap = ideal.max_relation_degree - 1
-        for v in ("a", "b", "x", "y"):
-            if v not in ideal.presentation.generator_names:
-                continue
-            for w in annihilator_generators(ideal, v):
+    for name in ALL:
+        g = graph(name)
+        cap = max(map(len, g.ideal.relations)) - 1
+        for v in g.vertices:
+            for w in annihilator_generators(g.ideal, v):
                 assert 1 <= len(w) <= cap
