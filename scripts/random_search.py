@@ -52,7 +52,9 @@ Hunts:
              presentations on which the graph build or a graph pass
              disagrees with its reference route of tests/propcore.py:
              a vertex's out-list with the minimal annihilators that a
-             scan of every normal word finds, the Hilbert series
+             scan of every normal word finds, `succ` with the positions
+             of the out-lists, the key order of `admissible` with the
+             edges sorted by `sort_key`, the Hilbert series
              with the bordered determinants of Cramer's rule, the L
              search with the search over whole paths, the SCC summary
              with the pass over vertex tuples, the walk counts on the
@@ -214,15 +216,23 @@ def oracle_disagreement(ideal, checked):
 
 
 def series_disagreement(g):
-    """Which of the out-lists, the Hilbert series, L, the SCC summary,
-    the quotient's walk counts, the noetherian verdicts and the global
-    dimension circuit differs from its reference route, or None.  A
-    series that trips its own invariant counts."""
+    """Which of the out-lists, `succ`, the edge order, the Hilbert
+    series, L, the SCC summary, the quotient's walk counts, the
+    noetherian verdicts and the global dimension circuit differs from
+    its reference route, or None.  A series that trips its own
+    invariant counts."""
     cap = max(map(len, g.ideal.relations)) - 1
     for v in g.vertices:
         if g.out[v] != reference_annihilators(g.ideal, v, cap):
             return (f"the out-list of {format_word(v)} against the scan "
                     "of every normal word")
+    position = {v: i for i, v in enumerate(g.vertices)}
+    if list(g.succ) != [[position[t] for t in g.out[v]] for v in g.vertices]:
+        return "succ against the positions of the out-lists"
+    key = g.ideal.sort_key
+    if list(g.admissible) != sorted(g.admissible,
+                                    key=lambda e: (key(e[0]), key(e[1]))):
+        return "the edge order against the sort by `sort_key`"
     try:
         series = hilbert_series(g)
     except AssertionError as e:

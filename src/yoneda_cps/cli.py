@@ -144,7 +144,7 @@ def cmd_validate(args):
         "betti": table.to_json(),
         "mismatches": mismatches,
         "params": {
-            "edge_count": len(g.edges),
+            "edge_count": len(g.admissible),
         },
     })
     if mismatches:

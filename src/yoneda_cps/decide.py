@@ -229,7 +229,7 @@ def noetherian(g, side):
     if not on_circuit:
         return NoetherianVerdict(side, True, "acyclic_graph")
     degree = ({v: len(ts) for v, ts in g.out.items()} if side == "left"
-              else Counter(t for _, t in g.edges))
+              else Counter(t for _, t in g.admissible))
     for v in g.vertices:
         if v in on_circuit and degree[v] != 1:
             return NoetherianVerdict(side, False, "circuit_vertex_with_branching",

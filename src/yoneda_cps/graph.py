@@ -31,23 +31,16 @@ class CpsGraph(Record):
     ideal: MonomialIdeal
     vertices: tuple    # letter tuples, sorted by (degree, index sequence)
     g0: tuple          # the degree-1 vertices, always the whole alphabet
-    edges: tuple       # (source, target) pairs, sorted; edge word t + s
-    admissible: dict   # each edge (s, t) -> whether t + s is a relation
+    admissible: dict   # edge (s, t) -> whether t + s is a relation; the
+                       # keys are the edges, sorted by source, then target
     out: dict          # vertex -> tuple of successors, sorted
+    succ: tuple        # succ[i] lists the positions in `vertices` of
+                       # out[vertices[i]]: the passes' integer adjacency
 
     @cached_property
     def cycles(self):
         """The graph's CircuitSummary, computed once on first use."""
         return circuits_and_sccs(self)
-
-    @cached_property
-    def succ(self):
-        """succ[i] lists the positions in `vertices` of the out-neighbours
-        of vertices[i], in `out` order: the one integer adjacency of the
-        graph's passes.  Positions follow the vertex order, so the
-        generators sit at 0 ... len(g0) - 1."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        return tuple([index[t] for t in self.out[v]] for v in self.vertices)
 
 
 def build_marked_graph(ideal):
@@ -55,19 +48,22 @@ def build_marked_graph(ideal):
 
     A worklist adds each new vertex's annihilator set as its out-edges;
     it ends since annihilator words are shorter than the longest relation.
-    Each set comes sorted by `sort_key`, the vertex order, so listing
-    them in vertex order gives the edges sorted with no sort.
+    The vertices are sorted once by `sort_key`, and their ranks order the
+    rest.  Every out-neighbour is a vertex and `sort_key` gives distinct
+    words distinct keys, so an out-list in rank order is sorted by
+    `sort_key`.  `admissible` is filled in vertex order, then in out-list
+    order, and a dict keeps insertion order: its keys are the edges sorted.
     """
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(ideal)
     relations = set(ideal.relations)
     g0 = tuple((name,) for name in ideal.presentation.generator_names)
-    seen, out = set(g0), {}
+    seen, found = set(g0), {}
     todo = list(g0)
     while todo:
         m = todo.pop()
-        out[m] = annihilator_generators(ideal, m)
-        for w in out[m]:
+        found[m] = annihilator_generators(ideal, m)
+        for w in found[m]:
             # Edges leaving a generator always straddle a whole relation.
             assert len(m) > 1 or w + m in relations, \
                 f"generator edge {format_word(m)}->{format_word(w)} must be admissible"
@@ -75,11 +71,12 @@ def build_marked_graph(ideal):
                 seen.add(w)
                 todo.append(w)
 
-    vertices = tuple(sorted(out, key=ideal.sort_key))
-    out = {v: out[v] for v in vertices}
-    edges = tuple((s, t) for s in vertices for t in out[s])
-    admissible = {(s, t): t + s in relations for s, t in edges}
-    return CpsGraph(ideal, vertices, g0, edges, admissible, out)
+    vertices = tuple(sorted(found, key=ideal.sort_key))
+    rank = {v: i for i, v in enumerate(vertices)}
+    succ = tuple(sorted(rank[t] for t in found[v]) for v in vertices)
+    out = {v: tuple(vertices[i] for i in ts) for v, ts in zip(vertices, succ)}
+    admissible = {(s, t): t + s in relations for s in vertices for t in out[s]}
+    return CpsGraph(ideal, vertices, g0, admissible, out, succ)
 
 
 class GraphParams(Record):
@@ -129,8 +126,8 @@ def graph_params(g):
     count: the state's continuations are the same, and the longer path
     gives the longer extensions.
     """
-    e_count = len(g.edges)
-    m = max(Counter(t + s for s, t in g.edges).values(), default=1)
+    e_count = len(g.admissible)
+    m = max(Counter(t + s for s, t in g.admissible).values(), default=1)
 
     succ, vertices = g.succ, g.vertices
     plain = [[] for _ in succ]
@@ -313,8 +310,8 @@ def export_dot(g):
     lines = ["digraph annihilator_graph {"]
     for v in g.vertices:
         lines.append(f"  {_dot_id(v)};")
-    for (s, t) in g.edges:
-        style = "solid" if g.admissible[(s, t)] else "dashed"
+    for (s, t), adm in g.admissible.items():
+        style = "solid" if adm else "dashed"
         lines.append(f"  {_dot_id(s)} -> {_dot_id(t)} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -331,8 +328,8 @@ def export_json(g):
                 "source": format_word(s),
                 "target": format_word(t),
                 "word": format_word(t + s),
-                "admissible": g.admissible[(s, t)],
+                "admissible": adm,
             }
-            for (s, t) in g.edges
+            for (s, t), adm in g.admissible.items()
         ],
     }

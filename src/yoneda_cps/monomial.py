@@ -145,7 +145,8 @@ class MonomialIdeal:
 
 
 def annihilator_generators(ideal, m):
-    """The set of minimal left annihilators of m, as a sorted tuple.
+    """The set of minimal left annihilators of m, as a frozenset; the
+    graph build puts it in the vertex order.
 
     The candidates C are the left parts u of the relation splits
     r = u tensor v with v a nonempty prefix of m and a proper suffix of
@@ -167,6 +168,5 @@ def annihilator_generators(ideal, m):
     candidates = set()
     for split in range(1, len(m) + 1):
         candidates.update(ideal._left_parts.get(m[:split], ()))
-    found = [u for u in candidates
-             if not any(u[k:] in candidates for k in range(1, len(u)))]
-    return tuple(sorted(found, key=ideal.sort_key))
+    return frozenset(u for u in candidates
+                     if not any(u[k:] in candidates for k in range(1, len(u))))

@@ -209,8 +209,9 @@ def make_presentation(generator_names, relation_letter_tuples):
             raise PresentationError(f"relation {format_word(rel) if rel else '1'} has degree {len(rel)} < 2")
         rels.add(rel)
 
+    lengths = {len(r) for r in rels}    # a factor in rels has one of these
     minimal = [r for r in rels
-               if not any(r[a:a + k] in rels for k in range(2, len(r))
+               if not any(r[a:a + k] in rels for k in lengths if k < len(r)
                           for a in range(len(r) - k + 1))]
     minimal.sort(key=lambda r: (len(r), tuple(index[c] for c in r)))
     return Presentation(tuple(names), tuple(minimal))

@@ -52,13 +52,13 @@ def marked_graph(n_gens, n, triples):
     the vertex order puts the generators first, as a built graph does."""
     vertices = tuple([(c,) for c in "abc"[:n_gens]]
                      + [("a",) * d for d in range(2, n - n_gens + 2)])
-    out = {v: [] for v in vertices}
+    succ = tuple([] for _ in vertices)
     admissible = {}
     for s, t, adm in sorted(triples):
-        out[vertices[s]].append(vertices[t])
+        succ[s].append(t)
         admissible[vertices[s], vertices[t]] = adm
-    return CpsGraph(None, vertices, vertices[:n_gens], tuple(admissible),
-                    admissible, {v: tuple(ts) for v, ts in out.items()})
+    out = {v: tuple(vertices[t] for t in ts) for v, ts in zip(vertices, succ)}
+    return CpsGraph(None, vertices, vertices[:n_gens], admissible, out, succ)
 
 
 def random_marked_graph(rng):
@@ -394,7 +394,7 @@ def _tuple_sccs(vertices, out):
 def in_lists(g):
     """vertex -> the sources of its in-edges, in edge order."""
     inc = {v: [] for v in g.vertices}
-    for s, t in g.edges:
+    for s, t in g.admissible:
         inc[t].append(s)
     return inc
 
@@ -883,8 +883,7 @@ def reference_finitely_generated(g, cap=None):
     # simple-path statistic L cannot stand in for this premise, since an
     # admissible edge on a circuit can be invisible to simple paths (the
     # single relation xyxy puts an admissible loop on xy while L = 1).
-    if all(len(src) == 1 for (src, dst) in g.edges
-           if g.admissible[(src, dst)]):
+    if all(len(src) == 1 for (src, _), adm in g.admissible.items() if adm):
         witness = _pump(g, circuit)
         assert check_tail_conditions(g, witness), \
             "pumped circuit witness must defeat both mechanisms"

@@ -46,16 +46,16 @@ def test_criterion_1_graph_fixtures():
     expect_a = {(s, t) for s, t in
                 [W("b", "cda"), W("c", "ab"), W("ab", "cd"),
                  W("cd", "ab"), W("cda", "ab")]}
-    if set(ga.edges) != expect_a:
-        failures.append(f"first graph edges: {sorted(ga.edges)}")
+    if set(ga.admissible) != expect_a:
+        failures.append(f"first graph edges: {sorted(ga.admissible)}")
 
     gb = built["abc_cdab_bcda"]
     if set(gb.vertices) != set(W("a", "b", "c", "d", "ab", "bcd", "cd", "cda")):
         failures.append(f"second graph vertices: {gb.vertices}")
     expect_b = (expect_a - {W("cda", "ab")}) | {
         (s, t) for s, t in [W("cda", "b"), W("a", "bcd"), W("bcd", "a")]}
-    if set(gb.edges) != expect_b:
-        failures.append(f"second graph edges: {sorted(gb.edges)}")
+    if set(gb.admissible) != expect_b:
+        failures.append(f"second graph edges: {sorted(gb.admissible)}")
     if elapsed >= 1.0:
         failures.append(f"took {elapsed:.2f}s, budget 1s")
     _finish(1, "graph fixtures rebuilt exactly", failures,

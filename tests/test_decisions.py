@@ -332,7 +332,7 @@ def test_circuit_search_needs_no_recursion():
     out.update((v, (ring[(i + 1) % len(ring)],)) for i, v in enumerate(ring))
     out[ring[0]] = (gen, ring[1])
     ideal = MonomialIdeal(make_presentation("xy", [("x", "x")]))
-    g = CpsGraph(ideal, (gen,) + ring, (gen,), (), {}, out)
+    g = CpsGraph(ideal, (gen,) + ring, (gen,), {}, out, ())
     assert circuit_avoiding_generators(g) == ring + ring[:1]
 
 
@@ -375,7 +375,7 @@ def test_fg_admissible_loop_off_generators():
     p = make_presentation("xy", [("x", "y", "x", "y")])
     g = build_marked_graph(MonomialIdeal(p))
     loop = (("x", "y"), ("x", "y"))
-    assert loop in g.edges and g.admissible[loop]
+    assert g.admissible.get(loop)
     out = finitely_generated(g)
     assert out.value
     assert out.method == "finitely_many_indecomposables"

@@ -23,7 +23,7 @@ def disp(g, items):
 
 
 def edge_table(g):
-    return sorted(("".join(s), "".join(t), g.admissible[(s, t)]) for s, t in g.edges)
+    return sorted(("".join(s), "".join(t), adm) for (s, t), adm in g.admissible.items())
 
 
 def test_vertices_and_edges_first_example():
@@ -57,8 +57,8 @@ def test_vertices_and_edges_enlarged_example():
 
 
 def test_enlargement_swaps_one_edge_for_mutual_pairs():
-    small = {e for e in graph("abc_cdab").edges}
-    big = {e for e in graph("abc_cdab_bcda").edges}
+    small = set(graph("abc_cdab").admissible)
+    big = set(graph("abc_cdab_bcda").admissible)
     assert small - big == {(("c", "d", "a"), ("a", "b"))}
     assert big - small == {(("a",), ("b", "c", "d")),
                            (("b", "c", "d"), ("a",)),
@@ -75,7 +75,7 @@ def test_edges_match_annihilator_generators():
             for w in annihilator_generators(ideal, m):
                 assert w in set(g.vertices), (name, m, w)
                 expect.add((m, w))
-        assert set(g.edges) == expect, name
+        assert set(g.admissible) == expect, name
 
 
 def test_vertex_set_is_closed():
@@ -151,14 +151,14 @@ def test_admissible_iff_edge_word_is_a_relation():
     for name in ("abc_cdab", "abc_cdab_bcda", "x2y_family", "sklyanin_leading"):
         g = graph(name)
         rels = set(g.ideal.relations)
-        for s, t in g.edges:
-            assert g.admissible[s, t] == (t + s in rels), (name, s, t)
+        for (s, t), adm in g.admissible.items():
+            assert adm == (t + s in rels), (name, s, t)
 
 
 def test_two_chain_counts():
     g = graph("two_chain_overlap")
     assert len(g.vertices) == 33
-    assert len(g.edges) == 40
+    assert len(g.admissible) == 40
     inc = in_lists(g)
     isolated = [v for v in g.vertices if g.out[v] == () and inc[v] == []]
     assert disp(g, isolated) == ["y", "Y", "q"]
@@ -279,7 +279,7 @@ def test_sccs_come_sinks_first(name):
     assert sorted(position, key=g.ideal.sort_key) == list(g.vertices)
     for comp in s.sccs:
         assert list(comp) == sorted(comp, key=g.ideal.sort_key)
-    for src, dst in g.edges:
+    for src, dst in g.admissible:
         assert position[src] >= position[dst]
     assert set(s.cyclic) == {c for c in s.sccs
                              if len(c) > 1 or c[0] in g.out[c[0]]}
@@ -298,7 +298,29 @@ def test_succ_lists_out_neighbour_positions():
     for g in sample_graphs():
         assert [[g.vertices[i] for i in ts] for ts in g.succ] == \
             [list(g.out[v]) for v in g.vertices]
+        assert all(list(ts) == sorted(ts) for ts in g.succ)
+        assert list(g.admissible) == \
+            [(s, t) for s in g.vertices for t in g.out[s]]
         assert g.vertices[:len(g.g0)] == g.g0
+
+
+def test_the_build_calls_sort_key_once_per_vertex(monkeypatch):
+    """The build sorts the vertices by `sort_key` once; their ranks order
+    the out-lists, `succ` and the edges."""
+    graphs = sample_graphs()
+    calls = []
+    sort_key = MonomialIdeal.sort_key
+
+    def counted(self, word):
+        calls.append(word)
+        return sort_key(self, word)
+
+    monkeypatch.setattr(MonomialIdeal, "sort_key", counted)
+    for g in graphs:
+        calls.clear()
+        rebuilt = build_marked_graph(g.ideal)
+        assert sorted(calls) == sorted(rebuilt.vertices), g.ideal.relations
+        assert rebuilt.out == g.out and rebuilt.succ == g.succ
 
 
 def test_cycles_match_the_vertex_tuple_route():
@@ -342,4 +364,4 @@ def test_export_dot_mentions_every_edge():
 def test_build_marked_accepts_presentation():
     g = build_marked_graph(load("x_square"))
     assert disp(g, g.vertices) == ["x"]
-    assert g.edges == ((("x",), ("x",)),)
+    assert g.admissible == {(("x",), ("x",)): True}

@@ -230,7 +230,7 @@ def test_every_public_name_resolves_lazily():
 
 RECORD_FIELDS = {
     "Presentation": ("generator_names", "relations"),
-    "CpsGraph": ("ideal", "vertices", "g0", "edges", "admissible", "out"),
+    "CpsGraph": ("ideal", "vertices", "g0", "admissible", "out", "succ"),
     "GraphParams": ("edge_count", "max_edge_class", "max_leading_path",
                     "bound_N", "weak_bound", "l_defaulted"),
     "CircuitSummary": ("sccs", "cyclic", "shared_vertex"),

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import signal
 
 import pytest
 
@@ -53,6 +54,29 @@ def test_parser_sorts_and_prunes():
         got = make_presentation("xyz", raw).relations
         assert got == tuple(sorted((tuple(r) for r in minimal),
                                    key=lambda r: (len(r), r))), raw
+
+
+def test_long_relations_parse_fast_and_still_prune():
+    """Pruning tests only the factor lengths that some relation has, so a
+    20,000-letter relation parses at once, and a long relation is still
+    pruned by a short one at its end or inside it."""
+    def expired(signum, frame):
+        raise TimeoutError("parsing a 20,000-letter relation took 10 s")
+
+    long = ["x"] * 19999 + ["y"]
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(10)
+    try:
+        p = parse_presentation({"generators": ["x", "y"],
+                                "relations": [long, ["y", "x", "y"]]})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rels(p) == [("y", "x", "y"), tuple(long)]
+    assert rels(make_presentation("xy", ["x" * 1000 + "yxy", "yxy"])) == \
+        [("y", "x", "y")]
+    assert rels(make_presentation("xy", ["y" * 500 + "xx" + "y" * 500, "xx"])) == \
+        [("x", "x")]
 
 
 def test_syntax_error_carries_position():
