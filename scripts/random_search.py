@@ -51,6 +51,9 @@ Hunts:
   series-check
              presentations on which the graph build or a graph pass
              disagrees with its reference route of tests/propcore.py:
+             membership by `contains`, by the automaton's
+             `occurrences` and by comparing every window, on each
+             vertex and on each relation with a letter on either side;
              a vertex's out-list with the minimal annihilators that a
              scan of every normal word finds, `succ` with the positions
              of the out-lists, the key order of `admissible` with the
@@ -105,7 +108,7 @@ from propcore import (bordered_hilbert_series, census,
                       parse_cases, parse_mismatches, partner_mismatches,
                       product_mismatches,
                       random_presentation, reference_annihilators,
-                      reference_circuit_summary,
+                      reference_circuit_summary, reference_contains,
                       reference_finitely_generated, reference_generators,
                       reference_leading_path, reference_noetherian,
                       reference_walk_counts)
@@ -216,12 +219,21 @@ def oracle_disagreement(ideal, checked):
 
 
 def series_disagreement(g):
-    """Which of the out-lists, `succ`, the edge order, the Hilbert
-    series, L, the SCC summary, the quotient's walk counts, the
+    """Which of membership, the out-lists, `succ`, the edge order, the
+    Hilbert series, L, the SCC summary, the quotient's walk counts, the
     noetherian verdicts and the global dimension circuit differs from
     its reference route, or None.  A series that trips its own
     invariant counts."""
-    cap = max(map(len, g.ideal.relations)) - 1
+    ideal, rels = g.ideal, g.ideal.relations
+    extended = [w for r in rels for x in ideal.presentation.generator_names
+                for w in ((x,) + r, r + (x,))]
+    for w in list(g.vertices) + extended:
+        routes = (ideal.contains(w), bool(ideal.occurrences(w)),
+                  reference_contains(rels, w))
+        if len(set(routes)) > 1:
+            return (f"membership of {format_word(w)}: `contains`, the "
+                    f"automaton and the window scan say {routes}")
+    cap = max(map(len, rels)) - 1
     for v in g.vertices:
         if g.out[v] != reference_annihilators(g.ideal, v, cap):
             return (f"the out-list of {format_word(v)} against the scan "

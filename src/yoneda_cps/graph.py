@@ -181,16 +181,18 @@ def graph_params(g):
                         if k >= best and exits & ~mask:
                             best = k + 1
                 for t, bit in inside[v]:
-                    new = {mask | bit: k + 1
-                           for mask, k in masks.items() if not mask & bit}
                     into = step.get(t)
                     if into is None:
+                        new = {mask | bit: k + 1
+                               for mask, k in masks.items() if not mask & bit}
                         if new:
                             step[t] = new
                     else:
-                        for mask, k in new.items():
-                            if into.get(mask, 0) < k:
-                                into[mask] = k
+                        for mask, k in masks.items():
+                            if not mask & bit:
+                                mask |= bit
+                                if into.get(mask, 0) <= k:
+                                    into[mask] = k + 1
                 for t, bit in leave[v]:
                     into, cut = entry[t], rel[t]
                     for mask, k in masks.items():

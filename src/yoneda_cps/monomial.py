@@ -1,15 +1,19 @@
 """Ideal-theoretic primitives for monomial ideals.
 
 A word lies in the ideal exactly when some relation occurs in it as a
-contiguous factor.  Factor containment is answered by an Aho-Corasick
-automaton over the relation set, built once per ideal with its failure
-links folded into the transition tables, so that a scan reads each
-letter with one or two table lookups and no search.  The annihilator
-sets that become graph edges are read from an index of relation
-suffixes: a vertex's minimal annihilators are the candidate left parts
-with no candidate as a proper suffix, so the graph build scans only the
-vertex itself.  The walk layer reads the graph alone.
+contiguous factor.  `contains` answers that by looking up the word's
+factors of each relation length in the set of relations, the test
+`make_presentation` prunes with.  The Aho-Corasick automaton over the
+relations, its failure links folded into the transition tables, lists
+every occurrence and counts normal words; it is built only when
+`occurrences` or `normal_count` first asks, and no verb does.  The
+annihilator sets that become graph edges are read from an index of
+relation suffixes: a vertex's minimal annihilators are the candidate
+left parts with no candidate as a proper suffix, so the graph build
+scans only the vertex itself.  The walk layer reads the graph alone.
 """
+
+from functools import cached_property
 
 from .presentation import Presentation, format_word
 
@@ -29,7 +33,8 @@ class PreconditionError(ValueError):
 
 
 class _Automaton:
-    """Aho-Corasick matcher over the relation words, as a DFA.
+    """Aho-Corasick matcher over the relation words, as a DFA, for the
+    readers that want every occurrence or a walk over the states.
 
     States are integers; state 0 is the root.  From state s, letter ch
     leads to `goto[s].get(ch) or goto[0].get(ch, 0)`: `goto[s]` holds
@@ -80,21 +85,13 @@ class _Automaton:
             for length, pat_index in hits[s]:
                 yield pos + 1, length, pat_index
 
-    def has_match(self, text):
-        goto, root, hits = self.goto, self.goto[0], self.hits
-        s = 0
-        for ch in text:
-            s = goto[s].get(ch) or root.get(ch, 0)
-            if hits[s]:
-                return True
-        return False
-
 
 class MonomialIdeal:
     """The two-sided ideal generated by a presentation's relations.
 
-    Immutable after construction; all queries are read-only and take
-    any sequence of generator names as it is.
+    Immutable after construction, but for the automaton that
+    `factor_index` builds on first use; all queries are read-only and
+    take any sequence of generator names as it is.
     """
 
     def __init__(self, presentation):
@@ -102,7 +99,8 @@ class MonomialIdeal:
             raise TypeError("MonomialIdeal expects a Presentation")
         self.presentation = presentation
         self.relations = presentation.relations
-        self.factor_index = _Automaton(self.relations)
+        self._relation_set = frozenset(self.relations)
+        self._lengths = sorted({len(r) for r in self.relations})
         self._alphabet = presentation.generator_names
         self._gen_index = {name: i for i, name in enumerate(self._alphabet)}
         # each proper suffix v of a relation u (x) v -> the left parts u
@@ -111,8 +109,30 @@ class MonomialIdeal:
             for k in range(1, len(r)):
                 self._left_parts.setdefault(r[k:], []).append(r[:k])
 
+    @cached_property
+    def factor_index(self):
+        """The `_Automaton` over the relations, built the first time
+        `occurrences` or `normal_count` asks for it.  Membership does
+        not read it."""
+        return _Automaton(self.relations)
+
     def contains(self, word):
-        return self.factor_index.has_match(word)
+        """Whether some relation is a factor of word.
+
+        Looks up each factor whose length is a relation length in the
+        set of relations: O(len(word) * l) slices, l the number of
+        distinct relation lengths, against the automaton's O(len(word))
+        steps, but with nothing to build.
+        """
+        word = tuple(word)
+        rels, n = self._relation_set, len(word)
+        for k in self._lengths:
+            if k > n:
+                break
+            for a in range(n - k + 1):
+                if word[a:a + k] in rels:
+                    return True
+        return False
 
     def occurrences(self, word):
         """All relation occurrences in word as (start, rel_index), sorted."""

@@ -516,6 +516,13 @@ def all_words(names, degree):
     return [tuple(w) for w in product(names, repeat=degree)]
 
 
+def reference_contains(relations, word):
+    """Whether some relation is a factor of word, by comparing every
+    relation with every window of its length."""
+    return any(word[i:i + len(r)] == r
+               for r in relations for i in range(len(word) - len(r) + 1))
+
+
 def reference_annihilators(ideal, m, max_degree):
     """Minimal annihilators by scanning every normal word directly."""
     names = ideal.presentation.generator_names

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -11,11 +12,18 @@ from propcore import (census, in_lists, marked_graph, random_marked_graph,
                       random_presentation, reference_annihilators,
                       reference_circuit_summary, reference_leading_path,
                       reference_sccs)
-from yoneda_cps.decide import global_dimension
+from yoneda_cps import monomial
+from yoneda_cps.decide import analyze, global_dimension
+from yoneda_cps.ext import hilbert_series
 from yoneda_cps.graph import (CircuitSummary, build_marked_graph,
                               circuits_and_sccs, export_dot, export_json,
                               graph_params)
-from yoneda_cps.monomial import MonomialIdeal, annihilator_generators
+from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
+                                 annihilator_generators)
+from yoneda_cps.oracle import minimal_resolution
+from yoneda_cps.presentation import Presentation, make_presentation
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool.json"
 
 
 def disp(g, items):
@@ -136,6 +144,48 @@ def test_the_build_scans_each_vertex_once(monkeypatch):
         g = build_marked_graph(ideal)
         assert sorted(scanned, key=ideal.sort_key) == list(g.vertices), \
             ideal.relations
+
+
+def test_no_verb_builds_the_relation_automaton(monkeypatch):
+    """The build, the verdicts, the series and the oracle answer
+    membership without the Aho-Corasick automaton, on the fixtures and
+    the benchmark pool, each from a fresh ideal."""
+    built = []
+    init = monomial._Automaton.__init__
+
+    def spy(self, patterns):
+        built.append(tuple(patterns))
+        init(self, patterns)
+
+    presentations = [load(name) for name in ALL]
+    presentations += [make_presentation(e["generators"],
+                                        [tuple(r) for r in e["relations"]])
+                      for e in json.loads(POOL.read_text())["presentations"]]
+    monkeypatch.setattr(monomial._Automaton, "__init__", spy)
+    for p in presentations:
+        hilbert_series(build_marked_graph(MonomialIdeal(p)))
+        analyze(p)
+        minimal_resolution(MonomialIdeal(p), max_i=3, max_j=6)
+    assert built == []
+    # the spy sees a build when a reader asks for one
+    MonomialIdeal(presentations[0]).occurrences(("x", "x"))
+    assert built == [presentations[0].relations]
+
+
+@pytest.mark.parametrize("relations,vertex", [
+    ((("x", "y"), ("x", "y", "y")), "xy"),
+    ((("y", "x"), ("x", "y", "x", "y")), "xyx"),
+], ids=["prefix", "interior"])
+def test_a_non_minimal_presentation_trips_m_in_ideal(relations, vertex):
+    """A Presentation built directly, so that `make_presentation` does
+    not prune the relation that has another as a factor, reaches a
+    vertex in the ideal, and the build refuses it: the relation's
+    prefix xy, or xyx with yx inside it."""
+    p = Presentation(("x", "y"), relations)
+    with pytest.raises(PreconditionError) as e:
+        build_marked_graph(p)
+    assert e.value.clause == "m_in_ideal"
+    assert str(e.value) == f"m = {vertex} lies in the ideal"
 
 
 def test_edge_words_and_admissibility():

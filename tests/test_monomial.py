@@ -3,15 +3,11 @@ import random
 import pytest
 
 from conftest import ALL, graph, load
-from propcore import all_words, reference_annihilators
+from propcore import (all_words, census, random_presentation,
+                      reference_annihilators, reference_contains)
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
                                  annihilator_generators)
 from yoneda_cps.presentation import make_presentation
-
-
-def brute_contains(relations, word):
-    return any(word[i:i + len(r)] == r
-               for r in relations for i in range(len(word) - len(r) + 1))
 
 
 def brute_occurrences(relations, word):
@@ -38,9 +34,36 @@ def test_contains_and_occurrences_match_brute_scan():
         letters = names + ("q", "x", "xx")
         for _ in range(40):
             w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 9)))
-            assert ideal.contains(w) == brute_contains(rels, w), (rels, w)
+            assert ideal.contains(w) == reference_contains(rels, w), (rels, w)
             assert ideal.occurrences(w) == brute_occurrences(rels, w), (rels, w)
         assert ideal.contains(rels[0])
+
+
+def test_contains_the_automaton_and_a_factor_scan_agree():
+    """Three routes to membership: `contains` looks the factors of each
+    relation length up in the relation set, `occurrences` runs the
+    automaton, and the reference compares every window.  On census
+    x,y:2-4:3 and on draws of degree up to 8, which have many distinct
+    relation lengths, over the relations, each relation with a letter
+    on either side, and random words up to twice the top degree."""
+    rng = random.Random(3)
+    draws = [random_presentation(rng, max_relations=6, max_degree=8)
+             for _ in range(300)]
+    answers = set()
+    for p in census(["x", "y"], 2, 4, 3) + draws:
+        ideal = MonomialIdeal(p)
+        rels, names = ideal.relations, p.generator_names
+        top = max(map(len, rels))
+        words = list(rels) + [w for r in rels for x in names
+                              for w in ((x,) + r, r + (x,))]
+        words += [tuple(rng.choice(names) for _ in range(rng.randint(0, 2 * top)))
+                  for _ in range(20)]
+        for w in words:
+            routes = (ideal.contains(w), bool(ideal.occurrences(w)),
+                      reference_contains(rels, w))
+            assert len(set(routes)) == 1, (rels, w, routes)
+            answers.add(routes[0])
+    assert answers == {True, False}
 
 
 def test_overlapping_occurrences_all_found():
