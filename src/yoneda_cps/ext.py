@@ -68,23 +68,29 @@ def yoneda_mul(g, p, q):
     suffix of another, so at most one of them ends p's word: the vertex
     after v is forced, and when no edge out of v fits, the product is
     zero.
+
+    The three assertions read the parsed tail alone.  The product's
+    word is the tail's word followed by q's, so it is p's word followed
+    by q's exactly when the tail's word is p's; the degrees add exactly
+    when the tail has as many vertices as p's walk and as many letters
+    as p's word, since a class's cohomological degree is its vertex
+    count and its internal degree its letter count.
     """
     if not isinstance(p, ExtClass):
         p = ext_class(g, p)
     if not isinstance(q, ExtClass):
         q = ext_class(g, q)
-    word_p = word_of(p.walk)
+    word_p = p.walk.word
     q_vs = q.walk.vertices
     parsed = greedy_parse(g, word_p, p.walk.length, after=q_vs[-1])
     if parsed is None:
         return None
-    product = q_vs + parsed
-    result = ExtClass(AnchoredWalk(product))
-    assert word_of(product) == word_p + word_of(q_vs), \
+    assert word_of(parsed) == word_p, \
         "product word must be the concatenation of the factor words"
-    assert result.cohomological_degree == p.cohomological_degree + q.cohomological_degree
-    assert result.internal_degree == p.internal_degree + q.internal_degree
-    return result
+    assert len(parsed) == len(p.walk.vertices), \
+        "cohomological degrees must add"
+    assert sum(map(len, parsed)) == len(word_p), "internal degrees must add"
+    return ExtClass(AnchoredWalk(q_vs + parsed))
 
 
 def generators_up_to(g, max_cohomological_degree):

@@ -4,7 +4,8 @@ A walk of length n is a vertex sequence p_0 .. p_n along edges.  Its
 word is the reversed concatenation p_n (x) ... (x) p_0; two walks are
 equivalent when they share both length and word.  Anchored walks start
 at a degree-1 vertex and index a cohomology basis: length n walks sit
-in cohomological degree n+1.
+in cohomological degree n+1.  An anchored walk computes its word once,
+on first use, and the products and parses read it from there.
 
 A walk is admissible when an equivalent anchored walk exists.  That
 partner is unique and is found by a greedy right-to-left parse of the
@@ -18,6 +19,9 @@ generators generate the algebra, are the accepted paths of one finite
 automaton, `WalkAutomaton`: `ext-basis` lists them and the finite
 generation verdict asks whether they are finitely many.
 """
+
+from functools import cached_property
+from itertools import chain
 
 from .presentation import Record, WalkCapExceeded, format_word, walk_cap
 
@@ -43,6 +47,13 @@ __all__ = [
 class AnchoredWalk(Record):
     vertices: tuple  # letter tuples, the first one a generator
 
+    @cached_property
+    def word(self):
+        """The walk's word p_n ... p_0, joined once on first use by
+        `word_of` in one linear pass.  It is no field, so equality, hash
+        and repr read the vertices alone."""
+        return word_of(self.vertices)
+
     @property
     def length(self):
         return len(self.vertices) - 1
@@ -63,11 +74,12 @@ def vertices_of(w):
 
 
 def word_of(w):
-    vs = vertices_of(w)
-    out = ()
-    for v in reversed(vs):
-        out += v
-    return out
+    """The word of a walk, its vertices concatenated last to first: the
+    cached `AnchoredWalk.word`, or one linear join of any other vertex
+    sequence."""
+    if isinstance(w, AnchoredWalk):
+        return w.word
+    return tuple(chain.from_iterable(reversed(tuple(w))))
 
 
 def display_walk(w):
@@ -131,20 +143,22 @@ def greedy_parse(g, word, length, after=None):
     word = tuple(word)
     rest = len(word)
     if after is None:    # an empty word leaves rest at -1: no parse
-        q = [word[-1:]]
+        prev = word[-1:]
+        q = [prev]
         rest -= 1
     else:
-        q = [tuple(after)]
+        prev = tuple(after)
+        q = []
         length += 1
     for _ in range(length):
-        s = _step(g, q[-1], word, rest)
-        if s is None:
+        prev = _step(g, prev, word, rest)
+        if prev is None:
             return None
-        q.append(s)
-        rest -= len(s)
+        q.append(prev)
+        rest -= len(prev)
     if rest != 0:
         return None
-    return tuple(q) if after is None else tuple(q[1:])
+    return tuple(q)
 
 
 def canonical_anchored(g, w):
@@ -163,7 +177,9 @@ def is_decomposable(g, w):
     admissible first edge is not enough when relation degrees mix:
     an annihilator two steps up can concatenate into the ideal and
     kill the parse, so every candidate suffix is parsed outright,
-    shortest first.
+    shortest first.  The word of the suffix vs[j:] is the prefix of the
+    walk's word that leaves out the letters of vs[:j], so the walk's
+    word is joined once and each candidate reads a slice of it.
     """
     vs = validate_walk(g, w)
     n = len(vs) - 1
@@ -174,10 +190,13 @@ def is_decomposable(g, w):
     for j in range(1, n + 1):
         if len(vs[j]) == 1:
             return True
+    word = word_of(vs)
+    end = len(vs[n])   # the letters of vs[j + 1:], then of vs[j:]
     for j in range(n - 1, 0, -1):
+        end += len(vs[j])
         if not g.admissible[(vs[j], vs[j + 1])]:
             continue
-        if greedy_parse(g, word_of(vs[j:]), n - j) is not None:
+        if greedy_parse(g, word[:end], n - j) is not None:
             return True
     return False
 

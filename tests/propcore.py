@@ -25,7 +25,7 @@ from yoneda_cps.walks import (_NO_CHAINS, AnchoredWalk,
                               WalkCapExceeded, _chain_step,
                               canonical_anchored, enumerate_anchored,
                               greedy_parse, is_decomposable, is_dense,
-                              partner_step, word_of)
+                              partner_step)
 
 ALPHABET = "xyzw"
 MAX_LEN = 4
@@ -478,6 +478,15 @@ def reference_periodic_witness(g, q):
     return None
 
 
+def reference_word(vs):
+    """Reference route for `word_of` and `AnchoredWalk.word`: the
+    vertices of a walk concatenated last to first, one at a time."""
+    out = ()
+    for v in reversed(tuple(vs)):
+        out += tuple(v)
+    return out
+
+
 def reference_greedy_parse(ideal, word, length, after=None):
     """Reference route for `greedy_parse`: the former one, which reads
     the ideal and not the graph.  Each later vertex is the shortest
@@ -613,11 +622,11 @@ def parse_cases(g, max_edges=3):
     layer = [(v,) for v in g.vertices]
     for _ in range(max_edges + 1):
         for vs in layer:
-            word, n = word_of(vs), len(vs) - 1
+            word, n = reference_word(vs), len(vs) - 1
             for length in (n - 1, n, n + 1):
                 yield word, length, None
                 yield word, length, vs[0]
-                yield word_of(vs[1:]), length - 1, vs[0]
+                yield reference_word(vs[1:]), length - 1, vs[0]
         layer = [vs + (t,) for vs in layer for t in g.out[vs[-1]]]
 
 
@@ -645,7 +654,7 @@ def reference_product(g, p, q):
     """Reference route for `yoneda_mul` on two basis classes: the former
     one, which parses p's word seeded with each minimal annihilator of
     q's last vertex and asserts that at most one seed succeeds."""
-    word_p = word_of(p.walk)
+    word_p = reference_word(p.walk.vertices)
     q_vs = q.walk.vertices
     hits = []
     for seed in annihilator_generators(g.ideal, q_vs[-1]):
@@ -950,7 +959,7 @@ def check_equivalence_invariants(g, by_len, anchored_by_len):
     for n, walks in by_len.items():
         classes = {}
         for vs in walks:
-            classes.setdefault(word_of(vs), []).append(vs)
+            classes.setdefault(reference_word(vs), []).append(vs)
         anchored = set(anchored_by_len[n])
         for members in classes.values():
             first = members[0]
@@ -981,9 +990,9 @@ def check_canonical_agreement(g, by_len, anchored_by_len):
     for n, walks in by_len.items():
         table = {}
         for vs in anchored_by_len[n]:
-            table[word_of(vs)] = vs
+            table[reference_word(vs)] = vs
         for vs in walks:
-            expect = table.get(word_of(vs))
+            expect = table.get(reference_word(vs))
             got = canonical_anchored(g, vs)
             assert got == expect, (g.ideal.relations, vs, got, expect)
             checks += 1
@@ -1069,18 +1078,18 @@ def check_product_invariants(g, by_len, anchored_by_len, rng):
         pairs = rng.sample(pairs, 160)
     for p, q in pairs:
         got = yoneda_mul(g, p, q)
-        word_p = word_of(p.walk)
+        word_p = reference_word(p.walk.vertices)
         q_vs = q.walk.vertices
         pool = [(v,) for v in g.vertices] if p.walk.length == 0 else by_len[p.walk.length]
         candidates = [vs for vs in pool
-                      if word_of(vs) == word_p and (q_vs[-1], vs[0]) in g.admissible]
+                      if reference_word(vs) == word_p and (q_vs[-1], vs[0]) in g.admissible]
         assert len(candidates) <= 1, (g.ideal.relations, p, q, candidates)
         if got is None:
             assert not candidates, (g.ideal.relations, p, q, candidates)
         else:
             assert candidates, (g.ideal.relations, p, q)
             assert got.walk.vertices == q_vs + candidates[0]
-            assert word_of(got.walk) == word_p + word_of(q_vs)
+            assert reference_word(got.walk.vertices) == word_p + reference_word(q_vs)
             assert got.internal_degree == p.internal_degree + q.internal_degree
         checks += 1
 

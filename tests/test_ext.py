@@ -78,6 +78,26 @@ def test_products_match_the_seed_search():
     assert nonzero > 1000
 
 
+def test_product_assertions_check_the_parsed_tail(monkeypatch):
+    """yoneda_mul's assertions on the parsed tail still fire: a tail
+    with one vertex swapped for another of the same length, a tail one
+    vertex short, and a tail with an empty vertex added, whose word and
+    letter count are right but whose vertex count is not."""
+    g = graph("abc_cdab")
+    p, q = cls("abc_cdab", "b", "cda"), cls("abc_cdab", "c")
+    tail = yoneda_mul(g, p, q).walk.vertices[len(q.walk.vertices):]
+    assert tail == W("ab", "cd")
+    other = next(v for v in g.vertices
+                 if len(v) == len(tail[0]) and v != tail[0])
+    for wrong, message in (((other,) + tail[1:], "concatenation"),
+                           (tail[:-1], "concatenation"),
+                           (tail + ((),), "cohomological degrees")):
+        monkeypatch.setattr(ext, "greedy_parse",
+                            lambda *args, wrong=wrong, **kwargs: wrong)
+        with pytest.raises(AssertionError, match=message):
+            yoneda_mul(g, p, q)
+
+
 def test_product_grading_is_additive():
     g = graph("abc_cdab")
     classes = [ext_class(g, w.vertices) for w in enumerate_anchored(g, 4)]

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from conftest import W, graph, sample_graphs
+from conftest import ALL, W, graph, sample_graphs
 from propcore import (census, check_equivalence_invariants,
                       closed_form_misses, list_walks, parse_cases,
-                      parse_mismatches, partner_mismatches)
+                      parse_mismatches, partner_mismatches, reference_word)
 from yoneda_cps.decide import finitely_generated
 from yoneda_cps.ext import generators_up_to, yoneda_mul
 from yoneda_cps.graph import CpsGraph, build_marked_graph
@@ -28,6 +28,29 @@ def mixed_graph():
 def test_word_of_reverses_vertex_order():
     assert word_of(W("b", "cda")) == ("c", "d", "a", "b")
     assert word_of(W("c", "ab", "cd")) == ("c", "d", "a", "b", "c")
+
+
+def test_anchored_word_is_the_reference_word():
+    """AnchoredWalk.word and word_of against propcore's reference_word on
+    every anchored walk of length <= 5 on the fixtures."""
+    walks = 0
+    for name in ALL:
+        for w in enumerate_anchored(graph(name), 5):
+            expect = reference_word(w.vertices)
+            assert w.word == expect, (name, w.vertices)
+            assert word_of(w) == word_of(w.vertices) == expect
+            walks += 1
+    assert walks > 800
+
+
+def test_cached_word_leaves_equality_hash_and_repr():
+    vs = W("c", "ab", "cd")
+    cached, fresh = AnchoredWalk(vs), AnchoredWalk(vs)
+    assert cached.word == ("c", "d", "a", "b", "c")
+    assert cached.word is cached.word
+    assert "word" in vars(cached) and "word" not in vars(fresh)
+    assert cached == fresh and hash(cached) == hash(fresh)
+    assert repr(cached) == repr(fresh) == f"AnchoredWalk(vertices={vs!r})"
 
 
 def test_equivalent_needs_length_and_word():
