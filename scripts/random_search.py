@@ -51,8 +51,9 @@ Hunts:
   series-check
              presentations on which the graph build or a graph pass
              disagrees with its reference route of tests/propcore.py:
-             membership by `contains`, by the automaton's
-             `occurrences` and by comparing every window, on each
+             membership by `contains`, by `occurrences`, which
+             share the ideal's automaton over the reversed relations,
+             and by comparing every window, on each
              vertex and on each relation with a letter on either side;
              a vertex's out-list with the minimal annihilators that a
              scan of every normal word finds, `succ` with the positions
@@ -231,8 +232,8 @@ def series_disagreement(g):
         routes = (ideal.contains(w), bool(ideal.occurrences(w)),
                   reference_contains(rels, w))
         if len(set(routes)) > 1:
-            return (f"membership of {format_word(w)}: `contains`, the "
-                    f"automaton and the window scan say {routes}")
+            return (f"membership of {format_word(w)}: `contains`, "
+                    f"`occurrences` and the window scan say {routes}")
     cap = max(map(len, rels)) - 1
     for v in g.vertices:
         if g.out[v] != reference_annihilators(g.ideal, v, cap):

@@ -1,27 +1,22 @@
 """Ideal-theoretic primitives for monomial ideals.
 
-A word lies in the ideal exactly when some relation occurs in it as a
-contiguous factor.  `contains` answers that by looking up the word's
-factors of each relation length in the set of relations, the test
-`make_presentation` prunes with.  The Aho-Corasick automaton over the
-relations, its failure links folded into the transition tables, lists
-every occurrence and counts normal words; it is built only when
-`occurrences` or `normal_count` first asks, and no verb does.  The
-annihilator sets that become graph edges are read from an index of
-relation suffixes: a vertex's minimal annihilators are the candidate
-left parts with no candidate as a proper suffix, so the graph build
-scans only the vertex itself.  The walk layer reads the graph alone.
+One Aho-Corasick automaton over the reversed relations, built with the
+ideal, answers every question about it.  A word is read from its last
+letter to its first: a relation r is a factor of w exactly when rev(r)
+is a factor of rev(w).  So `contains` stops at the first state where a
+relation ends, and `occurrences` turns each end position e in rev(w)
+into the start len(w) - e in w.  `normal_count` counts the words on
+which the automaton completes no relation; reversal is a bijection on
+the words of each length, so these are the ideal's normal counts.  The
+annihilator sets that become graph edges come from one scan of the
+vertex: the failure chain of its final state lists the relations that
+end in a prefix of it, and scanning on into each left part tests
+minimality.  The walk layer reads the graph alone.
 """
-
-from functools import cached_property
 
 from .presentation import Presentation, format_word
 
-__all__ = [
-    "MonomialIdeal",
-    "PreconditionError",
-    "annihilator_generators",
-]
+__all__ = ["MonomialIdeal", "PreconditionError", "annihilator_generators"]
 
 
 class PreconditionError(ValueError):
@@ -32,66 +27,72 @@ class PreconditionError(ValueError):
         self.clause = clause
 
 
-class _Automaton:
-    """Aho-Corasick matcher over the relation words, as a DFA, for the
-    readers that want every occurrence or a walk over the states.
+class _ReversedAutomaton:
+    """Aho-Corasick automaton over the reversed relations (Aho &
+    Corasick, "Efficient string matching", CACM 18(6), 1975).
 
-    States are integers; state 0 is the root.  From state s, letter ch
-    leads to `goto[s].get(ch) or goto[0].get(ch, 0)`: `goto[s]` holds
-    each move of s to a state two or more letters deep, and every other
-    move is the root's, so a scan never follows a failure link.  Leaving
-    the root's moves out keeps the tables from growing as states times
-    letters.  `hits[s]` lists (length, index) of the relations ending at
-    state s (following suffix links), so scanning a text yields every
-    occurrence endpoint in one pass.
+    States are integers, state 0 the root; state s stands for a prefix
+    of some reversed relations.  `goto[s]` holds the trie moves of s and
+    nothing else, so the tables hold one entry per state but the root.
+    A letter with no move from s is read from `fail[s]`, the state of
+    the longest proper suffix of s's word that is a state, down to the
+    root.  For each state s:
+    - `depth[s]` is the length of its word;
+    - `hits[s]` lists (length, index) of each relation whose reversed
+      word ends at s, merged along the failure links, longest first;
+    - `through[s]` lists the relations whose reversed word passes
+      through s, `sum(map(len, relations))` entries in all.
     """
 
-    def __init__(self, patterns):
-        self.goto = [{}]
-        self.hits = [()]
-        for pat_index, pat in enumerate(patterns):
+    def __init__(self, relations):
+        goto, depth, hits, through = [{}], [0], [()], [[]]
+        for i, r in enumerate(relations):
             s = 0
-            for ch in pat:
-                if ch not in self.goto[s]:
-                    self.goto.append({})
-                    self.hits.append(())
-                    self.goto[s][ch] = len(self.goto) - 1
-                s = self.goto[s][ch]
-            self.hits[s] = self.hits[s] + ((len(pat), pat_index),)
+            for ch in reversed(r):
+                if ch not in goto[s]:
+                    goto[s][ch] = len(goto)
+                    goto.append({})
+                    depth.append(depth[s] + 1)
+                    hits.append(())
+                    through.append([])
+                s = goto[s][ch]
+                through[s].append(r)
+            hits[s] += ((len(r), i),)
 
-        # BFS: set each trie child's suffix link, merge hit sets down
-        # suffix chains, and give each state the moves of its suffix
-        # link's state, which is shallower and so already complete; the
-        # root's moves are not copied.
-        root = self.goto[0]
-        fail = [0] * len(self.goto)
-        queue = list(root.values())
+        # BFS: a state's failure target is shallower, so its hits are
+        # complete when they are appended; they are shorter, so the
+        # merged list stays longest first.
+        fail = [0] * len(goto)
+        queue = list(goto[0].values())
         for s in queue:
-            goto_s, goto_f = self.goto[s], self.goto[fail[s]]
-            for ch, t in goto_s.items():
-                fail[t] = goto_f.get(ch) or root.get(ch, 0)
-                self.hits[t] = self.hits[t] + self.hits[fail[t]]
+            for ch, t in goto[s].items():
+                f = fail[s]
+                while f and ch not in goto[f]:
+                    f = fail[f]
+                fail[t] = f = goto[f].get(ch, 0)
+                hits[t] += hits[f]
                 queue.append(t)
-            if fail[s]:
-                for ch, t in goto_f.items():
-                    goto_s.setdefault(ch, t)
+        self.goto, self.fail, self.depth = goto, fail, depth
+        self.hits, self.through = hits, through
 
-    def scan(self, text):
-        """Yield (end_position, pattern_length, pattern_index) for every occurrence."""
-        goto, root, hits = self.goto, self.goto[0], self.hits
-        s = 0
-        for pos, ch in enumerate(text):
-            s = goto[s].get(ch) or root.get(ch, 0)
-            for length, pat_index in hits[s]:
-                yield pos + 1, length, pat_index
+    def states(self, word, s=0):
+        """Yield the state after each letter of word, read from its last
+        letter to its first, starting from state s."""
+        goto, fail = self.goto, self.fail
+        for ch in reversed(word):
+            while s and ch not in goto[s]:
+                s = fail[s]
+            s = goto[s].get(ch, 0)
+            yield s
 
 
 class MonomialIdeal:
     """The two-sided ideal generated by a presentation's relations.
 
-    Immutable after construction, but for the automaton that
-    `factor_index` builds on first use; all queries are read-only and
-    take any sequence of generator names as it is.
+    Immutable after construction.  `factor_index`, the automaton over
+    the reversed relations, is built here and is the one index every
+    query reads; all queries are read-only and take any sequence of
+    generator names as it is.
     """
 
     def __init__(self, presentation):
@@ -99,46 +100,24 @@ class MonomialIdeal:
             raise TypeError("MonomialIdeal expects a Presentation")
         self.presentation = presentation
         self.relations = presentation.relations
-        self._relation_set = frozenset(self.relations)
-        self._lengths = sorted({len(r) for r in self.relations})
-        self._alphabet = presentation.generator_names
-        self._gen_index = {name: i for i, name in enumerate(self._alphabet)}
-        # each proper suffix v of a relation u (x) v -> the left parts u
-        self._left_parts = {}
-        for r in self.relations:
-            for k in range(1, len(r)):
-                self._left_parts.setdefault(r[k:], []).append(r[:k])
-
-    @cached_property
-    def factor_index(self):
-        """The `_Automaton` over the relations, built the first time
-        `occurrences` or `normal_count` asks for it.  Membership does
-        not read it."""
-        return _Automaton(self.relations)
+        self._gen_index = {c: i for i, c in enumerate(presentation.generator_names)}
+        self.factor_index = _ReversedAutomaton(self.relations)
 
     def contains(self, word):
         """Whether some relation is a factor of word.
 
-        Looks up each factor whose length is a relation length in the
-        set of relations: O(len(word) * l) slices, l the number of
-        distinct relation lengths, against the automaton's O(len(word))
-        steps, but with nothing to build.
+        Reads word from its last letter to its first and stops at the
+        first state where a relation ends: O(len(word)) steps.
         """
-        word = tuple(word)
-        rels, n = self._relation_set, len(word)
-        for k in self._lengths:
-            if k > n:
-                break
-            for a in range(n - k + 1):
-                if word[a:a + k] in rels:
-                    return True
-        return False
+        index = self.factor_index
+        return any(map(index.hits.__getitem__, index.states(tuple(word))))
 
     def occurrences(self, word):
         """All relation occurrences in word as (start, rel_index), sorted."""
-        occ = [(end - length, ri) for end, length, ri in self.factor_index.scan(word)]
-        occ.sort()
-        return occ
+        word, hits = tuple(word), self.factor_index.hits
+        return sorted((len(word) - end, ri) for end, s in
+                      enumerate(self.factor_index.states(word), 1)
+                      for _, ri in hits[s])
 
     def sort_key(self, word):
         """Deterministic word order: (degree, generator index sequence)."""
@@ -150,15 +129,14 @@ class MonomialIdeal:
         DP over automaton states, never stepping into a state that
         completes a relation.
         """
-        goto, hits = self.factor_index.goto, self.factor_index.hits
-        root = goto[0]
+        index = self.factor_index
         counts = {0: 1}
         for _ in range(degree):
             nxt = {}
             for state, c in counts.items():
-                for ch in self._alphabet:
-                    t = goto[state].get(ch) or root.get(ch, 0)
-                    if not hits[t]:
+                for ch in self.presentation.generator_names:
+                    t = next(index.states((ch,), state))
+                    if not index.hits[t]:
                         nxt[t] = nxt.get(t, 0) + c
             counts = nxt
         return sum(counts.values())
@@ -170,23 +148,54 @@ def annihilator_generators(ideal, m):
 
     The candidates C are the left parts u of the relation splits
     r = u tensor v with v a nonempty prefix of m and a proper suffix of
-    r, read from the ideal's index of relation suffixes.  Each u in C
-    annihilates m, since u tensor m begins with r, and u is normal: it
-    is a proper prefix of r, and a relation inside it would be a proper
-    factor of r, which `make_presentation`, the one constructor of a
-    Presentation, prunes.  Let s be normal with s tensor m in the ideal.
-    m is normal too, so the relation occurrence straddles the s/m
-    boundary, and its left part is a nonempty suffix of s lying in C.
-    So a normal word annihilates m exactly when it has a suffix in C,
-    and u in C is minimal exactly when no proper suffix of u is in C:
-    the minimal annihilators are the suffix-free part of C, and no word
-    past m's own check is scanned.
+    r.  Each u in C annihilates m, since u tensor m begins with r, and u
+    is normal: it is a proper prefix of r, and a relation inside it
+    would be a proper factor of r, which `make_presentation`, the one
+    constructor of a Presentation, prunes.  Let s be normal with
+    s tensor m in the ideal.  m is normal too, so the relation
+    occurrence straddles the s/m boundary, and its left part is a
+    nonempty suffix of s lying in C.  So a normal word annihilates m
+    exactly when it has a suffix in C, and u in C is minimal exactly
+    when no proper suffix of u is in C.
+
+    Both sets are read off one scan of m, last letter first, by the
+    ideal's automaton over the reversed relations; a relation ending
+    during that scan is the precondition's failure.  A state of depth k
+    on the failure chain of the final state is a word rev(m[:k]) that
+    begins rev(r) for each relation r through it, so m[:k] ends r and
+    u = r[:len(r) - k] is in C; k < len(r), or r would have ended in
+    the scan.  For the minimality of u the scan goes on from m's final
+    state over u[-1], ..., u[1].  After t of those letters it has read
+    rev(u[j:] tensor m), j = len(u) - t, and the relations ending there
+    are the occurrences in u[j:] tensor m that start at its first
+    letter.  One longer than t reaches into m, which is exactly
+    u[j:] in C.  One of length at most t lies inside u and says nothing
+    of m: a pruned presentation has none, but a Presentation built
+    directly can, so only the relations longer than t count.
     """
-    m = tuple(m)
-    if ideal.contains(m):
-        raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
-    candidates = set()
-    for split in range(1, len(m) + 1):
-        candidates.update(ideal._left_parts.get(m[:split], ()))
-    return frozenset(u for u in candidates
-                     if not any(u[k:] in candidates for k in range(1, len(u))))
+    index = ideal.factor_index
+    goto, fail, hits = index.goto, index.fail, index.hits
+    s = 0
+    for ch in reversed(m):
+        while s and ch not in goto[s]:
+            s = fail[s]
+        s = goto[s].get(ch, 0)
+        if hits[s]:
+            raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
+    end, candidates = s, set()
+    while s:
+        k = index.depth[s]
+        candidates.update(r[:len(r) - k] for r in index.through[s])
+        s = fail[s]
+    minimal = []
+    for u in candidates:
+        s = end
+        for t, ch in enumerate(u[:0:-1], 1):
+            while s and ch not in goto[s]:
+                s = fail[s]
+            s = goto[s].get(ch, 0)
+            if hits[s] and hits[s][0][0] > t:
+                break
+        else:
+            minimal.append(u)
+    return frozenset(minimal)

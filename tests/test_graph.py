@@ -12,6 +12,7 @@ from propcore import (census, in_lists, marked_graph, random_marked_graph,
                       random_presentation, reference_annihilators,
                       reference_circuit_summary, reference_leading_path,
                       reference_sccs)
+from yoneda_cps import graph as graph_module
 from yoneda_cps import monomial
 from yoneda_cps.decide import analyze, global_dimension
 from yoneda_cps.ext import hilbert_series
@@ -128,17 +129,23 @@ def test_graph_matches_a_worklist_over_the_reference_annihilators():
 
 
 def test_the_build_scans_each_vertex_once(monkeypatch):
-    """The graph build asks the ideal about each vertex alone: the
-    precondition that it is normal."""
+    """The graph build asks the ideal about each vertex alone, in the
+    one scan that opens `annihilator_generators`: it checks there that
+    the vertex is normal, and asks `contains` nothing."""
     ideals = [g.ideal for g in sample_graphs()]
     scanned = []
-    contains = MonomialIdeal.contains
+    annihilators, contains = graph_module.annihilator_generators, MonomialIdeal.contains
 
-    def spy(ideal, word):
+    def spy_annihilators(ideal, m):
+        scanned.append(tuple(m))
+        return annihilators(ideal, m)
+
+    def spy_contains(ideal, word):
         scanned.append(tuple(word))
         return contains(ideal, word)
 
-    monkeypatch.setattr(MonomialIdeal, "contains", spy)
+    monkeypatch.setattr(graph_module, "annihilator_generators", spy_annihilators)
+    monkeypatch.setattr(MonomialIdeal, "contains", spy_contains)
     for ideal in ideals:
         scanned.clear()
         g = build_marked_graph(ideal)
@@ -146,30 +153,40 @@ def test_the_build_scans_each_vertex_once(monkeypatch):
             ideal.relations
 
 
-def test_no_verb_builds_the_relation_automaton(monkeypatch):
-    """The build, the verdicts, the series and the oracle answer
-    membership without the Aho-Corasick automaton, on the fixtures and
-    the benchmark pool, each from a fresh ideal."""
-    built = []
-    init = monomial._Automaton.__init__
+def test_each_ideal_builds_one_index(monkeypatch):
+    """The build, the verdicts, the series and the oracle read the one
+    automaton that each ideal builds over its relations when it is
+    constructed, on the fixtures and the benchmark pool; no query
+    builds another."""
+    built, made = [], []
+    build, make = monomial._ReversedAutomaton.__init__, MonomialIdeal.__init__
 
-    def spy(self, patterns):
-        built.append(tuple(patterns))
-        init(self, patterns)
+    def spy_build(self, relations):
+        built.append(tuple(relations))
+        build(self, relations)
+
+    def spy_make(self, presentation):
+        made.append(presentation.relations)
+        make(self, presentation)
 
     presentations = [load(name) for name in ALL]
     presentations += [make_presentation(e["generators"],
                                         [tuple(r) for r in e["relations"]])
                       for e in json.loads(POOL.read_text())["presentations"]]
-    monkeypatch.setattr(monomial._Automaton, "__init__", spy)
+    monkeypatch.setattr(monomial._ReversedAutomaton, "__init__", spy_build)
+    monkeypatch.setattr(MonomialIdeal, "__init__", spy_make)
     for p in presentations:
         hilbert_series(build_marked_graph(MonomialIdeal(p)))
         analyze(p)
         minimal_resolution(MonomialIdeal(p), max_i=3, max_j=6)
-    assert built == []
-    # the spy sees a build when a reader asks for one
-    MonomialIdeal(presentations[0]).occurrences(("x", "x"))
-    assert built == [presentations[0].relations]
+    assert len(made) >= 3 * len(presentations)
+    assert built == made
+    # the queries read the ideal's automaton and build none
+    ideal = MonomialIdeal(presentations[0])
+    ideal.contains(("x", "x"))
+    ideal.occurrences(("x", "x"))
+    ideal.normal_count(3)
+    assert len(built) == len(made)
 
 
 @pytest.mark.parametrize("relations,vertex", [
@@ -308,6 +325,37 @@ def test_l_search_merges_states_within_512_mib():
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr[-2000:]
     assert child.stdout.strip() == "1099"
+
+
+# Runs the `graph` verb on the 20 KB input x^3999 y, yxy, given as a file
+# path, and writes the child's own peak resident set (KiB) to stderr.
+_LONG_RELATION_GRAPH = """
+import resource
+import sys
+from yoneda_cps.cli import main
+code = main(["graph", sys.argv[1]])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_long_relation_graph_within_64_mb(tmp_path):
+    """The ideal's index grows with the relations' total length, not with
+    its square: `graph` on x^3999 y, yxy peaks under 64 MB (about 16 MB),
+    in a child process so that the reading is its own."""
+    path = tmp_path / "long_relation.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relations": [["x"] * 3999 + ["y"],
+                                              ["y", "x", "y"]]}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _LONG_RELATION_GRAPH,
+                            str(path)], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert len(json.loads(child.stdout)["vertices"]) == 4
+    assert int(child.stderr.split()[-1]) < 64 * 1024
 
 
 def test_circuit_summary_shapes():

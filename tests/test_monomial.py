@@ -7,7 +7,7 @@ from propcore import (all_words, census, random_presentation,
                       reference_annihilators, reference_contains)
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
                                  annihilator_generators)
-from yoneda_cps.presentation import make_presentation
+from yoneda_cps.presentation import Presentation, make_presentation
 
 
 def brute_occurrences(relations, word):
@@ -40,12 +40,14 @@ def test_contains_and_occurrences_match_brute_scan():
 
 
 def test_contains_the_automaton_and_a_factor_scan_agree():
-    """Three routes to membership: `contains` looks the factors of each
-    relation length up in the relation set, `occurrences` runs the
-    automaton, and the reference compares every window.  On census
-    x,y:2-4:3 and on draws of degree up to 8, which have many distinct
-    relation lengths, over the relations, each relation with a letter
-    on either side, and random words up to twice the top degree."""
+    """Membership by the ideal's index against a window scan.
+    `contains` and `occurrences` share the one automaton over the
+    reversed relations, the one stopping at the first relation that
+    ends and the other listing every occurrence; the reference compares
+    every window with every relation.  On census x,y:2-4:3 and on draws
+    of degree up to 8, which have many distinct relation lengths, over
+    the relations, each relation with a letter on either side, and
+    random words up to twice the top degree."""
     rng = random.Random(3)
     draws = [random_presentation(rng, max_relations=6, max_degree=8)
              for _ in range(300)]
@@ -72,8 +74,8 @@ def test_overlapping_occurrences_all_found():
 
 
 def test_automaton_tables_do_not_grow_with_the_alphabet():
-    # a chain over 1,100 letters: only moves to states two or more
-    # letters deep are stored, so the tables hold no entry per state and
+    # a chain over 1,100 letters: the tables hold the trie moves alone,
+    # one entry per state but the root, and no entry per state and
     # letter (4,397 states, 1,100 letters)
     names = [f"a{i}" for i in range(1100)]
     ideal = MonomialIdeal(make_presentation(
@@ -151,20 +153,42 @@ def test_annihilators_reject_ideal_member():
 
 
 def test_annihilators_match_brute_scan():
+    """Against the scan of every normal word, on draws over up to three
+    letters and on two-letter draws whose relations, of degree up to 7,
+    are factors of one word and so overlap one another."""
     rng = random.Random(11)
+    draws = []
     for _ in range(50):
         names = tuple("xyz"[: rng.randint(1, 3)])
         relations = [tuple(rng.choice(names) for _ in range(rng.randint(2, 4)))
                      for _ in range(rng.randint(1, 4))]
+        draws.append((names, relations))
+    rng = random.Random(13)
+    for _ in range(80):
+        base = tuple(rng.choice("xy") for _ in range(10))
+        lengths = [rng.randint(2, 7) for _ in range(rng.randint(2, 4))]
+        starts = [rng.randint(0, 10 - n) for n in lengths]
+        draws.append((("x", "y"), [base[a:a + n] for a, n in zip(starts, lengths)]))
+    for names, relations in draws:
         ideal = MonomialIdeal(make_presentation(names, relations))
         cap = max(map(len, ideal.relations)) - 1
-        for d in range(4):
+        for d in range(6):
             for m in all_words(names, d):
                 if ideal.contains(m):
                     continue
                 got = annihilator_generators(ideal, m)
                 assert got == set(reference_annihilators(ideal, m, cap)), \
                     (relations, m)
+
+
+def test_minimality_reads_the_longest_relation_ending_at_a_state():
+    """In a Presentation built directly, yx is a factor of yxxy and xyxxy.
+    The candidates of y are yxx and xyxx, and xyxx is not minimal, since
+    yxx is a suffix of it: the scan over xyxx reaches a state where both
+    yxxy and yx end, and only yxxy, the longer, reaches into y."""
+    p = Presentation(("x", "y"), (("y", "x"), ("y", "x", "x", "y"),
+                                  ("x", "y", "x", "x", "y")))
+    assert annihilator_generators(MonomialIdeal(p), "y") == {("y", "x", "x")}
 
 
 def test_annihilator_degree_cap_on_fixtures():
