@@ -41,7 +41,10 @@ Hunts:
              flag, or the homology of a factor key, which both routes
              reduce alike, disagrees with the whole-complex ranks of
              tests/dense_oracle.py, in GF(2) at (i, j) <= (8, 10) or
-             in GF(3) at (4, 9); exits 1 if there is one
+             in GF(3) at (4, 9); or on which the oracle's relation trie
+             lists other chain words or factor words up to length 10,
+             or other min_end arrays, than the slicing references of
+             tests/propcore.py; exits 1 if there is one
   product-check
              presentations on which the Yoneda product disagrees with
              the seed search of tests/propcore.py on some pair of
@@ -105,7 +108,8 @@ from dense_oracle import (factor_keys, minimal_resolution_by_words,
                           reference_splitting_homology)
 from propcore import (bordered_hilbert_series, census,
                       closed_form_misses, collect_walks, dense_tail_edges,
-                      indecomposable_walks, parity_extension_violations,
+                      indecomposable_walks, oracle_trie_mismatch,
+                      parity_extension_violations,
                       parse_cases, parse_mismatches, partner_mismatches,
                       product_mismatches,
                       random_presentation, reference_annihilators,
@@ -119,8 +123,9 @@ from yoneda_cps.ext import (_quotient, _walk_counts, generators_up_to,
                             hilbert_series)
 from yoneda_cps.graph import build_marked_graph, graph_params
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.oracle import (_min_occurrence_ends, _splitting_homology,
-                               chain_words, minimal_resolution)
+from yoneda_cps.oracle import (_min_occurrence_ends, _RelationTrie,
+                               _splitting_homology, chain_words,
+                               minimal_resolution)
 from yoneda_cps.presentation import format_word, serialize_presentation
 from yoneda_cps.walks import (EventuallyPeriodicWalk, WalkAutomaton,
                               WalkCapExceeded, is_decomposable)
@@ -189,15 +194,22 @@ def n_bound_counterexample(rep, cap):
 
 
 ORACLE_WINDOWS = ((2, 8, 10), (3, 4, 9))   # (field, max_i, max_j)
+ORACLE_TRIE_LENGTH = 10   # the longest word the trie check lists
 
 
 def oracle_disagreement(ideal, checked):
-    """The first window where the factor route and the per-chain-word
-    route of the resolution oracle differ, or where `_splitting_homology`,
-    which both routes share, differs from the whole-complex ranks of
+    """Where the relation trie differs from the slicing references (see
+    `propcore.oracle_trie_mismatch`), or the first window where the
+    factor route and the per-chain-word route of the resolution oracle
+    differ, or where `_splitting_homology`, which both routes share,
+    differs from the whole-complex ranks of
     `reference_splitting_homology` on a factor key of the window's chain
     words; or None.  checked holds the (key, window) pairs already
     compared, and grows by the new ones."""
+    problem = oracle_trie_mismatch(ideal, ORACLE_TRIE_LENGTH)
+    if problem:
+        return f"the relation trie on {problem}"
+    trie = _RelationTrie(ideal.relations)
     for window in ORACLE_WINDOWS:
         field_char, max_i, max_j = window
         by_factors = minimal_resolution(ideal, *window)
@@ -206,7 +218,7 @@ def oracle_disagreement(ideal, checked):
                 by_factors.truncation_reached != by_words.truncation_reached):
             return "GF({}) at ({}, {})".format(*window)
         words = chain_words(ideal, max_j)[0]
-        for w, min_end in zip(words, _min_occurrence_ends(ideal, words)):
+        for w, min_end in zip(words, _min_occurrence_ends(trie, words)):
             for key in factor_keys(len(w), min_end):
                 if (key, window) in checked:
                     continue

@@ -58,18 +58,21 @@ def build_marked_graph(ideal):
         ideal = MonomialIdeal(ideal)
     relations = set(ideal.relations)
     g0 = tuple((name,) for name in ideal.presentation.generator_names)
-    seen, found = set(g0), {}
+    # seen maps each word to its first object, so that a word that is an
+    # out-neighbour of many vertices is held once
+    seen, found = {m: m for m in g0}, {}
     todo = list(g0)
     while todo:
         m = todo.pop()
-        found[m] = annihilator_generators(ideal, m)
-        for w in found[m]:
+        found[m] = out = []
+        for w in annihilator_generators(ideal, m):
             # Edges leaving a generator always straddle a whole relation.
             assert len(m) > 1 or w + m in relations, \
                 f"generator edge {format_word(m)}->{format_word(w)} must be admissible"
             if w not in seen:
-                seen.add(w)
+                seen[w] = w
                 todo.append(w)
+            out.append(seen[w])
 
     vertices = tuple(sorted(found, key=ideal.sort_key))
     rank = {v: i for i, v in enumerate(vertices)}

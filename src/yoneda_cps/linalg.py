@@ -26,24 +26,30 @@ def gf2_rank(rows):
 
 
 def gfp_rank(rows, p):
-    rank = 0
-    pivots = {}  # column -> normalized row dict
+    """Rank modulo the prime p of sparse rows, column -> value dicts.
+
+    A pivot row is kept without its pivot column, scaled so that the
+    pivot is 1; a row whose pivot is already 1 is kept as it is.  An
+    entry that cancels is deleted, so every kept value is nonzero.
+    """
+    pivots = {}  # pivot column -> the rest of its normalized row
     for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
+        row = {c: r for c, v in row.items() if (r := v % p)}
         while row:
             col = min(row)
-            if col in pivots:
-                factor = row[col]
-                prow = pivots[col]
-                for c, v in prow.items():
-                    nv = (row.get(c, 0) - factor * v) % p
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            else:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {c: (v * inv) % p for c, v in row.items()}
-                rank += 1
+            factor = row.pop(col)
+            prow = pivots.get(col)
+            if prow is None:
+                if factor != 1:
+                    inv = pow(factor, -1, p)
+                    row = {c: v * inv % p for c, v in row.items()}
+                pivots[col] = row
                 break
-    return rank
+            for c, v in prow.items():
+                # factor * v is nonzero mod p, so nv is 0 only if c is in row
+                nv = (row.get(c, 0) - factor * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+    return len(pivots)

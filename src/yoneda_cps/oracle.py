@@ -66,6 +66,15 @@ chain of occurrences covering it have no degree-2 occurrence, so they
 are last words, and extending a last word by a relation of degree >= 3
 adds no degree-2 occurrence, which would lie inside that relation.
 
+Both the listing and the keys read one forward Aho-Corasick automaton
+over the relations, `_RelationTrie`, which the oracle builds for itself
+and shares no code with the ideal's index over the reversed relations.
+Its size is the relations' total length.  The suffixes of a word that
+are relation prefixes, which the extension step needs, are the failure
+chain of the state the word reaches; the relation occurrences ending
+after e letters of a word, which min_end needs, end the state reached
+there, and only the shortest, whose start is latest, counts.
+
 The truncation flag says whether some chain word is longer than max_j.
 `chain_words` flags when a relation or an extension runs past max_j,
 and that is the same: a chain word is reached through the prefixes
@@ -106,6 +115,16 @@ degree.  The cut at 1 needs n >= 2 and [0, 1) normal: if min_end[0] is
 degree 1.  Repeating the step on later letters would give the
 Jollenbeck-Welker (Anick) matching, which the oracle leaves out, so as
 to stay apart from the chain calculus it checks.
+
+The cells of K are listed as bitmasks of their cuts alone, by a search
+that chooses the cuts left to right.  Removing the t-th cut a of a
+cell merges [prev, next), so it gives a face, with incidence
+(-1)^(t + 1), exactly when min_end[prev] > next: the search knows it
+once it has chosen the cut after a, and carries a second bitmask of the
+cuts so far known to be removable.  A face is then looked up by its
+cut mask, and t - 1 is the number of cuts below a.  The cut at 1 is
+never removable in K, since [0, s2) lies in the ideal, and is never
+tested.
 
 Each factor's complex is shrunk before any rank is taken, from its
 incidences alone.  If a cell a is the only face of a cell c, then
@@ -153,6 +172,56 @@ class BettiTable(Record):
         }
 
 
+class _RelationTrie:
+    """Aho-Corasick automaton over the relations, read forwards (Aho &
+    Corasick, "Efficient string matching", CACM 18(6), 1975).
+
+    States are integers, state 0 the root; state s stands for a prefix
+    of some relations, of length `depth[s]`.  `goto[s]` holds the trie
+    moves of s and nothing else; a letter with no move from s is read
+    from `fail[s]`, the state of the longest proper suffix of s's word
+    that is a state.  So after a word is read, the failure chain of the
+    state reached lists every suffix of the word that is a relation
+    prefix, longest first.  For each state s:
+    - `through[s]` lists, in relation order, the relations of which s's
+      word is a proper prefix, `sum(map(len, relations))` entries in
+      all;
+    - `shortest[s]` is the length of the shortest relation that is a
+      suffix of s's word, 0 if there is none.
+    """
+
+    def __init__(self, relations):
+        goto, depth, through, shortest = [{}], [0], [[]], [0]
+        for i, r in enumerate(relations):
+            s = 0
+            for ch in r:
+                through[s].append(i)
+                t = goto[s].get(ch)
+                if t is None:
+                    t = goto[s][ch] = len(goto)
+                    goto.append({})
+                    depth.append(depth[s] + 1)
+                    through.append([])
+                    shortest.append(0)
+                s = t
+            shortest[s] = len(r)
+        # BFS: a state's failure target is shallower, so its shortest
+        # relation suffix is known when the state's is merged with it.
+        fail = [0] * len(goto)
+        queue = list(goto[0].values())
+        for s in queue:
+            for ch, t in goto[s].items():
+                f = fail[s]
+                while f and ch not in goto[f]:
+                    f = fail[f]
+                fail[t] = f = goto[f].get(ch, 0)
+                shortest[t] = shortest[f] or shortest[t]
+                queue.append(t)
+        self.relations = relations
+        self.goto, self.fail, self.depth = goto, fail, depth
+        self.through, self.shortest = through, shortest
+
+
 def chain_words(ideal, max_len):
     """Words coverable by an overlapping chain of relation occurrences.
 
@@ -162,83 +231,100 @@ def chain_words(ideal, max_len):
     whether some chain word is longer than max_len.  Only the benchmark
     and the tests read it: `minimal_resolution` lists factor words.
     """
-    return _overlap_words(ideal, max_len, ())
+    return _overlap_words(_RelationTrie(ideal.relations), max_len, ())
 
 
-def _overlap_words(ideal, max_len, final):
+def _overlap_words(trie, max_len, final):
     """The words reached from the relations by the overlap-extension
     step, never extending a word whose last two letters are in final.
 
     Starting from each relation, extend by any relation that starts
-    inside the word, matches the overlap, and runs past the end.
-    Returns (words, truncated): the words of length <= max_len in the
-    order they are found, and whether a relation or an extension ran
-    past max_len.
+    inside the word, matches the overlap, and runs past the end: for
+    each suffix of w of length k < len(w) that is a relation prefix,
+    shortest first, each relation r through it, in relation order,
+    gives w + r[k:].  The suffixes are the failure chain of the state
+    that the trie reaches on w.  A word on the stack carries the state
+    of the word it extends, so only the new letters are read.  Returns
+    (words, truncated): the words of length <= max_len in the order
+    they are found, and whether a relation or an extension ran past
+    max_len.
     """
-    relations = ideal.relations
-    rests = {}    # proper prefix p of a relation p + q -> the rests q
-    for r in relations:
-        for k in range(1, len(r)):
-            rests.setdefault(r[:k], []).append(r[k:])
-    stack = [r for r in relations if len(r) <= max_len]
+    relations = trie.relations
+    goto, fail, depth, through = trie.goto, trie.fail, trie.depth, trie.through
+    # (word, state after its first `read` letters, read)
+    stack = [(r, 0, 0) for r in relations if len(r) <= max_len]
     truncated = len(stack) < len(relations)
     words = {}    # an ordered set, so the order never depends on hashing
     while stack:
-        w = stack.pop()
+        w, s, read = stack.pop()
         if w in words:
             continue
         words[w] = None
         if w[-2:] in final:
             continue
-        for k in range(1, len(w)):
-            for rest in rests.get(w[-k:], ()):
-                new = w + rest
-                if len(new) > max_len:
-                    truncated = True
-                elif new not in words:
-                    stack.append(new)
+        for ch in w[read:]:
+            while s and ch not in goto[s]:
+                s = fail[s]
+            s = goto[s].get(ch, 0)
+        end, suffixes = s, []
+        while s:
+            suffixes.append(s)
+            s = fail[s]
+        n = len(w)
+        for s in reversed(suffixes):
+            k = depth[s]
+            if k < n:
+                for i in through[s]:
+                    new = w + relations[i][k:]
+                    if len(new) > max_len:
+                        truncated = True
+                    elif new not in words:
+                        stack.append((new, end, n))
     return list(words), truncated
 
 
-def _min_occurrence_ends(ideal, words):
+def _min_occurrence_ends(trie, words):
     """For each word, m[a] = least end of a relation occurrence starting
-    at or past a."""
-    relations = set(ideal.relations)
-    lengths = sorted({len(r) for r in relations})
+    at or past a, len(word) + 1 if none does.
+
+    Reading the word through the trie, the latest start of an
+    occurrence ending at e is e - shortest[s], s the state after e
+    letters; m[a] is the first e whose latest start is a or past it.
+    """
+    goto, fail, shortest = trie.goto, trie.fail, trie.shortest
     out = []
     for word in words:
         m = [len(word) + 1] * (len(word) + 1)
-        for a in range(len(word) - 1, -1, -1):
-            m[a] = m[a + 1]
-            for k in lengths:
-                if a + k < m[a] and word[a:a + k] in relations:
-                    m[a] = a + k
-                    break
+        s = a = 0
+        for e, ch in enumerate(word, 1):
+            while s and ch not in goto[s]:
+                s = fail[s]
+            s = goto[s].get(ch, 0)
+            if shortest[s]:
+                start = e - shortest[s]
+                while a <= start:
+                    m[a] = e
+                    a += 1
         out.append(m)
     return out
 
 
-def _splitting_homology(n_len, min_end, max_i, field_char):
-    """Homology of the splitting complex of a word of length n_len.
+def _first_letter_cells(n_len, min_end, max_parts):
+    """The cells of K with at most max_parts parts, and their faces.
 
-    The word enters only through min_end, its least occurrence ends: a
-    part [a, b) lies in the ideal exactly when min_end[a] <= b.
-
-    Only the subcomplex K is listed: the splittings that cut at 1 and
-    whose second part [1, s2) ends at s2 >= min_end[0], so that [0, s2)
-    lies in the ideal (s2 = n_len if there is no second cut).  Its
-    homology is the whole complex's; the proof is in the module
-    docstring.  Cutting at 1 needs n_len >= 2 and [0, 1) normal, so a
-    first letter in the ideal leaves no cell, and a lone normal letter
-    is one cell in degree 1.
+    K is the subcomplex of the splittings that cut at 1 and whose second
+    part [1, s2) ends at s2 >= min_end[0], s2 = n_len if there is no
+    second cut (module docstring); it needs 2 <= n_len and [0, 1)
+    normal, min_end[0] > 1.  A part [a, b) is normal exactly when
+    min_end[a] > b.  Returns (layers, faces, cofaces): layers[n] lists
+    the cells of n parts in lexicographic order of their cuts, each as
+    (cuts, removable), the bitmasks of its cuts and of the cuts whose
+    removal gives a face.  The cells are numbered through the layers in
+    turn; faces[c] maps each face of cell c to its incidence, and
+    cofaces[c] lists the cells that have c as a face.  The search, which
+    never starts a part that cannot be completed within max_parts, and
+    the rule for faces are in the module docstring.
     """
-    if n_len == 0:
-        return {0: 1}
-    if min_end[0] == 1:
-        return {}
-    if n_len == 1:
-        return {1: 1} if max_i >= 1 else {}
-    max_parts = min(n_len, max_i + 1)
     # need[a]: fewest normal parts covering [a, n_len), above n_len if
     # none do.  Greedy is exact: any piece of a normal part is normal.
     need = [0] * (n_len + 1)
@@ -247,30 +333,63 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
         need[a] = need[reach] + 1 if reach > a else n_len + 1
     layers = [[] for _ in range(max_parts + 1)]
     if min_end[0] <= n_len < min_end[1] and max_parts >= 2:
-        layers[2].append(((0, 1, n_len), 2))
-    # (end, (0, cuts...), bitmask of the cuts), seeded with [0, 1)[1, s2)
-    stack = [(b, (0, 1, b), 2 | 1 << b)
+        layers[2].append((2, 0))
+    # (last cut a, min_end of the cut before it, parts before a, cuts,
+    # removable cuts before a), seeded with [0, 1)[1, s2)
+    stack = [(b, min_end[1], 2, 2 | 1 << b, 0)
              for b in range(min(min_end[1], n_len) - 1, min_end[0] - 1, -1)
              if 2 + need[b] <= max_parts]
     while stack:
-        a, ext, mask = stack.pop()
-        if n_len < min_end[a]:
-            layers[len(ext)].append((ext + (n_len,), mask))
-        for b in range(min(min_end[a], n_len) - 1, a, -1):
-            if len(ext) + need[b] <= max_parts:
-                stack.append((b, ext + (b,), mask | 1 << b))
+        a, prev_end, parts, cuts, removable = stack.pop()
+        end = min_end[a]
+        with_a = removable | 1 << a
+        if n_len < end:
+            layers[parts + 1].append(
+                (cuts, with_a if prev_end > n_len else removable))
+        for b in range(min(end, n_len) - 1, a, -1):
+            if parts + 1 + need[b] <= max_parts:
+                stack.append((b, end, parts + 1, cuts | 1 << b,
+                              with_a if prev_end > b else removable))
 
-    cells = [cell for layer in layers for cell in layer]
-    ids = {mask: c for c, (_, mask) in enumerate(cells)}
-    faces = [{} for _ in cells]       # cell -> {face: sign}
-    cofaces = [[] for _ in cells]
-    for c, (ext, mask) in enumerate(cells):
-        for t in range(1, len(ext) - 1):
-            if min_end[ext[t - 1]] > ext[t + 1]:
-                f = ids[mask ^ 1 << ext[t]]
-                faces[c][f] = 1 if t % 2 else -1
-                cofaces[f].append(c)
-    alive = [True] * len(cells)
+    listed = [cell for layer in layers for cell in layer]
+    ids = {cuts: c for c, (cuts, _) in enumerate(listed)}
+    faces = [{} for _ in listed]
+    cofaces = [[] for _ in listed]
+    for c, (cuts, removable) in enumerate(listed):
+        face = faces[c]
+        while removable:
+            bit = removable & -removable
+            removable ^= bit
+            f = ids[cuts ^ bit]
+            face[f] = -1 if (cuts & (bit - 1)).bit_count() & 1 else 1
+            cofaces[f].append(c)
+    return layers, faces, cofaces
+
+
+def _splitting_homology(n_len, min_end, max_i, field_char):
+    """Homology of the splitting complex of a word of length n_len.
+
+    The word enters only through min_end, its least occurrence ends: a
+    part [a, b) lies in the ideal exactly when min_end[a] <= b.
+
+    Only the subcomplex K is listed, by `_first_letter_cells`, each cell
+    as the bitmask of its cuts and each face as that mask with one
+    removable cut cleared: the splittings that cut at 1 and whose
+    second part [1, s2) ends at s2 >= min_end[0], so that [0, s2) lies
+    in the ideal (s2 = n_len if there is no second cut).  Its homology
+    is the whole complex's; the proof is in the module docstring.  Cutting at 1 needs n_len >= 2
+    and [0, 1) normal, so a first letter in the ideal leaves no cell,
+    and a lone normal letter is one cell in degree 1.
+    """
+    if n_len == 0:
+        return {0: 1}
+    if min_end[0] == 1:
+        return {}
+    if n_len == 1:
+        return {1: 1} if max_i >= 1 else {}
+    max_parts = min(n_len, max_i + 1)
+    layers, faces, cofaces = _first_letter_cells(n_len, min_end, max_parts)
+    alive = [True] * len(faces)
     queue = [c for c, fs in enumerate(faces) if len(fs) == 1]
     while queue:    # cancel (a, c) while a is the only face of c
         c = queue.pop()
@@ -281,10 +400,10 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
                 for x in cofaces[dead]:
                     if faces[x].pop(dead, None) and len(faces[x]) == 1:
                         queue.append(x)
-    left = [[] for _ in layers]
-    for c, (ext, _) in enumerate(cells):
-        if alive[c]:
-            left[len(ext) - 1].append(c)
+    left, first = [], 0
+    for layer in layers:
+        left.append([c for c in range(first, first + len(layer)) if alive[c]])
+        first += len(layer)
     # Cells are numbered in lexicographic order of their cuts.  Feeding
     # the rows last cell first, so that each pivot is a lex-least face,
     # keeps the fill-in of the elimination small.
@@ -293,7 +412,8 @@ def _splitting_homology(n_len, min_end, max_i, field_char):
         rows = [faces[c] for c in reversed(left[n])]
         if field_char == 2:
             col = {f: 1 << k for k, f in enumerate(left[n - 1])}
-            ranks[n] = gf2_rank([sum(col[f] for f in row) for row in rows])
+            ranks[n] = gf2_rank([sum(map(col.__getitem__, row))
+                                 for row in rows])
         else:
             ranks[n] = gfp_rank(rows, field_char)
     out = {}
@@ -358,7 +478,8 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
         raise ValueError(f"max_i and max_j must be non-negative, "
                          f"got {max_i} and {max_j}")
     quadratic = {r for r in ideal.relations if len(r) == 2}
-    words, truncated = _overlap_words(ideal, max_j, quadratic)
+    trie = _RelationTrie(ideal.relations)
+    words, truncated = _overlap_words(trie, max_j, quadratic)
     entries = {(0, 0): 1}
     if max_i >= 1 and max_j >= 1:
         entries[1, 1] = len(ideal.presentation.generator_names)
@@ -368,7 +489,7 @@ def minimal_resolution(ideal, field_char=2, max_i=8, max_j=16,
     steps = {}      # c -> {(letters placed, last letter): middle words}
     endings = {}    # c -> {length: last words}
     for k, (w, min_end) in enumerate(
-            zip(words, _min_occurrence_ends(ideal, words))):
+            zip(words, _min_occurrence_ends(trie, words))):
         if w[-2:] in quadratic:   # its factor ends before the last letter
             key = (len(w) - 1,
                    tuple([min(m, len(w)) for m in min_end[:len(w)]]))

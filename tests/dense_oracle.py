@@ -18,16 +18,19 @@ memo by (length, min_end) key.
 each by its length and least-end array, and convolves the homologies of
 the key's factors between forced cuts (`factor_keys`,
 `factored_homology`).
+
+Both read their chain words and least-end arrays from the slicing
+references of tests/propcore.py, not from the oracle's relation trie.
 """
 
+from propcore import reference_min_occurrence_ends, reference_overlap_words
 from yoneda_cps.linalg import gf2_rank, gfp_rank
-from yoneda_cps.oracle import (BettiTable, _min_occurrence_ends,
-                               _splitting_homology, chain_words)
+from yoneda_cps.oracle import BettiTable, _splitting_homology
 
 
 def word_homology(ideal, word, max_i, field_char):
     """Homology dimensions {n: dim} of one word's splitting complex."""
-    min_end = _min_occurrence_ends(ideal, [word])[0]
+    min_end = reference_min_occurrence_ends(ideal, [word])[0]
     return _splitting_homology(len(word), min_end, max_i, field_char)
 
 
@@ -69,12 +72,12 @@ def minimal_resolution_by_words(ideal, field_char=2, max_i=8, max_j=16):
     """The Betti table of `oracle.minimal_resolution`, one chain word at
     a time: every chain word of length <= max_j adds the homology of its
     (length, min_end) key, each key reduced once by its factors."""
-    words, truncated = chain_words(ideal, max_j)
+    words, truncated = reference_overlap_words(ideal, max_j)
     entries = {(0, 0): 1}
     if max_i >= 1 and max_j >= 1:
         entries[1, 1] = len(ideal.presentation.generator_names)
-    keys = [(len(w), tuple(m))
-            for w, m in zip(words, _min_occurrence_ends(ideal, words))]
+    keys = [(len(w), tuple(m)) for w, m in
+            zip(words, reference_min_occurrence_ends(ideal, words))]
     homology = {}
     factors = {}    # factor key -> its homology
     for key in keys:

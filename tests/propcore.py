@@ -18,6 +18,8 @@ from yoneda_cps.graph import (CircuitSummary, CpsGraph, build_marked_graph,
                               graph_params)
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
                                  annihilator_generators)
+from yoneda_cps.oracle import (_min_occurrence_ends, _overlap_words,
+                               _RelationTrie)
 from yoneda_cps.presentation import format_word, make_presentation, walk_cap
 from yoneda_cps.ratfun import RationalFunction
 from yoneda_cps.walks import (_NO_CHAINS, AnchoredWalk,
@@ -530,6 +532,77 @@ def reference_contains(relations, word):
     relation with every window of its length."""
     return any(word[i:i + len(r)] == r
                for r in relations for i in range(len(word) - len(r) + 1))
+
+
+def reference_overlap_words(ideal, max_len, final=()):
+    """The overlap-extension listing of `oracle._overlap_words` from a
+    table of every proper relation prefix and its rests, quadratic in
+    the relations' length: each suffix of w of length k < len(w) is
+    sliced and looked up.  Returns the words in the order found and the
+    truncation flag."""
+    relations = ideal.relations
+    rests = {}    # proper prefix p of a relation p + q -> the rests q
+    for r in relations:
+        for k in range(1, len(r)):
+            rests.setdefault(r[:k], []).append(r[k:])
+    stack = [r for r in relations if len(r) <= max_len]
+    truncated = len(stack) < len(relations)
+    words = {}
+    while stack:
+        w = stack.pop()
+        if w in words:
+            continue
+        words[w] = None
+        if w[-2:] in final:
+            continue
+        for k in range(1, len(w)):
+            for rest in rests.get(w[-k:], ()):
+                new = w + rest
+                if len(new) > max_len:
+                    truncated = True
+                elif new not in words:
+                    stack.append(new)
+    return list(words), truncated
+
+
+def reference_min_occurrence_ends(ideal, words):
+    """`oracle._min_occurrence_ends` by slicing: for each word,
+    m[a] = least end of a relation occurrence starting at or past a,
+    found by one set lookup per start and relation length."""
+    relations = set(ideal.relations)
+    lengths = sorted({len(r) for r in relations})
+    out = []
+    for word in words:
+        m = [len(word) + 1] * (len(word) + 1)
+        for a in range(len(word) - 1, -1, -1):
+            m[a] = m[a + 1]
+            for k in lengths:
+                if a + k < m[a] and word[a:a + k] in relations:
+                    m[a] = a + k
+                    break
+        out.append(m)
+    return out
+
+
+def oracle_trie_mismatch(ideal, max_len, extra_words=()):
+    """Where the oracle's relation trie disagrees with the slicing
+    references above, or None: the chain words and the factor words
+    (never extended past a degree-2 relation), in order and with their
+    truncation flags, up to max_len, and the min_end arrays of all of
+    them and of extra_words."""
+    trie = _RelationTrie(ideal.relations)
+    quadratic = {r for r in ideal.relations if len(r) == 2}
+    words = list(extra_words)
+    for name, final in (("chain words", ()), ("factor words", quadratic)):
+        listed = _overlap_words(trie, max_len, final)
+        if listed != reference_overlap_words(ideal, max_len, final):
+            return f"the {name} up to length {max_len}"
+        words += listed[0]
+    for w, got, want in zip(words, _min_occurrence_ends(trie, words),
+                            reference_min_occurrence_ends(ideal, words)):
+        if got != want:
+            return f"min_end of {format_word(w)}: {got} against {want}"
+    return None
 
 
 def reference_annihilators(ideal, m, max_degree):

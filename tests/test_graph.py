@@ -327,35 +327,63 @@ def test_l_search_merges_states_within_512_mib():
     assert child.stdout.strip() == "1099"
 
 
-# Runs the `graph` verb on the 20 KB input x^3999 y, yxy, given as a file
-# path, and writes the child's own peak resident set (KiB) to stderr.
-_LONG_RELATION_GRAPH = """
-import resource
+# Runs a verb, given with its arguments, and writes the child's own peak
+# resident set (KiB) to stderr.  That is VmHWM, not ru_maxrss: Linux keeps
+# ru_maxrss across exec, so a child started from the test run would
+# report at least the test run's own peak.
+_VERB_PEAK = """
 import sys
 from yoneda_cps.cli import main
-code = main(["graph", sys.argv[1]])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith("VmHWM:")), file=sys.stderr)
 sys.exit(code)
 """
 
 
+def _verb_peak(*argv):
+    """(parsed stdout, peak KiB) of one verb, in a child process so that
+    the reading is its own."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _VERB_PEAK, *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+    return json.loads(child.stdout), int(child.stderr.split()[-1])
+
+
 def test_long_relation_graph_within_64_mb(tmp_path):
-    """The ideal's index grows with the relations' total length, not with
-    its square: `graph` on x^3999 y, yxy peaks under 64 MB (about 16 MB),
-    in a child process so that the reading is its own."""
+    """The ideal's index and the oracle's relation trie grow with the
+    relations' total length, not with its square: `graph` and `validate`
+    on the 20 KB input x^3999 y, yxy each peak under 64 MB (about 16 and
+    18 MB)."""
     path = tmp_path / "long_relation.json"
     path.write_text(json.dumps({"generators": ["x", "y"],
                                 "relations": [["x"] * 3999 + ["y"],
                                               ["y", "x", "y"]]}))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", _LONG_RELATION_GRAPH,
-                            str(path)], env=env, capture_output=True,
-                           text=True, timeout=120)
-    assert child.returncode == 0, child.stderr[-2000:]
-    assert len(json.loads(child.stdout)["vertices"]) == 4
-    assert int(child.stderr.split()[-1]) < 64 * 1024
+    out, peak = _verb_peak("graph", str(path))
+    assert len(out["vertices"]) == 4
+    assert peak < 64 * 1024
+    out, peak = _verb_peak("validate", str(path))
+    assert out["mismatches"] == [] and out["betti"]["truncation_reached"]
+    assert peak < 64 * 1024
+
+
+def test_many_relation_lengths_decide_fg_within_32_mb(tmp_path):
+    """The graph build holds one object per annihilator word, however
+    many vertices it is an out-neighbour of: `decide-fg` on y x^k y,
+    k < 200 (201 vertices, 39,800 edges) peaks under 32 MB (about
+    21 MB, against 55 MB with a copy per edge)."""
+    path = tmp_path / "many_lengths.json"
+    path.write_text(json.dumps({"generators": ["x", "y"],
+                                "relations": [["y"] + ["x"] * k + ["y"]
+                                              for k in range(1, 200)]}))
+    out, peak = _verb_peak("decide-fg", str(path))
+    assert out["value"] is False
+    assert peak < 32 * 1024
 
 
 def test_circuit_summary_shapes():

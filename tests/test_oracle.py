@@ -9,15 +9,16 @@ from dense_oracle import (factor_keys, factored_homology,
                           minimal_resolution_by_words,
                           minimal_resolution_dense,
                           reference_splitting_homology, word_homology)
-from propcore import random_presentation
+from propcore import census, oracle_trie_mismatch, random_presentation
 from yoneda_cps import oracle
 from yoneda_cps.graph import build_marked_graph
 from yoneda_cps.linalg import gf2_rank
 from yoneda_cps.monomial import MonomialIdeal
-from yoneda_cps.oracle import (BettiTable, _min_occurrence_ends,
+from yoneda_cps.oracle import (BettiTable, _first_letter_cells,
+                               _min_occurrence_ends, _RelationTrie,
                                _splitting_homology, chain_words,
                                cross_validate, minimal_resolution)
-from yoneda_cps.presentation import make_presentation
+from yoneda_cps.presentation import Presentation, make_presentation
 
 
 def ideal(name):
@@ -186,8 +187,10 @@ def test_resolution_memo_is_exact(name, n_words, n_keys, field_char):
     words, _ = chain_words(a, 16)
     assert len(words) == n_words
     assert len({_occurrence_key(a, w) for w in words}) == n_keys
+    trie = _RelationTrie(a.relations)
     assert all(_occurrence_key(a, w) ==
-               (len(w), tuple(_min_occurrence_ends(a, [w])[0])) for w in words)
+               (len(w), tuple(_min_occurrence_ends(trie, [w])[0]))
+               for w in words)
     expect = {(0, 0): 1, (1, 1): len(a.presentation.generator_names)}
     for w in words:
         for n, dim in word_homology(a, w, 8, field_char).items():
@@ -195,20 +198,95 @@ def test_resolution_memo_is_exact(name, n_words, n_keys, field_char):
     assert minimal_resolution(a, field_char, 8, 16).entries == expect
 
 
-@pytest.mark.parametrize("field_char", [2, 32003])
-def test_reduction_matches_reference_on_fixture_keys(field_char):
-    """Cancelling unit-incidence pairs before the ranks gives the
-    homology that ranking the whole complex gives, on every distinct key
-    of the fixtures' chain words."""
+def _fixture_keys():
+    """Every distinct key of the fixtures' chain words, at max_j = 12
+    and at 16 for x2y_family and abc_cdab_bcda."""
     windows = [(name, 12) for name in ALL]
     windows += [("x2y_family", 16), ("abc_cdab_bcda", 16)]
     keys = set()
     for name, max_j in windows:
         a = ideal(name)
         keys |= {_occurrence_key(a, w) for w in chain_words(a, max_j)[0]}
-    for key in sorted(keys):
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("field_char", [2, 32003])
+def test_reduction_matches_reference_on_fixture_keys(field_char):
+    """Cancelling unit-incidence pairs before the ranks gives the
+    homology that ranking the whole complex gives, on every distinct key
+    of the fixtures' chain words."""
+    for key in _fixture_keys():
         assert (_splitting_homology(*key, 8, field_char)
                 == reference_splitting_homology(*key, 8, field_char)), key
+
+
+def _reference_k(n_len, min_end, max_parts):
+    """The cells of K with at most max_parts parts, as the module
+    docstring defines them, and their signed faces: every splitting into
+    normal parts, by recursion, kept when it cuts at 1 and its second
+    part ends at s2 >= min_end[0]; removing the t-th cut is a face when
+    the merged part is normal, with incidence (-1)^(t + 1)."""
+    splittings = []
+
+    def rec(a, cuts):
+        if n_len < min_end[a]:
+            splittings.append(cuts)
+        if len(cuts) + 1 < max_parts:
+            for b in range(a + 1, min(min_end[a], n_len)):
+                rec(b, cuts + (b,))
+
+    rec(0, ())
+    cells = sorted(cuts for cuts in splittings if cuts[:1] == (1,) and
+                   (cuts + (n_len,))[1] >= min_end[0])
+    faces = {}
+    for cuts in cells:
+        ext = (0,) + cuts + (n_len,)
+        faces[cuts] = {cuts[:t - 1] + cuts[t:]: 1 if t % 2 else -1
+                       for t in range(1, len(cuts) + 1)
+                       if min_end[ext[t - 1]] > ext[t + 1]}
+    return cells, faces
+
+
+def _listing_mismatch(n_len, min_end, max_parts):
+    """Where `_first_letter_cells` differs from `_reference_k`, or None:
+    a cell in the wrong layer, the cells or their order (by number of
+    parts, then lexicographic), a face, a sign, a removable mask, or a
+    coface list."""
+    layers, faces, cofaces = _first_letter_cells(n_len, min_end, max_parts)
+    ref_cells, ref_faces = _reference_k(n_len, min_end, max_parts)
+    listed = []
+    for n, layer in enumerate(layers):
+        for mask, removable in layer:
+            cuts = tuple(b for b in range(1, n_len) if mask >> b & 1)
+            if len(cuts) + 1 != n:
+                return f"{cuts} in layer {n}"
+            listed.append((cuts, removable))
+    if [cuts for cuts, _ in listed] != sorted(ref_cells,
+                                              key=lambda c: (len(c), c)):
+        return "cells"
+    for c, (cuts, removable) in enumerate(listed):
+        got = {listed[f][0]: sign for f, sign in faces[c].items()}
+        if got != ref_faces[cuts]:
+            return f"faces of {cuts}: {got} against {ref_faces[cuts]}"
+        if removable != sum(1 << b for b in cuts
+                            if tuple(x for x in cuts if x != b) in got):
+            return f"removable cuts of {cuts}"
+    if cofaces != [[x for x in range(len(listed)) if c in faces[x]]
+                   for c in range(len(listed))]:
+        return "cofaces"
+    return None
+
+
+def test_listing_is_k_on_fixture_keys():
+    """The cut-mask search lists exactly the cells and signed faces of K,
+    every face inside K, on every key of the fixtures' chain words
+    where K exists, at max_i = 8 and at max_i = 2."""
+    keys = [key for key in _fixture_keys() if key[0] >= 2 and key[1][0] > 1]
+    assert len(keys) > 2000
+    for n_len, min_end in keys:
+        for max_parts in {min(n_len, 9), min(n_len, 3)}:
+            assert _listing_mismatch(n_len, min_end, max_parts) is None, \
+                (n_len, min_end, max_parts)
 
 
 def test_first_letter_base_cases():
@@ -267,6 +345,15 @@ def test_reduction_matches_reference_on_random_complexes(key, max_i,
                                                          field_char):
     assert (_splitting_homology(*key, max_i, field_char)
             == reference_splitting_homology(*key, max_i, field_char))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(min_end_arrays(), st.integers(1, 12))
+def test_listing_is_k_on_random_keys(key, max_i):
+    n_len, min_end = key
+    if n_len >= 2 and min_end[0] > 1:
+        max_parts = min(n_len, max_i + 1)
+        assert _listing_mismatch(n_len, min_end, max_parts) is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -392,3 +479,45 @@ def test_factor_sequences_match_the_chain_words_on_random_presentations():
         a = MonomialIdeal(random_presentation(rng))
         _same_table(a, 2, 8, 10)
         _same_table(a, 3, 4, 9)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_relation_trie_matches_the_slicing_references(name):
+    """The trie lists the chain words and factor words of the slicing
+    references in the same order, and reads the same min_end arrays,
+    here also on every word of length 4 over the alphabet."""
+    a = ideal(name)
+    words = itertools.product(a.presentation.generator_names, repeat=4)
+    assert oracle_trie_mismatch(a, 12 if name == "sklyanin_leading" else 16,
+                                list(words)) is None
+
+
+def test_relation_trie_matches_the_slicing_references_on_the_census():
+    for p in census(["x", "y"], 2, 4, 3):
+        assert oracle_trie_mismatch(MonomialIdeal(p), 10) is None, p.relations
+
+
+def test_relation_trie_matches_the_slicing_references_on_random_draws():
+    rng = random.Random(11)
+    for _ in range(300):
+        p = random_presentation(rng, max_gens=4, max_relations=6,
+                                max_degree=6)
+        names = p.generator_names
+        extra = [tuple(rng.choice(names) for _ in range(rng.randint(0, 12)))
+                 for _ in range(5)]
+        assert oracle_trie_mismatch(MonomialIdeal(p), 11, extra) is None, \
+            p.relations
+
+
+@pytest.mark.parametrize("relations", [
+    (("x", "y"), ("x", "y", "x")),           # a relation is a prefix
+    (("y", "x"), ("x", "y", "x"), ("y", "x")),   # a factor, and a repeat
+    (("x",), ("x", "x", "y"), ("y", "y")),
+    (("x", "y", "x"), ("y", "y"), ("x", "y")),  # the longer listed first
+])
+def test_relation_trie_needs_no_pruned_presentation(relations):
+    """A Presentation built directly keeps a relation that has another
+    as a factor; the trie still lists what the references list."""
+    a = MonomialIdeal(Presentation(("x", "y"), relations))
+    words = [w for n in range(7) for w in itertools.product("xy", repeat=n)]
+    assert oracle_trie_mismatch(a, 9, words) is None

@@ -118,8 +118,9 @@ def test_nothing_recurses():
 
 def test_oracle_reads_no_walk_calculus():
     """The oracle is an independent check: only cross_validate may use a
-    name from ext, graph or walks, and the resolution itself reads only
-    the ideal, linalg and its own functions."""
+    name from ext, graph or walks, and the resolution itself, the
+    relation trie included, reads only the ideal, linalg and its own
+    functions and classes."""
     tree = ast.parse((SRC / "yoneda_cps" / "oracle.py").read_text())
     imported = {}
     for node in ast.walk(tree):
@@ -131,13 +132,20 @@ def test_oracle_reads_no_walk_calculus():
                 imported[alias.asname or alias.name] = alias.name
     functions = {fn.name: fn for fn in tree.body
                  if isinstance(fn, ast.FunctionDef)}
+    classes = {c.name: c for c in tree.body if isinstance(c, ast.ClassDef)}
+    assert set(classes) == {"BettiTable", "_RelationTrie"}
     resolution = {"chain_words", "_overlap_words", "_min_occurrence_ends",
-                  "_splitting_homology", "_kunneth", "_add_into",
-                  "minimal_resolution"}
+                  "_first_letter_cells", "_splitting_homology", "_kunneth",
+                  "_add_into", "minimal_resolution"}
     assert set(functions) == resolution | {"cross_validate"}
-    allowed = (set(dir(builtins)) | resolution | {"BettiTable"}
+    allowed = (set(dir(builtins)) | resolution | set(classes)
                | {name for name, module in imported.items()
                   if module == "linalg"})
+    # the relation trie's methods are held to the resolution's rule
+    for fn in classes["_RelationTrie"].body:
+        if isinstance(fn, ast.FunctionDef):
+            functions[f"_RelationTrie.{fn.name}"] = fn
+            resolution.add(f"_RelationTrie.{fn.name}")
     for name, fn in functions.items():
         bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
         bound |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
