@@ -59,7 +59,9 @@ Hunts:
              and by comparing every window, on each
              vertex and on each relation with a letter on either side;
              a vertex's out-list with the minimal annihilators that a
-             scan of every normal word finds, `succ` with the positions
+             scan of every normal word finds, each edge's admissibility,
+             which the build reads off the vertex scan, with whether
+             its edge word is a relation, `succ` with the positions
              of the out-lists, the key order of `admissible` with the
              edges sorted by `sort_key`, the Hilbert series
              with the bordered determinants of Cramer's rule, the L
@@ -83,6 +85,22 @@ Hunts:
              are not well-formed quoted strings.  Specimens print as
              the input file, after a line naming the call; exits 1 if
              there is one
+  scale      every verb but `multiply` on inputs far larger than the
+             benchmark's: draws 0 to 2 of each scale tier G/R/D (G
+             letters, R relations of degree 2 to D, from
+             random.Random(seed)): 8/30/8 at seed 1, 10/60/10 at seed
+             2, 16/200/12 at seed 3 and 26/1000/16 at seed 4; the
+             1,100-generator chain a(i+1) a(i+1) a(i) a(i), xxx; and
+             two ladders, y x^k y for 1 <= k < K (K = 50, 100, 200) and
+             x^n y, yxy (n = 1000, 2000, 4000).  Each verb runs as
+             `python -m yoneda_cps.cli`, one child process at a time,
+             under a 1.5 GiB RLIMIT_AS and a 60 s wall-clock limit.  A
+             specimen is a nonzero exit, a run killed at the time
+             limit, or a ladder rung whose verb takes more than 8x the
+             wall time of the rung below it.  Prints the table of
+             times and peaks (each child's ru_maxrss), then the
+             specimens; ignores --samples, --census and --seed; exits
+             1 if there is one
   summary    no specimens, just the verdict method distribution
 
 Specimens print as one JSON presentation per line, ready to be saved
@@ -96,8 +114,11 @@ import json
 import os
 import random
 import re
+import resource
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -232,11 +253,11 @@ def oracle_disagreement(ideal, checked):
 
 
 def series_disagreement(g):
-    """Which of membership, the out-lists, `succ`, the edge order, the
-    Hilbert series, L, the SCC summary, the quotient's walk counts, the
-    noetherian verdicts and the global dimension circuit differs from
-    its reference route, or None.  A series that trips its own
-    invariant counts."""
+    """Which of membership, the out-lists, admissibility, `succ`, the
+    edge order, the Hilbert series, L, the SCC summary, the quotient's
+    walk counts, the noetherian verdicts and the global dimension
+    circuit differs from its reference route, or None.  A series that
+    trips its own invariant counts."""
     ideal, rels = g.ideal, g.ideal.relations
     extended = [w for r in rels for x in ideal.presentation.generator_names
                 for w in ((x,) + r, r + (x,))]
@@ -251,6 +272,11 @@ def series_disagreement(g):
         if g.out[v] != reference_annihilators(g.ideal, v, cap):
             return (f"the out-list of {format_word(v)} against the scan "
                     "of every normal word")
+    relations = set(rels)
+    for (s, t), adm in g.admissible.items():
+        if adm != (t + s in relations):
+            return (f"the admissibility of {format_word(s)} -> "
+                    f"{format_word(t)} against its edge word")
     position = {v: i for i, v in enumerate(g.vertices)}
     if list(g.succ) != [[position[t] for t in g.out[v]] for v in g.vertices]:
         return "succ against the positions of the out-lists"
@@ -411,6 +437,156 @@ def cli_fuzz_problem(p, rng):
     return None
 
 
+SCALE_TIERS = ((8, 30, 8, 1), (10, 60, 10, 2), (16, 200, 12, 3),
+               (26, 1000, 16, 4))    # (G, R, D, seed)
+SCALE_VERBS = (("graph",), ("decide-fg",), ("series",),
+               ("ext-basis", "--max-degree", "3"),
+               ("validate", "--max-i", "4", "--max-j", "8"), ("analyze",),
+               ("decide-noetherian", "--side", "left"))
+SCALE_MEMORY = 3 << 29    # 1.5 GiB of address space per child
+SCALE_SECONDS = 60
+SCALE_STEP = 8    # a rung may take at most this many times the one below
+
+
+def scale_ladders():
+    """The ladders of the scale hunt, each (name, [(rung, contents)]),
+    every rung twice the one below: y x^j y for 1 <= j < k, and
+    x^n y, yxy."""
+    xy = ["x", "y"]
+    return [("y x^k y", [(f"k < {k}", {
+                "generators": xy,
+                "relations": [["y"] + ["x"] * j + ["y"] for j in range(1, k)]})
+                         for k in (50, 100, 200)]),
+            ("x^n y, yxy", [(f"n = {n}", {
+                "generators": xy,
+                "relations": [["x"] * n + ["y"], ["y", "x", "y"]]})
+                            for n in (1000, 2000, 4000)])]
+
+
+def scale_inputs():
+    """The inputs of the scale hunt as (name, input file contents)."""
+    inputs = []
+    for gens, relations, degree, seed in SCALE_TIERS:
+        rng = random.Random(seed)
+        names = [chr(ord("a") + i) for i in range(gens)]
+        for i in range(3):
+            rels = [[rng.choice(names) for _ in range(rng.randint(2, degree))]
+                    for _ in range(relations)]
+            inputs.append((f"{gens}/{relations}/{degree} #{i}",
+                           {"generators": names, "relations": rels}))
+    inputs.append(("1,100-generator chain", {
+        "generators": [f"a{i}" for i in range(1100)] + ["x"],
+        "relations": [[f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}"]
+                      for i in range(1099)] + [["x", "x", "x"]]}))
+    for ladder, rungs in scale_ladders():
+        inputs += [(f"{ladder}, {rung}", contents) for rung, contents in rungs]
+    return inputs
+
+
+def run_capped(verb, path, out):
+    """Run `python -m yoneda_cps.cli VERB... PATH` in a child process
+    under the scale hunt's address-space and wall-clock limits, its
+    stdout to the binary file `out`.  Returns (exit code, or None if the
+    clock killed it; seconds; peak MB; stderr).  The peak is the child's
+    ru_maxrss, which Linux starts at the resident set of the process
+    that forks it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (SCALE_MEMORY, SCALE_MEMORY))
+
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "yoneda_cps.cli", *verb, path],
+            stdin=subprocess.DEVNULL, stdout=out, stderr=err, env=env,
+            preexec_fn=limit)
+        killed = False
+        # wait4 rather than Popen.wait, for the child's own rusage
+        while True:
+            pid, status, usage = os.wait4(child.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.perf_counter() - start > SCALE_SECONDS:
+                child.kill()
+                _, status, usage = os.wait4(child.pid, 0)
+                killed = True
+                break
+            time.sleep(0.002)
+        seconds = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return (None if killed else child.returncode, seconds,
+                usage.ru_maxrss / 1024,
+                err.read().decode("utf-8", "backslashreplace"))
+
+
+def scale_hunt():
+    """Run the scale hunt, print its table and specimens; the number of
+    specimens.  V and E are counted off the lines of `graph`'s indented
+    JSON, so that the hunt's own resident set, where each child's peak
+    starts, stays small."""
+    specimens, rows, times = [], [], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        for name, contents in scale_inputs():
+            with open(path, "w") as fh:
+                json.dump(contents, fh)
+            cells, size = [], ("", "")
+            for verb in SCALE_VERBS:
+                with tempfile.TemporaryFile() as out:
+                    code, seconds, peak, err = run_capped(verb, path, out)
+                    if code == 0 and verb == ("graph",):
+                        out.seek(0)
+                        lines = [0, 0]
+                        for line in out:
+                            lines[0] += b'"in_g0"' in line
+                            lines[1] += b'"admissible"' in line
+                        size = tuple(f"{n:,}" for n in lines)
+                cell = f"{seconds:.2f} s, {peak:.0f} MB"
+                if code is None:
+                    cell = f"killed at {SCALE_SECONDS} s"
+                    specimens.append(f"{name}, `{verb[0]}`: past the "
+                                     f"{SCALE_SECONDS} s limit")
+                elif code:
+                    lines = err.strip().splitlines() or [""]
+                    why = next((line.removeprefix("error: ") for line in lines
+                                if line.startswith("error: ")), None)
+                    cell = (f"exit {code}, {why or 'no error line'}, "
+                            f"{seconds:.1f} s")
+                    specimens.append(
+                        f"{name}, `{verb[0]}`: exit {code}, " +
+                        (why or f"no error line, stderr ends {lines[-1]!r}"))
+                else:
+                    times[name, verb] = seconds
+                cells.append(cell)
+                print(f"# {name}, `{' '.join(verb)}`: {cell}",
+                      file=sys.stderr, flush=True)
+            rows.append([name, *size, *cells])
+    for ladder, rungs in scale_ladders():
+        names = [f"{ladder}, {rung}" for rung, _ in rungs]
+        for low, high in zip(names, names[1:]):
+            for verb in SCALE_VERBS:
+                if (low, verb) in times and (high, verb) in times and \
+                        times[high, verb] > SCALE_STEP * times[low, verb]:
+                    specimens.append(
+                        f"{high}, `{verb[0]}`: {times[high, verb]:.2f} s, "
+                        f"more than {SCALE_STEP}x {times[low, verb]:.2f} s "
+                        f"at {low}")
+    header = ["input", "V", "E", *(f"`{' '.join(verb)}`"
+                                   for verb in SCALE_VERBS)]
+    for row in [header, ["---"] * len(header)] + rows:
+        print("| " + " | ".join(row) + " |")
+    for specimen in specimens:
+        print(f"# {specimen}")
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"# {len(rows)} inputs; a peak reads at least the hunt's own "
+          f"resident set when it forks, at most {own:.0f} MB",
+          file=sys.stderr)
+    return len(specimens)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=200)
@@ -421,7 +597,8 @@ def main(argv=None):
     parser.add_argument("--hunt", choices=("cli-fuzz", "fg-false", "fg-check",
                                            "n-bound", "oracle-check",
                                            "parity", "product-check",
-                                           "series-check", "summary"),
+                                           "scale", "series-check",
+                                           "summary"),
                         default="summary")
     parser.add_argument("--max-gens", type=int, default=3)
     parser.add_argument("--max-relations", type=int, default=4)
@@ -429,6 +606,10 @@ def main(argv=None):
     parser.add_argument("--cap", type=int, default=200000,
                         help="walk enumeration ceiling per sample")
     args = parser.parse_args(argv)
+    if args.hunt == "scale":
+        hits = scale_hunt()
+        print(f"# {hits} specimens", file=sys.stderr)
+        return 1 if hits else 0
 
     rng = random.Random(args.seed)
     if args.census:

@@ -16,8 +16,7 @@ _HOME = {
     "presentation": ("Presentation", "PresentationError", "WalkCapExceeded",
                      "make_presentation", "parse_presentation",
                      "serialize_presentation"),
-    "monomial": ("MonomialIdeal", "PreconditionError",
-                 "annihilator_generators"),
+    "monomial": ("MonomialIdeal", "PreconditionError"),
     "graph": ("CpsGraph", "GraphParams", "build_marked_graph",
               "circuits_and_sccs", "export_dot", "export_json",
               "graph_params"),

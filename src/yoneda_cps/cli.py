@@ -4,8 +4,9 @@ All results go to stdout as JSON with sorted keys; progress and errors
 go to stderr.  Exit codes: 0 success, 1 a usage error, bad input, an
 exceeded walk cap, exhausted memory or an input file nested too deep
 for the JSON parser (no search of the package recurses), 2 a broken
-internal invariant (a failed assertion, or a precondition of
-`annihilator_generators`, which only the graph build calls, on vertices).
+internal invariant (a failed assertion, or the precondition of
+`monomial.end_state`, the vertex scan that only the graph build runs, on
+vertices).
 
 The module imports at its top only what every verb runs: parsing, the
 annihilator graph and the walk cap.  Each `cmd_*` imports the modules
@@ -264,13 +265,17 @@ def main(argv=None):
         print(f"error: input too deep to process ({e})", file=sys.stderr)
         return 1
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        # Reported after the handler: until it ends, the traceback keeps
+        # alive the frames that hold the exhausted memory, and printing
+        # could fail for want of it.
+        pass
     except (AssertionError, PreconditionError) as e:
-        # Only the graph build calls annihilator_generators, on vertices,
-        # so a failed precondition there is a bug, not bad input.
+        # A PreconditionError comes only from `end_state`, which only the
+        # graph build runs, on vertices: a bug, not bad input.
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 2
+    print("error: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ defining relations.  Walk-level admissibility lives in `walks`.
 
 from collections import Counter
 from functools import cached_property
+from itertools import repeat
 
-from .monomial import MonomialIdeal, annihilator_generators
+from .monomial import MonomialIdeal, end_state, state_annihilators
 from .presentation import Record, format_word
 
 __all__ = [
@@ -46,39 +47,76 @@ class CpsGraph(Record):
 def build_marked_graph(ideal):
     """The graph of a MonomialIdeal or a Presentation, every edge marked.
 
-    A worklist adds each new vertex's annihilator set as its out-edges;
-    it ends since annihilator words are shorter than the longest relation.
-    The vertices are sorted once by `sort_key`, and their ranks order the
-    rest.  Every out-neighbour is a vertex and `sort_key` gives distinct
-    words distinct keys, so an out-list in rank order is sorted by
-    `sort_key`.  `admissible` is filled in vertex order, then in out-list
-    order, and a dict keeps insertion order: its keys are the edges sorted.
+    A worklist adds each new vertex's minimal annihilators as its
+    out-edges; it ends since annihilator words are shorter than the
+    longest relation.  Each vertex is scanned once, by `end_state`,
+    which checks that it is normal.  Past that check its minimal
+    annihilators depend only on the state where the scan ends: the
+    candidates are the left parts of the relations through the states
+    on that state's failure chain, and each minimality scan starts from
+    it (see `annihilator_generators`).  So `state_annihilators` runs
+    once per distinct end state, and the vertices that share a state
+    share its out-list and its `succ` row.
+
+    An edge v -> t is admissible when t tensor v is a relation r.  Then
+    rev(v) begins rev(r), so it is itself a state, and the scan of v,
+    which ends at the longest state that is a suffix of what it read,
+    ends there, at depth len(v); and t = r[:len(r) - len(v)] is a left
+    part of a relation through that state, which `state_annihilators`
+    flags.  Conversely, when the end state has depth len(v) the
+    relations through it are those that end in v, so a flagged t makes
+    t tensor v a relation.  So the edges out of v are admissible exactly
+    as flagged when the end state has depth len(v), and none is
+    otherwise; no edge word is built.
+
+    The vertices are sorted once by `sort_key`, and their ranks order
+    the rest.  Every out-neighbour is a vertex and `sort_key` gives
+    distinct words distinct keys, so an out-list in rank order is sorted
+    by `sort_key`.  `admissible` is filled in vertex order, then in
+    out-list order, and a dict keeps insertion order: its keys are the
+    edges sorted.
     """
     if not isinstance(ideal, MonomialIdeal):
         ideal = MonomialIdeal(ideal)
     relations = set(ideal.relations)
+    depth = ideal.factor_index.depth
     g0 = tuple((name,) for name in ideal.presentation.generator_names)
     # seen maps each word to its first object, so that a word that is an
     # out-neighbour of many vertices is held once
-    seen, found = {m: m for m in g0}, {}
+    seen, state_of, annihilators = {m: m for m in g0}, {}, {}
     todo = list(g0)
     while todo:
         m = todo.pop()
-        found[m] = out = []
-        for w in annihilator_generators(ideal, m):
+        state_of[m] = s = end_state(ideal, m)
+        if s not in annihilators:
+            annihilators[s] = found = {}
+            for w, own in state_annihilators(ideal, s).items():
+                first = seen.setdefault(w, w)
+                if first is w:
+                    todo.append(w)
+                found[first] = own
+        if len(m) == 1:
             # Edges leaving a generator always straddle a whole relation.
-            assert len(m) > 1 or w + m in relations, \
-                f"generator edge {format_word(m)}->{format_word(w)} must be admissible"
-            if w not in seen:
-                seen[w] = w
-                todo.append(w)
-            out.append(seen[w])
+            for w in annihilators[s]:
+                assert w + m in relations, \
+                    f"generator edge {format_word(m)}->{format_word(w)} must be admissible"
 
-    vertices = tuple(sorted(found, key=ideal.sort_key))
+    vertices = tuple(sorted(state_of, key=ideal.sort_key))
     rank = {v: i for i, v in enumerate(vertices)}
-    succ = tuple(sorted(rank[t] for t in found[v]) for v in vertices)
-    out = {v: tuple(vertices[i] for i in ts) for v, ts in zip(vertices, succ)}
-    admissible = {(s, t): t + s in relations for s in vertices for t in out[s]}
+    rows, outs, marks = {}, {}, {}
+    for s, found in annihilators.items():
+        rows[s] = row = sorted(map(rank.__getitem__, found))
+        outs[s] = ts = tuple(map(vertices.__getitem__, row))
+        marks[s] = tuple(map(found.__getitem__, ts))
+    succ, out, admissible = [], {}, {}
+    for v in vertices:
+        s = state_of[v]
+        succ.append(rows[s])
+        out[v] = ts = outs[s]
+        if ts:
+            admissible.update(zip(zip(repeat(v), ts), marks[s] if depth[s] == len(v)
+                                  else repeat(False)))
+    succ = tuple(succ)
     return CpsGraph(ideal, vertices, g0, admissible, out, succ)
 
 

@@ -9,14 +9,16 @@ into the start len(w) - e in w.  `normal_count` counts the words on
 which the automaton completes no relation; reversal is a bijection on
 the words of each length, so these are the ideal's normal counts.  The
 annihilator sets that become graph edges come from one scan of the
-vertex: the failure chain of its final state lists the relations that
-end in a prefix of it, and scanning on into each left part tests
-minimality.  The walk layer reads the graph alone.
+vertex, `end_state`: the failure chain of its final state lists the
+relations that end in a prefix of it, and scanning on into each left
+part tests minimality, both in `state_annihilators`, which reads the
+final state alone.  The walk layer reads the graph alone.
 """
 
 from .presentation import Presentation, format_word
 
-__all__ = ["MonomialIdeal", "PreconditionError", "annihilator_generators"]
+__all__ = ["MonomialIdeal", "PreconditionError", "annihilator_generators",
+           "end_state", "state_annihilators"]
 
 
 class PreconditionError(ValueError):
@@ -121,7 +123,7 @@ class MonomialIdeal:
 
     def sort_key(self, word):
         """Deterministic word order: (degree, generator index sequence)."""
-        return (len(word), tuple(self._gen_index[c] for c in word))
+        return (len(word), tuple(map(self._gen_index.__getitem__, word)))
 
     def normal_count(self, degree):
         """dim of the degree-j component: number of words avoiding all relations.
@@ -142,9 +144,65 @@ class MonomialIdeal:
         return sum(counts.values())
 
 
+def end_state(ideal, m):
+    """The state of the ideal's automaton after reading m from its last
+    letter to its first.  A relation ending during the scan is the
+    failure of the precondition that m be normal."""
+    index = ideal.factor_index
+    goto, fail, hits = index.goto, index.fail, index.hits
+    s = 0
+    for ch in reversed(m):
+        while s and ch not in goto[s]:
+            s = fail[s]
+        s = goto[s].get(ch, 0)
+        if hits[s]:
+            raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
+    return s
+
+
+def state_annihilators(ideal, end):
+    """The minimal left annihilators of every normal word whose scan
+    ends at state `end`, as a dict u -> whether u is a left part
+    r[:len(r) - depth[end]] of a relation r through `end` itself.
+
+    `annihilator_generators` shows that the candidates, and the scans
+    that test their minimality, are read off `end` alone.  When
+    depth[end] = len(m), `end` stands for rev(m) itself and the
+    relations through it are those that end in m, so u tensor m is a
+    relation exactly when the flag of u is set; otherwise no relation
+    ends in m and no edge out of m is admissible.
+    """
+    index = ideal.factor_index
+    goto, fail, hits, depth, through = (index.goto, index.fail, index.hits,
+                                        index.depth, index.through)
+    k = depth[end]
+    candidates = {r[:len(r) - k]: True for r in through[end]}
+    s = fail[end]
+    while s:
+        k = depth[s]
+        for r in through[s]:
+            candidates.setdefault(r[:len(r) - k], False)
+        s = fail[s]
+    minimal = {}
+    for u, own in candidates.items():
+        # read u[j] for j = len(u) - 1, ..., 1: then t = len(u) - j letters
+        s, j = end, len(u)
+        while j > 1:
+            j -= 1
+            ch = u[j]
+            while s and ch not in goto[s]:
+                s = fail[s]
+            s = goto[s].get(ch, 0)
+            if hits[s] and hits[s][0][0] > len(u) - j:
+                break
+        else:
+            minimal[u] = own
+    return minimal
+
+
 def annihilator_generators(ideal, m):
-    """The set of minimal left annihilators of m, as a frozenset; the
-    graph build puts it in the vertex order.
+    """The set of minimal left annihilators of m, as a frozenset: the
+    keys of `state_annihilators` at `end_state(ideal, m)`.
 
     The candidates C are the left parts u of the relation splits
     r = u tensor v with v a nonempty prefix of m and a proper suffix of
@@ -172,30 +230,10 @@ def annihilator_generators(ideal, m):
     u[j:] in C.  One of length at most t lies inside u and says nothing
     of m: a pruned presentation has none, but a Presentation built
     directly can, so only the relations longer than t count.
+
+    Past the precondition, all of this reads the final state alone: its
+    failure chain, and the automaton's moves on from it.  So two
+    vertices whose scans end at one state have the same minimal
+    annihilators, which lets the graph build work once per state.
     """
-    index = ideal.factor_index
-    goto, fail, hits = index.goto, index.fail, index.hits
-    s = 0
-    for ch in reversed(m):
-        while s and ch not in goto[s]:
-            s = fail[s]
-        s = goto[s].get(ch, 0)
-        if hits[s]:
-            raise PreconditionError("m_in_ideal", f"m = {format_word(m)} lies in the ideal")
-    end, candidates = s, set()
-    while s:
-        k = index.depth[s]
-        candidates.update(r[:len(r) - k] for r in index.through[s])
-        s = fail[s]
-    minimal = []
-    for u in candidates:
-        s = end
-        for t, ch in enumerate(u[:0:-1], 1):
-            while s and ch not in goto[s]:
-                s = fail[s]
-            s = goto[s].get(ch, 0)
-            if hits[s] and hits[s][0][0] > t:
-                break
-        else:
-            minimal.append(u)
-    return frozenset(minimal)
+    return frozenset(state_annihilators(ideal, end_state(ideal, m)))

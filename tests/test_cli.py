@@ -1,10 +1,12 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -276,11 +278,11 @@ def test_a_bad_walk_cap_exits_1_on_every_verb(monkeypatch, capsys, argv):
 
 
 def test_precondition_error_is_an_internal_fault(monkeypatch, capsys):
-    # Every verb hands the annihilator routines graph vertices or parse
-    # states, never user words, so a failed precondition is a bug.
+    # Every verb hands the vertex scan graph vertices, never user words,
+    # so a failed precondition is a bug.
     def broken(ideal, m):
         raise PreconditionError("m_in_ideal", "m = x lies in the ideal")
-    monkeypatch.setattr(graph_module, "annihilator_generators", broken)
+    monkeypatch.setattr(graph_module, "end_state", broken)
     code, out, err = run(capsys, "analyze", fixture_path("x_square"))
     assert code == 2
     assert out == ""
@@ -346,6 +348,33 @@ def test_deep_input_answers(tmp_path):
     assert js["finitely_generated"] == {
         "value": True, "method": "finitely_many_indecomposables",
         "generator_degree_bound": 1100, "witness": None}
+
+
+def test_out_of_memory_is_reported_once_the_frames_are_freed(monkeypatch,
+                                                            capsys):
+    # Until the handler ends, the traceback keeps the raising frames and
+    # the memory they hold; printing there can itself run out of memory
+    # and lose the error line (analyze on draw 2 of the 26/1000/16 tier
+    # under a 1.5 GiB address-space cap did).
+    held, alive = [], []
+
+    class Block:
+        pass
+
+    def exhausted(presentation):
+        block = Block()
+        held.append(weakref.ref(block))
+        raise MemoryError
+
+    def spy_print(*args, **kwargs):
+        alive.append(held[0]() is not None)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_marked_graph", exhausted)
+    monkeypatch.setattr(cli, "print", spy_print, raising=False)
+    code, out, err = run(capsys, "graph", fixture_path("abc_cdab"))
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+    assert alive == [False]
 
 
 def test_memory_error_exits_cleanly(monkeypatch, capsys):
@@ -449,6 +478,26 @@ def _run_every_verb(content, generator="x"):
                 json.loads(out.getvalue())
             else:
                 assert out.getvalue() == "", argv
+
+
+def test_scale_hunt_answers_on_the_smallest_rungs(tmp_path):
+    """`graph` and `decide-fg` on the smallest rung of each ladder of
+    `random_search.py --hunt scale`, run as the hunt runs them: a child
+    `python -m yoneda_cps.cli` under the hunt's address-space and
+    wall-clock limits.  Only the exit is asserted, no time."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "random_search.py"
+    spec = importlib.util.spec_from_file_location("random_search", script)
+    hunt = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hunt)
+    path = tmp_path / "rung.json"
+    for ladder, rungs in hunt.scale_ladders():
+        path.write_text(json.dumps(rungs[0][1]))
+        for verb in (("graph",), ("decide-fg",)):
+            with tempfile.TemporaryFile() as out:
+                code, _, _, err = hunt.run_capped(verb, str(path), out)
+                out.seek(0)
+                assert code == 0, (ladder, verb, err)
+                json.load(out)
 
 
 def test_cli_fuzz_hunt_finds_nothing():

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from conftest import ALL, graph, load, sample_graphs
-from propcore import (census, in_lists, marked_graph, random_marked_graph,
-                      random_presentation, reference_annihilators,
+from propcore import (all_words, census, in_lists, marked_graph,
+                      random_marked_graph, random_presentation,
+                      reference_annihilators,
                       reference_circuit_summary, reference_leading_path,
                       reference_sccs)
 from yoneda_cps import graph as graph_module
@@ -128,29 +129,127 @@ def test_graph_matches_a_worklist_over_the_reference_annihilators():
                                 for s in out for t in out[s]}
 
 
+def _pool_presentations():
+    return [make_presentation(e["generators"], [tuple(r) for r in e["relations"]])
+            for e in json.loads(POOL.read_text())["presentations"]]
+
+
+def _deep_chain():
+    """The 1,100-generator chain of tests/test_cli.py::test_deep_input_answers."""
+    gens = [f"a{i}" for i in range(1100)] + ["x"]
+    rels = [(f"a{i + 1}", f"a{i + 1}", f"a{i}", f"a{i}") for i in range(1099)]
+    return make_presentation(gens, rels + [("x", "x", "x")])
+
+
+def _many_lengths(k):
+    """y x^j y for 1 <= j < k: k - 1 relations of distinct lengths."""
+    return make_presentation(["x", "y"], [("y",) + ("x",) * j + ("y",)
+                                          for j in range(1, k)])
+
+
 def test_the_build_scans_each_vertex_once(monkeypatch):
-    """The graph build asks the ideal about each vertex alone, in the
-    one scan that opens `annihilator_generators`: it checks there that
-    the vertex is normal, and asks `contains` nothing."""
+    """The graph build asks the ideal about each vertex alone, in one
+    `end_state` scan: it checks there that the vertex is normal, and
+    asks `contains` nothing."""
     ideals = [g.ideal for g in sample_graphs()]
     scanned = []
-    annihilators, contains = graph_module.annihilator_generators, MonomialIdeal.contains
+    scan, contains = graph_module.end_state, MonomialIdeal.contains
 
-    def spy_annihilators(ideal, m):
+    def spy_scan(ideal, m):
         scanned.append(tuple(m))
-        return annihilators(ideal, m)
+        return scan(ideal, m)
 
     def spy_contains(ideal, word):
         scanned.append(tuple(word))
         return contains(ideal, word)
 
-    monkeypatch.setattr(graph_module, "annihilator_generators", spy_annihilators)
+    monkeypatch.setattr(graph_module, "end_state", spy_scan)
     monkeypatch.setattr(MonomialIdeal, "contains", spy_contains)
     for ideal in ideals:
         scanned.clear()
         g = build_marked_graph(ideal)
         assert sorted(scanned, key=ideal.sort_key) == list(g.vertices), \
             ideal.relations
+
+
+def test_the_build_works_once_per_end_state(monkeypatch):
+    """Each distinct end state lists its candidates and tests their
+    minimality once per build, and the vertices whose scans end there
+    share one out-list and one `succ` row."""
+    ideals = [g.ideal for g in sample_graphs()]
+    ideals.append(MonomialIdeal(_many_lengths(50)))
+    ends, worked = {}, []
+    scan, annihilators = graph_module.end_state, graph_module.state_annihilators
+
+    def spy_scan(ideal, m):
+        ends[tuple(m)] = s = scan(ideal, m)
+        return s
+
+    def spy_annihilators(ideal, s):
+        worked.append(s)
+        return annihilators(ideal, s)
+
+    monkeypatch.setattr(graph_module, "end_state", spy_scan)
+    monkeypatch.setattr(graph_module, "state_annihilators", spy_annihilators)
+    shared = 0
+    for ideal in ideals:
+        ends.clear()
+        worked.clear()
+        g = build_marked_graph(ideal)
+        assert sorted(worked) == sorted(set(ends.values())), ideal.relations
+        first = {}
+        for i, v in enumerate(g.vertices):
+            j = first.setdefault(ends[v], i)
+            assert g.out[v] is g.out[g.vertices[j]], (ideal.relations, v)
+            assert g.succ[i] is g.succ[j], (ideal.relations, v)
+        shared += len(g.vertices) - len(first)
+    # y x^j y alone has 51 vertices on 2 end states
+    assert shared >= 49
+
+
+def test_the_per_state_build_matches_the_per_vertex_route():
+    """Every out-list against `annihilator_generators` of its vertex, and
+    every admissibility flag, which the build reads off the scan, against
+    membership of the edge word in the relations: on the fixtures, the
+    pool, 600 draws of Random(7), census x,y:2-4:3, the 1,100-generator
+    chain and y x^j y, j < 50.  The Presentation built directly of
+    tests/test_monomial.py::
+    test_minimality_reads_the_longest_relation_ending_at_a_state has no
+    graph, since yxx lies in its ideal; there every normal word of
+    degree up to 6 stands in for a vertex."""
+    rng = random.Random(7)
+    presentations = [load(name) for name in ALL] + _pool_presentations()
+    presentations += [random_presentation(rng) for _ in range(600)]
+    presentations += census(["x", "y"], 2, 4, 3)
+    presentations += [_deep_chain(), _many_lengths(50)]
+    for p in presentations:
+        g = build_marked_graph(p)
+        ideal, relations = g.ideal, set(p.relations)
+        for v in g.vertices:
+            assert g.out[v] == tuple(sorted(annihilator_generators(ideal, v),
+                                            key=ideal.sort_key)), (p.relations, v)
+        assert g.admissible == {(s, t): t + s in relations
+                                for s in g.vertices for t in g.out[s]}, \
+            p.relations
+
+    p = Presentation(("x", "y"), (("y", "x"), ("y", "x", "x", "y"),
+                                  ("x", "y", "x", "x", "y")))
+    ideal, relations = MonomialIdeal(p), set(p.relations)
+    with pytest.raises(PreconditionError):
+        build_marked_graph(ideal)
+    depth, flagged = ideal.factor_index.depth, 0
+    for d in range(1, 7):
+        for m in all_words(p.generator_names, d):
+            if ideal.contains(m):
+                continue
+            s = monomial.end_state(ideal, m)
+            found = monomial.state_annihilators(ideal, s)
+            assert set(found) == annihilator_generators(ideal, m), m
+            for u, own in found.items():
+                assert (own and depth[s] == len(m)) == (u + m in relations), \
+                    (m, u)
+                flagged += u + m in relations
+    assert flagged > 0
 
 
 def test_each_ideal_builds_one_index(monkeypatch):
@@ -169,10 +268,7 @@ def test_each_ideal_builds_one_index(monkeypatch):
         made.append(presentation.relations)
         make(self, presentation)
 
-    presentations = [load(name) for name in ALL]
-    presentations += [make_presentation(e["generators"],
-                                        [tuple(r) for r in e["relations"]])
-                      for e in json.loads(POOL.read_text())["presentations"]]
+    presentations = [load(name) for name in ALL] + _pool_presentations()
     monkeypatch.setattr(monomial._ReversedAutomaton, "__init__", spy_build)
     monkeypatch.setattr(MonomialIdeal, "__init__", spy_make)
     for p in presentations:

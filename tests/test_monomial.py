@@ -6,8 +6,10 @@ from conftest import ALL, graph, load
 from propcore import (all_words, census, random_presentation,
                       reference_annihilators, reference_contains)
 from yoneda_cps.monomial import (MonomialIdeal, PreconditionError,
-                                 annihilator_generators)
-from yoneda_cps.presentation import Presentation, make_presentation
+                                 annihilator_generators, end_state,
+                                 state_annihilators)
+from yoneda_cps.presentation import (Presentation, format_word,
+                                     make_presentation)
 
 
 def brute_occurrences(relations, word):
@@ -179,6 +181,55 @@ def test_annihilators_match_brute_scan():
                 got = annihilator_generators(ideal, m)
                 assert got == set(reference_annihilators(ideal, m, cap)), \
                     (relations, m)
+
+
+def test_end_state_is_the_last_state_of_the_scan():
+    """`end_state` is the state `states` reaches over a normal word, and
+    refuses a word in the ideal with the clause and message that
+    `annihilator_generators` raises."""
+    for name in ALL:
+        ideal = MonomialIdeal(load(name))
+        index, names = ideal.factor_index, ideal.presentation.generator_names
+        for d in range(1, 5):
+            for m in all_words(names, d):
+                if ideal.contains(m):
+                    with pytest.raises(PreconditionError) as e:
+                        end_state(ideal, m)
+                    assert e.value.clause == "m_in_ideal"
+                    assert str(e.value) == f"m = {format_word(m)} lies in the ideal"
+                else:
+                    assert end_state(ideal, m) == list(index.states(m))[-1]
+
+
+def test_state_flags_mark_the_edge_words_that_are_relations():
+    """The minimal annihilators at a word's end state are the brute
+    scan's, and u m is a relation exactly when u is flagged and the end
+    state has depth len(m): on the fixtures and on draws whose
+    relations overlap, for every normal word of degree up to 5."""
+    rng = random.Random(17)
+    presentations = [load(name) for name in ALL if name != "two_chain_overlap"]
+    for _ in range(60):
+        base = tuple(rng.choice("xy") for _ in range(8))
+        lengths = [rng.randint(2, 6) for _ in range(rng.randint(1, 4))]
+        presentations.append(make_presentation("xy", [
+            base[a:a + n] for n in lengths for a in [rng.randint(0, 8 - n)]]))
+    flagged = 0
+    for p in presentations:
+        ideal, relations = MonomialIdeal(p), set(p.relations)
+        depth, cap = ideal.factor_index.depth, max(map(len, p.relations)) - 1
+        for d in range(1, 6):
+            for m in all_words(p.generator_names, d):
+                if ideal.contains(m):
+                    continue
+                s = end_state(ideal, m)
+                found = state_annihilators(ideal, s)
+                assert sorted(found, key=ideal.sort_key) == \
+                    list(reference_annihilators(ideal, m, cap)), (p.relations, m)
+                for u, own in found.items():
+                    assert (own and depth[s] == len(m)) == (u + m in relations), \
+                        (p.relations, m, u)
+                    flagged += u + m in relations
+    assert flagged > 0
 
 
 def test_minimality_reads_the_longest_relation_ending_at_a_state():

@@ -39,7 +39,7 @@ def test_public_api_is_pinned():
         "CpsGraph", "EventuallyPeriodicWalk", "ExtClass", "GraphParams",
         "INFINITY", "MonomialIdeal", "PreconditionError", "Presentation",
         "PresentationError", "WalkCapExceeded",
-        "analyze", "annihilator_generators", "build_marked_graph",
+        "analyze", "build_marked_graph",
         "canonical_anchored", "circuits_and_sccs",
         "cross_validate", "enumerate_anchored", "export_dot", "export_json",
         "ext_class", "finitely_generated", "generators_up_to",
