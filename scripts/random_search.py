@@ -66,9 +66,10 @@ Hunts:
              edges sorted by `sort_key`, the Hilbert series
              with the bordered determinants of Cramer's rule, the L
              search with the search over whole paths, the SCC summary
-             with the pass over vertex tuples, the walk counts on the
-             coarsest out-equitable quotient with those on the whole
-             graph for n + 1 + 2 n_cyc terms, the noetherian verdict on
+             with the pass over vertex tuples, the quotient of the
+             Hilbert series, whose partition must be out-equitable, its
+             walk counts with those on the whole graph for
+             n + 1 + 2 n_cyc terms, the noetherian verdict on
              either side with the sort by `sort_key` over in-lists, or
              the circuit that global dimension names with the one the
              reference traces; exits 1 if there is one
@@ -296,7 +297,10 @@ def series_disagreement(g):
     summary, circuits = reference_circuit_summary(g)
     if g.cycles != summary:
         return "the SCC summary against the pass over vertex tuples"
-    _, succ, starts = _quotient(g)
+    colour, succ, starts = _quotient(g)
+    if any(sorted(colour[t] for t in ts) != sorted(succ[colour[v]])
+           for v, ts in enumerate(g.succ)):
+        return "the quotient's partition is not out-equitable"
     length = len(g.vertices) + 1 + 2 * sum(map(len, summary.cyclic))
     if _walk_counts(succ, starts, length) != reference_walk_counts(g, length):
         return "the quotient's walk counts against the whole graph's"

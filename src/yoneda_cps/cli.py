@@ -39,7 +39,18 @@ def _load(path):
 
 
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """obj as JSON, keys sorted, indent 2, written in blocks of 64 KiB
+    or more: the whole text is never held at once, and few writes reach
+    an unbuffered stdout."""
+    block, size = [], 0
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj):
+        block.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 16:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    block.append("\n")
+    sys.stdout.write("".join(block))
 
 
 def _progress(msg):

@@ -296,8 +296,8 @@ def reference_sccs(g):
 
 
 def reference_quotient(g):
-    """Reference route for the classes of `ext._quotient`: the coarsest
-    out-equitable partition, as a set of frozensets of vertex tuples.
+    """The coarsest out-equitable partition, as a set of frozensets of
+    vertex tuples: every class of `ext._quotient` lies in one of them.
     Naive splitting: each pass splits every block by its members'
     out-neighbour counts in each block of the pass's start, and the
     passes stop when one splits nothing.  A split never separates two

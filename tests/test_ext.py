@@ -241,10 +241,26 @@ def _seeded_graphs(count=300, seed=9):
             for _ in range(count)]
 
 
+def _relabelled_copies(name, count):
+    """The graph of `count` copies of fixture `name` on disjoint
+    letters: isomorphic pieces, which the coarsest out-equitable
+    partition merges and the out-list partition keeps apart."""
+    g = graph(name)
+    names = g.ideal.presentation.generator_names
+    return build_marked_graph(MonomialIdeal(make_presentation(
+        [f"{a}{i}" for i in range(count) for a in names],
+        [tuple(f"{a}{i}" for a in r)
+         for i in range(count) for r in g.ideal.relations])))
+
+
 def test_hilbert_series_matches_bordered_reference():
+    copies = _relabelled_copies("sklyanin_leading", 4)
+    # 4 copies of 4 out-lists each, where the coarsest partition has 3
+    assert len(ext._quotient(copies)[1]) == 16
+    assert len(reference_quotient(copies)) == 3
     reduced = 0
-    for g in ([graph(name) for name in ALL] + _graphs_with_long_cycles()
-              + _seeded_graphs()):
+    for g in ([graph(name) for name in ALL] + [copies]
+              + _graphs_with_long_cycles() + _seeded_graphs()):
         got, expect = hilbert_series(g), bordered_hilbert_series(g)
         assert got.to_json() == expect.to_json(), g.ideal.relations
         assert str(got) == str(expect), g.ideal.relations
@@ -263,12 +279,20 @@ def _n_cyc(g):
                if len(c) > 1 or any(v in g.out[v] for v in c))
 
 
+def _out_list_classes(g):
+    """The partition of g's vertices by equal rows of `g.succ`, as a
+    set of frozensets of vertex tuples."""
+    classes = {}
+    for v, ts in zip(g.vertices, g.succ):
+        classes.setdefault(tuple(ts), set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
 def test_hilbert_series_asks_for_k_plus_1_plus_2_k_cyc_terms(monkeypatch):
-    """deg N <= k and deg D <= k_cyc, the class counts of the coarsest
-    out-equitable quotient and of its cyclic components (read here off
-    the reference partition), so the series needs the counts up to
-    degree k and 2 k_cyc more: never more than the n + 1 + 2 n_cyc of
-    the whole graph."""
+    """deg N <= k and deg D <= k_cyc, the class counts of the out-list
+    quotient and of its cyclic components, so the series needs the
+    counts up to degree k and 2 k_cyc more: never more than the
+    n + 1 + 2 n_cyc of the whole graph."""
     asked = []
     counts = ext._walk_counts
 
@@ -280,7 +304,7 @@ def test_hilbert_series_asks_for_k_plus_1_plus_2_k_cyc_terms(monkeypatch):
     acyclic = fewer = 0
     for g in ([graph(name) for name in ALL] + _graphs_with_long_cycles()
               + _seeded_graphs()):
-        classes = reference_quotient(g)
+        classes = _out_list_classes(g)
         k_cyc = len(reference_quotient_cyclic(g, classes))
         asked.clear()
         hilbert_series(g)
@@ -306,12 +330,14 @@ def _tier_draws(gens, relations, degree, seed, count):
             for _ in range(count)]
 
 
-def test_quotient_is_the_coarsest_out_equitable_partition():
+def test_quotient_is_the_out_list_partition():
     """On the fixtures, the seeded draws, the census part x,y:2-3:3 and
-    the 15 draws of the 16/200/12 tier: the classes are the reference
-    partition's, every member of a class has its class's out-list, the
-    generator counts are right, and the quotient counts the graph's
-    walks for all n + 1 + 2 n_cyc terms the whole graph would need."""
+    the 15 draws of the 16/200/12 tier: the classes are the distinct
+    rows of `g.succ`, every member's out-list maps onto its class's
+    row, each class lies in one class of the coarsest out-equitable
+    partition, the generator counts are right, and the quotient counts
+    the graph's walks for all n + 1 + 2 n_cyc terms the whole graph
+    would need."""
     census_graphs = [build_marked_graph(MonomialIdeal(p))
                      for p in census(["x", "y"], 2, 3, 3)]
     for g in ([graph(name) for name in ALL] + _seeded_graphs()
@@ -321,11 +347,14 @@ def test_quotient_is_the_coarsest_out_equitable_partition():
         for v, c in zip(g.vertices, colour):
             classes.setdefault(c, set()).add(v)
         assert ({frozenset(c) for c in classes.values()}
-                == reference_quotient(g)), g.ideal.relations
+                == _out_list_classes(g)), g.ideal.relations
         assert sorted(classes) == list(range(len(succ)))
         for v, ts in enumerate(g.succ):
-            assert (sorted(colour[t] for t in ts)
-                    == sorted(succ[colour[v]])), g.ideal.relations
+            assert ([colour[t] for t in ts]
+                    == succ[colour[v]]), g.ideal.relations
+        coarsest = reference_quotient(g)
+        assert all(any(c <= d for d in coarsest)
+                   for c in classes.values()), g.ideal.relations
         assert starts == [sum(len(v) == 1 for v in classes[c])
                           for c in range(len(succ))]
         length = len(g.vertices) + 1 + 2 * _n_cyc(g)
